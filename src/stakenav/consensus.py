@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .domain import InvalidPairError, normalize_pair
+from .domain import InvalidPairError, normalize_pair, ordered_sum
 
 
 class DegenerateStakesError(ValueError):
@@ -32,7 +32,7 @@ class StakeTable:
         return len(self.stakes)
 
     def total(self) -> float:
-        return sum(self.stakes)
+        return ordered_sum(self.stakes)
 
 
 @dataclass
@@ -87,7 +87,7 @@ def stake_weight(table: StakeTable, i: int) -> float:
     """Normalized stake of robot i: s_i over the sum of all stakes."""
     if not 0 <= i < len(table.stakes):
         raise IndexError(f"robot index {i} out of range for {len(table.stakes)} stakes")
-    total = sum(table.stakes)
+    total = ordered_sum(table.stakes)
     if total <= 0.0:
         raise DegenerateStakesError("all stakes are zero; weights are undefined")
     return table.stakes[i] / total
@@ -186,13 +186,13 @@ def elect_generator(
     for w in weights:
         if w < 0:
             raise ValueError(f"election weights must be >= 0, got {w}")
-    total = sum(weights)
+    total = ordered_sum(weights)
     if total > 0.0:
         return _sample_index(weights, total, rng)
     if stakes is not None:
         if len(stakes) != n:
             raise ValueError(f"{len(stakes)} stakes for {n} weights")
-        stake_total = sum(stakes)
+        stake_total = ordered_sum(stakes)
         if stake_total > 0.0:
             return _sample_index(stakes, stake_total, rng)
     return rng.randrange(n)

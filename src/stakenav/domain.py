@@ -14,6 +14,19 @@ from dataclasses import dataclass
 MAX_SEED = 2**64 - 1
 
 
+def ordered_sum(values) -> float:
+    """Sum floats strictly left to right.
+
+    From Python 3.12 the builtin sum() compensates float rounding, which
+    changes the last bits of some totals and so the ledger bytes. Plain
+    left-to-right addition gives the same result on every interpreter.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 class ConfigError(ValueError):
     """A configuration field violates its constraints."""
 

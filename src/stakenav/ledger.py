@@ -4,23 +4,31 @@ Canonical encoding, used both for hashing and for the dump format: each
 record is JSON with lexicographically sorted keys, no insignificant
 whitespace, ASCII output, integers in decimal, and floats in Python's
 shortest round-trip decimal form. A block's hash is the lowercase hex SHA-256
-of the canonical encoding of the block without its "hash" field. The genesis
-block's prev_hash is 64 zero hex digits.
+of the canonical encoding of the block without its "hash" field (its body).
+The genesis block's prev_hash is 64 zero hex digits.
 
 Dump format: one block per line, each line the canonical encoding of the
-block including its "hash" field. Dump verification re-parses every line,
-requires it to re-encode byte-identically (so the file carries exactly the
-canonical form), and then re-checks every hash and link; any single-bit
-change to the stored bytes is therefore detected.
+block including its "hash" field. Keys are sorted, so that field always sits
+just before "index", and a line is its body with `"hash":"<hex>",` spliced
+in there. A block is encoded once, when it is sealed: the block keeps its
+body bytes, and dumping splices the hash into them.
+
+Dump verification parses every line, checks it against the record schema,
+re-encodes it once and requires that to equal the stored bytes (so the file
+carries exactly the canonical form), then hashes the line with the hash
+field cut out and re-checks the hash, the link and the tx_id sequence. It
+builds no Block or Transaction. Any single-bit change to the stored bytes
+is therefore detected.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from .domain import InvalidPairError, normalize_pair
+from .domain import normalize_pair
 
 GENESIS_PREV_HASH = "0" * 64
 
@@ -28,6 +36,18 @@ KIND_OBSERVATION = "pair_observation"
 KIND_REWARD = "generator_reward"
 
 _HEX_DIGITS = set("0123456789abcdef")
+
+_BLOCK_FIELDS = frozenset(
+    ("avg_navigability", "generator", "hash", "index", "prev_hash", "transactions")
+)
+_OBSERVATION_FIELDS = frozenset(("kind", "loop_index", "matches", "pair", "tx_id"))
+_REWARD_FIELDS = frozenset(("generator", "kind", "loop_index", "reward", "tx_id"))
+
+# In a canonical line the hash field, `"hash":"<64 hex>",`, comes right after
+# the avg_navigability and generator numbers and right before "index".
+_HASH_KEY = b'"hash":"'
+_HASH_FIELD_LEN = len(_HASH_KEY) + 64 + len(b'",')
+_INDEX_KEY = b'"index":'
 
 
 class LedgerError(ValueError):
@@ -45,18 +65,97 @@ def canonical_encode(obj: Any) -> bytes:
     ).encode("ascii")
 
 
-def _require_int(record: dict, key: str, line: str) -> int:
-    value = record.get(key)
-    if type(value) is not int:
-        raise LedgerFormatError(f"{line}: field '{key}' must be an integer, got {value!r}")
+# -- record schema ------------------------------------------------------------
+#
+# The only copy of the parse-time rules, shared by `from_dict` and by
+# `verify_dump_bytes`. A record that passes re-encodes without error, and
+# matches what sealing would write for the same values: numbers that
+# construction would convert (an int quality) or pairs it would normalise
+# (a reversed pair) are rejected rather than converted.
+
+
+def _check_fields(record: dict, fields: frozenset, what: str) -> None:
+    if record.keys() != fields:
+        unknown = set(record) - fields
+        if unknown:
+            raise LedgerFormatError(f"unknown {what} fields {sorted(unknown)}")
+        raise LedgerFormatError(f"missing {what} fields {sorted(fields - set(record))}")
+
+
+def _require_index(record: dict, key: str, what: str) -> None:
+    value = record[key]
+    if type(value) is not int or value < 0:
+        raise LedgerFormatError(
+            f"{what}: field '{key}' must be a non-negative integer, got {value!r}"
+        )
+
+
+def _require_finite(record: dict, key: str, what: str) -> float:
+    value = record[key]
+    if type(value) is not float or not math.isfinite(value):
+        raise LedgerFormatError(f"{what}: field '{key}' must be a finite float, got {value!r}")
     return value
 
 
-def _require_float(record: dict, key: str, line: str) -> float:
-    value = record.get(key)
-    if type(value) not in (int, float):
-        raise LedgerFormatError(f"{line}: field '{key}' must be a number, got {value!r}")
-    return float(value)
+def _check_transaction_record(record: Any) -> None:
+    """Raise LedgerFormatError unless `record` is a valid transaction dict."""
+    if not isinstance(record, dict):
+        raise LedgerFormatError(f"transaction record must be an object, got {record!r}")
+    kind = record.get("kind")
+    if kind == KIND_OBSERVATION:
+        _check_fields(record, _OBSERVATION_FIELDS, "transaction")
+        pair = record["pair"]
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and type(pair[0]) is int
+            and type(pair[1]) is int
+            and 0 <= pair[0] < pair[1]
+        ):
+            raise LedgerFormatError(f"pair must be two ascending robot ids >= 0, got {pair!r}")
+        matches = record["matches"]
+        if not isinstance(matches, list) or not matches:
+            raise LedgerFormatError(f"matches must be a non-empty list, got {matches!r}")
+        for entry in matches:
+            if not (
+                isinstance(entry, list)
+                and len(entry) == 2
+                and type(entry[0]) is int
+                and entry[0] >= 0
+                and type(entry[1]) is float
+                and 0.0 <= entry[1] <= 1.0
+            ):
+                raise LedgerFormatError(
+                    f"match entry must be [landmark id >= 0, float quality in [0, 1]], "
+                    f"got {entry!r}"
+                )
+    elif kind == KIND_REWARD:
+        _check_fields(record, _REWARD_FIELDS, "transaction")
+        _require_index(record, "generator", "transaction")
+        if _require_finite(record, "reward", "transaction") < 0.0:
+            raise LedgerFormatError(f"reward must be >= 0, got {record['reward']!r}")
+    else:
+        raise LedgerFormatError(f"unknown transaction kind {kind!r}")
+    _require_index(record, "tx_id", "transaction")
+    _require_index(record, "loop_index", "transaction")
+
+
+def _check_block_fields(record: Any) -> None:
+    """Raise LedgerFormatError unless `record` is a valid block dict; its
+    transactions are left to `_check_transaction_record`."""
+    if not isinstance(record, dict):
+        raise LedgerFormatError(f"block record must be an object, got {record!r}")
+    _check_fields(record, _BLOCK_FIELDS, "block")
+    for key in ("prev_hash", "hash"):
+        value = record[key]
+        if not isinstance(value, str) or len(value) != 64 or not set(value) <= _HEX_DIGITS:
+            raise LedgerFormatError(f"field '{key}' must be 64 lowercase hex digits")
+    _require_index(record, "index", "block")
+    _require_index(record, "generator", "block")
+    _require_finite(record, "avg_navigability", "block")
+    transactions = record["transactions"]
+    if not isinstance(transactions, list) or not transactions:
+        raise LedgerFormatError("block must carry a non-empty transaction list")
 
 
 @dataclass
@@ -136,53 +235,12 @@ class Transaction:
 
     @classmethod
     def from_dict(cls, record: Any) -> "Transaction":
-        if not isinstance(record, dict):
-            raise LedgerFormatError(f"transaction record must be an object, got {record!r}")
-        kind = record.get("kind")
-        if kind == KIND_OBSERVATION:
-            allowed = {"kind", "loop_index", "matches", "pair", "tx_id"}
-        elif kind == KIND_REWARD:
-            allowed = {"generator", "kind", "loop_index", "reward", "tx_id"}
+        _check_transaction_record(record)
+        if record["kind"] == KIND_OBSERVATION:
+            tx = cls.observation(record["pair"], record["matches"], record["loop_index"])
         else:
-            raise LedgerFormatError(f"unknown transaction kind {kind!r}")
-        unknown = set(record) - allowed
-        if unknown:
-            raise LedgerFormatError(f"unknown transaction fields {sorted(unknown)}")
-        missing = allowed - set(record)
-        if missing:
-            raise LedgerFormatError(f"missing transaction fields {sorted(missing)}")
-        tx_id = _require_int(record, "tx_id", "transaction")
-        loop_index = _require_int(record, "loop_index", "transaction")
-        try:
-            if kind == KIND_OBSERVATION:
-                pair = record["pair"]
-                if (
-                    not isinstance(pair, list)
-                    or len(pair) != 2
-                    or any(type(x) is not int for x in pair)
-                ):
-                    raise LedgerFormatError(f"pair must be a list of two ints, got {pair!r}")
-                raw_matches = record["matches"]
-                if not isinstance(raw_matches, list):
-                    raise LedgerFormatError(f"matches must be a list, got {raw_matches!r}")
-                matches = []
-                for entry in raw_matches:
-                    if not isinstance(entry, list) or len(entry) != 2:
-                        raise LedgerFormatError(f"match entry must be [id, quality], got {entry!r}")
-                    k, q = entry
-                    if type(k) is not int or type(q) not in (int, float):
-                        raise LedgerFormatError(f"match entry must be [int, number], got {entry!r}")
-                    matches.append((k, float(q)))
-                tx = cls.observation(pair=(pair[0], pair[1]), matches=matches, loop_index=loop_index)
-            else:
-                tx = cls.generator_reward(
-                    generator=_require_int(record, "generator", "transaction"),
-                    reward=_require_float(record, "reward", "transaction"),
-                    loop_index=loop_index,
-                )
-        except (LedgerError, InvalidPairError) as exc:
-            raise LedgerFormatError(str(exc)) from exc
-        tx.tx_id = tx_id
+            tx = cls.generator_reward(record["generator"], record["reward"], record["loop_index"])
+        tx.tx_id = record["tx_id"]
         return tx
 
 
@@ -191,6 +249,10 @@ class Block:
     """Hash-chained batch of transactions with its elected generator.
 
     `avg_navigability` snapshots the average navigability at generation time.
+    `body` holds the canonical body bytes written when the block was sealed;
+    `to_line()` dumps those bytes, so fields edited after sealing show up in
+    `Chain.verify()` but not in the dump. Blocks built another way (for
+    example by `Chain.loads`) have no body and encode from their fields.
     """
 
     index: int
@@ -199,6 +261,7 @@ class Block:
     generator: int
     avg_navigability: float
     hash: str
+    body: bytes | None = field(default=None, repr=False, compare=False)
 
     def body_dict(self) -> dict:
         return {
@@ -218,32 +281,21 @@ class Block:
         return record
 
     def to_line(self) -> bytes:
-        return canonical_encode(self.to_dict())
+        body = self.body
+        if body is None:
+            return canonical_encode(self.to_dict())
+        at = body.index(_INDEX_KEY)
+        return b'%s"hash":"%s",%s' % (body[:at], self.hash.encode("ascii"), body[at:])
 
     @classmethod
     def from_dict(cls, record: Any) -> "Block":
-        if not isinstance(record, dict):
-            raise LedgerFormatError(f"block record must be an object, got {record!r}")
-        expected = {"avg_navigability", "generator", "index", "prev_hash", "transactions", "hash"}
-        unknown = set(record) - expected
-        if unknown:
-            raise LedgerFormatError(f"unknown block fields {sorted(unknown)}")
-        missing = expected - set(record)
-        if missing:
-            raise LedgerFormatError(f"missing block fields {sorted(missing)}")
-        for key in ("prev_hash", "hash"):
-            value = record[key]
-            if not isinstance(value, str) or len(value) != 64 or not set(value) <= _HEX_DIGITS:
-                raise LedgerFormatError(f"field '{key}' must be 64 lowercase hex digits")
-        raw_txs = record["transactions"]
-        if not isinstance(raw_txs, list) or not raw_txs:
-            raise LedgerFormatError("block must carry a non-empty transaction list")
+        _check_block_fields(record)
         return cls(
-            index=_require_int(record, "index", "block"),
+            index=record["index"],
             prev_hash=record["prev_hash"],
-            transactions=[Transaction.from_dict(tx) for tx in raw_txs],
-            generator=_require_int(record, "generator", "block"),
-            avg_navigability=_require_float(record, "avg_navigability", "block"),
+            transactions=[Transaction.from_dict(tx) for tx in record["transactions"]],
+            generator=record["generator"],
+            avg_navigability=record["avg_navigability"],
             hash=record["hash"],
         )
 
@@ -287,7 +339,8 @@ class Chain:
         """Seal `transactions` into a new block and link it to the chain tip.
 
         Transactions must already carry tx_ids continuing the chain's
-        sequence without gaps.
+        sequence without gaps. The block body is encoded here, once; the
+        block keeps the bytes for dumping.
         """
         if not transactions:
             raise LedgerError("cannot seal a block with no transactions")
@@ -316,7 +369,8 @@ class Chain:
             avg_navigability=float(avg_navigability),
             hash="",
         )
-        block.hash = block.compute_hash()
+        block.body = canonical_encode(block.body_dict())
+        block.hash = hashlib.sha256(block.body).hexdigest()
         self.blocks.append(block)
         return block
 
@@ -327,8 +381,9 @@ class Chain:
     def verify(self) -> int | None:
         """Re-check every hash, link, and the tx_id sequence.
 
-        Returns None when the chain is intact, otherwise the index of the
-        first invalid block.
+        Hashes are recomputed from the blocks' fields, not from their stored
+        bodies, so edits made in memory are caught. Returns None when the
+        chain is intact, otherwise the index of the first invalid block.
         """
         prev_hash = GENESIS_PREV_HASH
         expected_tx_id = 0
@@ -376,7 +431,11 @@ class Chain:
     @classmethod
     def loads(cls, data: bytes, n_robots: int | None = None) -> "Chain":
         chain = cls(n_robots=n_robots)
-        chain.blocks = [block for _, block in _parse_dump(data)]
+        for index, line in enumerate(_dump_lines(data)):
+            try:
+                chain.blocks.append(Block.from_dict(json.loads(line.decode("ascii"))))
+            except _BAD_LINE_ERRORS as exc:
+                raise LedgerFormatError(f"block {index}: {exc}") from exc
         return chain
 
     @classmethod
@@ -400,44 +459,51 @@ def _block_intact(
     return block.compute_hash() == block.hash
 
 
-def _parse_dump(data: bytes):
-    """Yield (line bytes, Block) per dump line; raise LedgerFormatError with
-    the offending block index in the message via `.block_index`."""
+# What a line that cannot be decoded or fails the schema raises. ValueError
+# covers bad ASCII, bad JSON, an integer too long to convert and
+# LedgerFormatError; RecursionError comes from arrays nested too deeply.
+_BAD_LINE_ERRORS = (ValueError, RecursionError)
+
+
+def _dump_lines(data: bytes) -> list[bytes]:
     lines = data.split(b"\n")
     if lines and lines[-1] == b"":
         lines.pop()
-    for index, line in enumerate(lines):
-        try:
-            record = json.loads(line.decode("ascii"))
-            block = Block.from_dict(record)
-        except (UnicodeDecodeError, json.JSONDecodeError, LedgerFormatError) as exc:
-            error = LedgerFormatError(f"block {index}: {exc}")
-            error.block_index = index
-            raise error from exc
-        yield line, block
+    return lines
 
 
 def verify_dump_bytes(data: bytes) -> int | None:
     """Verify a dumped chain directly from its bytes.
 
-    Each line must decode, re-encode to exactly the stored bytes (the dump is
-    canonical by construction), and every block must pass hash, link, and
-    tx-sequence verification. Stops at the first bad line, so any byte-level
-    change is reported no later than the block it lands in. Returns None when
-    valid, otherwise the index of the first invalid block.
+    Each line must decode, pass the record schema, carry the expected index,
+    prev_hash and tx_ids, re-encode to exactly the stored bytes (the dump is
+    canonical by construction), and, with its hash field cut out, hash to
+    the stored hash. Builds no Block or Transaction. Stops at the first bad
+    line, so any byte-level change is reported no later than the block it
+    lands in. Returns None when valid, otherwise the index of the first
+    invalid block.
     """
     prev_hash = GENESIS_PREV_HASH
     expected_tx_id = 0
-    position = 0
-    try:
-        for line, block in _parse_dump(data):
-            if block.to_line() != line:
+    for position, line in enumerate(_dump_lines(data)):
+        try:
+            record = json.loads(line.decode("ascii"))
+            _check_block_fields(record)
+            for tx in record["transactions"]:
+                _check_transaction_record(tx)
+        except _BAD_LINE_ERRORS:
+            return position
+        if record["index"] != position or record["prev_hash"] != prev_hash:
+            return position
+        for tx in record["transactions"]:
+            if tx["tx_id"] != expected_tx_id:
                 return position
-            if not _block_intact(block, position, prev_hash, expected_tx_id):
-                return position
-            expected_tx_id += len(block.transactions)
-            prev_hash = block.hash
-            position += 1
-    except LedgerFormatError as exc:
-        return exc.block_index
+            expected_tx_id += 1
+        if canonical_encode(record) != line:
+            return position
+        at = line.index(_HASH_KEY)
+        body = line[:at] + line[at + _HASH_FIELD_LEN:]
+        if hashlib.sha256(body).hexdigest() != record["hash"]:
+            return position
+        prev_hash = record["hash"]
     return None

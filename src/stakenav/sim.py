@@ -25,6 +25,7 @@ from .domain import (
     WorldConfig,
     init_world,
     normalize_pair,
+    ordered_sum,
 )
 from .ledger import KIND_OBSERVATION, Block, Chain, Transaction
 from .navigability import IMPORTANCE_LEVELS
@@ -102,7 +103,7 @@ class ExperimentState:
         self._raw = [[0.0] * n for _ in range(n)]
 
     def total_stake(self) -> float:
-        return sum(r.stake for r in self.robots)
+        return ordered_sum(r.stake for r in self.robots)
 
 
 def step_movement(state: ExperimentState) -> list[tuple[float, float]]:
@@ -215,7 +216,7 @@ def _navigability_weights(
     robots = state.robots
     n = len(robots)
     stakes = [r.stake for r in robots]
-    total_stake = sum(stakes)
+    total_stake = ordered_sum(stakes)
     alpha = state._alpha
     raw = state._raw
     weights = []

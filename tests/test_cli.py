@@ -143,6 +143,21 @@ def test_verify_mode(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_reports_non_finite_numbers_as_invalid(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["--seed", "0", "--out", str(out)]) == 0
+    ledger = out / LEDGER_FILE
+    original = ledger.read_bytes()
+    first_line = original.split(b"\n", 1)[0]
+    assert b'"avg_navigability":0.0,' in first_line
+    for old, new in ((b'"avg_navigability":0.0,', b'"avg_navigability":NaN,'),
+                     (b'"reward":0.1,', b'"reward":Infinity,')):
+        ledger.write_bytes(original.replace(old, new, 1))
+        capsys.readouterr()
+        assert main(["--verify", str(ledger)]) == 3
+        assert "invalid at block 0" in capsys.readouterr().out
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

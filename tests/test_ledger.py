@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,8 +12,11 @@ from stakenav import (
     KIND_REWARD,
     Chain,
     LedgerError,
+    LedgerFormatError,
     Transaction,
+    WorldConfig,
     canonical_encode,
+    run_experiment,
     verify_dump_bytes,
 )
 
@@ -94,6 +98,11 @@ def test_transaction_from_dict_is_strict():
         lambda d: d.update(kind="mystery"),
         lambda d: d.update(tx_id="0"),
         lambda d: d.update(pair=[0, 1, 2]),
+        lambda d: d.update(pair=[1, 0]),  # construction would normalise it
+        lambda d: d.update(pair=[0, True]),
+        lambda d: d.update(matches=[[0, 1]]),  # construction would make it 1.0
+        lambda d: d.update(matches=[[-1, 0.5]]),
+        lambda d: d.update(loop_index=-1),
     ):
         d = json.loads(json.dumps(good))
         breakage(d)
@@ -211,3 +220,85 @@ def test_single_bit_flips_are_detected_no_later_than_the_block():
         data[pos] ^= bit
         assert result is not None and result <= block_idx, (pos, bit, result, block_idx)
     assert verify_dump_bytes(bytes(data)) is None
+
+
+def seed_dump(seed=0):
+    return run_experiment(WorldConfig(seed=seed)).chain.dumps()
+
+
+def rehash(line):
+    """The line with its stored hash replaced by the hash of its own body,
+    so that only the schema and canonical-form checks can reject it."""
+    key = b'"hash":"'
+    start = line.index(key) + len(key)  # the 64 hex digits, then '",'
+    body = line[:start - len(key)] + line[start + 64 + 2:]
+    digest = hashlib.sha256(body).hexdigest().encode("ascii")
+    return line[:start] + digest + line[start + 64:]
+
+
+def replace_line(data, index, line):
+    lines = data.split(b"\n")
+    lines[index] = line
+    return b"\n".join(lines)
+
+
+def test_sealed_lines_match_a_fresh_encoding():
+    for seed in range(5):
+        chain = run_experiment(WorldConfig(seed=seed)).chain
+        for block in chain.blocks:
+            assert block.to_line() == canonical_encode(block.to_dict())
+            assert rehash(block.to_line()) == block.to_line()
+        data = chain.dumps()
+        assert Chain.loads(data).dumps() == data
+        assert verify_dump_bytes(data) is None
+
+
+# (pattern, replacement) applied once to one line of a seed-0 dump. The
+# mutated line is then re-hashed: a verifier that accepted its contents would
+# report the next block, whose prev_hash no longer links, or nothing at all.
+MUTATIONS = {
+    "integer quality": (rb"\[(\d+),0\.\d+\]", rb"[\1,1]"),
+    "integer reward": (rb'"reward":[0-9.e-]+', b'"reward":1'),
+    "integer avg_navigability": (rb'"avg_navigability":[0-9.e-]+', b'"avg_navigability":0'),
+    "reversed pair": (rb'"pair":\[(\d+),(\d+)\]', rb'"pair":[\2,\1]'),
+    "bool loop_index": (rb'"loop_index":\d+', b'"loop_index":true'),
+    "negative reward generator": (rb'"generator":\d+,"kind"', b'"generator":-1,"kind"'),
+    "negative block generator": (rb'"generator":\d+,"hash"', b'"generator":-1,"hash"'),
+    "negative landmark id": (rb"\[(\d+),(0\.\d+)\]", rb"[-1,\2]"),
+    "trailing space": (rb"$", b" "),
+    "spaced separators": (rb',"', b', "'),
+    "NaN avg_navigability": (rb'"avg_navigability":[0-9.e-]+', b'"avg_navigability":NaN'),
+    "infinite reward": (rb'"reward":[0-9.e-]+', b'"reward":Infinity'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_verify_dump_rejects_mutated_record_at_its_block(name):
+    pattern, replacement = MUTATIONS[name]
+    data = seed_dump()
+    lines = data.split(b"\n")
+    index = len(lines) // 2
+    mutated = re.sub(pattern, replacement, lines[index], count=1)
+    assert mutated != lines[index]
+    mutated_data = replace_line(data, index, rehash(mutated))
+    assert verify_dump_bytes(mutated_data) == index
+    if name not in ("trailing space", "spaced separators"):  # only verify wants canonical bytes
+        with pytest.raises(LedgerFormatError):
+            Chain.loads(mutated_data)
+
+
+def test_verify_dump_reports_non_finite_numbers_instead_of_raising():
+    data = seed_dump()
+    lines = data.split(b"\n")
+    assert lines[0].startswith(b'{"avg_navigability":0.0,')
+    nan = lines[0].replace(b'"avg_navigability":0.0', b'"avg_navigability":NaN', 1)
+    assert verify_dump_bytes(replace_line(data, 0, nan)) == 0
+    for index in (0, len(lines) - 2):
+        infinite = re.sub(rb'"reward":[0-9.e-]+', b'"reward":Infinity', lines[index])
+        assert verify_dump_bytes(replace_line(data, index, infinite)) == index
+
+
+def test_verify_dump_reports_lines_the_decoder_cannot_read():
+    data = build_chain(blocks=3).dumps()
+    assert verify_dump_bytes(replace_line(data, 1, b"[" * 100_000)) == 1
+    assert verify_dump_bytes(replace_line(data, 2, b"1" * 5_000)) == 2
