@@ -25,7 +25,6 @@ from .domain import (
     ConfigError,
     InvalidPairError,
     Landmark,
-    ObservationMatch,
     RandomStreams,
     RobotState,
     WorldConfig,
@@ -61,7 +60,6 @@ from .sim import (
     compute_visibility,
     emit_transactions,
     maybe_seal_blocks,
-    observation_matches,
     run_experiment,
     step_movement,
 )
@@ -85,7 +83,6 @@ __all__ = [
     "LedgerError",
     "LedgerFormatError",
     "NavigabilityMatrix",
-    "ObservationMatch",
     "RandomStreams",
     "RobotState",
     "ScanCounter",
@@ -110,7 +107,6 @@ __all__ = [
     "navigability",
     "navigability_matrix",
     "normalize_pair",
-    "observation_matches",
     "run_experiment",
     "stake_weight",
     "step_movement",

@@ -104,7 +104,7 @@ def _parse_pair(text, key: str) -> tuple[int, int]:
         raise UsageError(f"{key} must be two comma-separated integers, got {text!r}")
     try:
         a, b = (int(p) for p in parts)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise UsageError(f"{key} must be two comma-separated integers, got {text!r}") from None
     return a, b
 

@@ -31,9 +31,6 @@ class StakeTable:
     def __len__(self) -> int:
         return len(self.stakes)
 
-    def total(self) -> float:
-        return ordered_sum(self.stakes)
-
 
 @dataclass
 class VisibilitySnapshot:
@@ -42,12 +39,15 @@ class VisibilitySnapshot:
     `recognized[i]` is the set of landmark ids robot i recognizes.
     `qualities` maps (i, j, k) with i < j to the match quality of landmark k
     for that pair; entries exist exactly for landmarks in the intersection of
-    the two robots' recognized sets.
+    the two robots' recognized sets. `cooperating` lists (i, j, sorted common
+    landmark ids) for every pair with i < j that shares a landmark, ascending
+    by pair; the simulator fills it so emission need not intersect again.
     """
 
     n_landmarks: int
     recognized: list[set[int]]
     qualities: dict[tuple[int, int, int], float] = field(default_factory=dict)
+    cooperating: list[tuple[int, int, list[int]]] = field(default_factory=list)
 
     @property
     def n_robots(self) -> int:

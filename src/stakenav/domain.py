@@ -1,4 +1,4 @@
-"""Core value types: world configuration, robots, landmarks, observations.
+"""Core value types: world configuration, robots, landmarks, random streams.
 
 All randomness in the package flows through :class:`RandomStreams`, a set of
 independent generators derived from a single root seed. Each concern
@@ -8,6 +8,7 @@ to one concern never perturbs the others.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 
@@ -61,6 +62,12 @@ class WorldConfig:
     initial_stake: float = 1.0
 
     def __post_init__(self):
+        for name in (
+            "width", "height", "sensing_radius", "step_size", "generator_reward", "initial_stake"
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not self.width > 0:
             raise ConfigError(f"width must be > 0, got {self.width}")
         if not self.height > 0:
@@ -110,25 +117,6 @@ class Landmark:
     @property
     def position(self) -> tuple[float, float]:
         return (self.x, self.y)
-
-
-@dataclass(frozen=True)
-class ObservationMatch:
-    """One pairwise sighting: both robots of `pair` recognized `landmark_id`.
-
-    `quality` is the match quality in [0, 1]. The pair is stored unordered
-    (smaller index first).
-    """
-
-    pair: tuple[int, int]
-    landmark_id: int
-    quality: float
-    loop_index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "pair", normalize_pair(*self.pair))
-        if not 0.0 <= self.quality <= 1.0:
-            raise ValueError(f"quality must be in [0, 1], got {self.quality}")
 
 
 def derive_stream(seed: int, label: str) -> random.Random:

@@ -8,18 +8,29 @@ and seals blocks whenever enough transactions are pending. Sealing elects the
 generator by navigability (stake weights as cold-start fallback), appends a
 reward transaction, and credits the generator's stake.
 
+The loop does work in proportion to the pairs that cooperate, not to all n^2
+pairs. Landmarks are bucketed once per run into a grid of cells wider than
+the sensing radius, so a robot measures distances only to the landmarks of
+its own and the eight surrounding cells. Each robot's sightings are also kept
+as a bitmask, and a pair whose masks share no bit is skipped with one integer
+AND. Visibility records every cooperating pair with its sorted common
+landmark ids, which emission reuses, and a seal sums each robot's
+navigability over that loop's partners only. A skipped distance test could
+only have failed, and a skipped pair or term could only have added an exact
+zero, so the bytes are those of the full quadratic pass.
+
 Transaction ids are assigned at seal time in pending order, so ids across the
 chain are gapless even though reward transactions are interleaved.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .consensus import VisibilitySnapshot, common_landmarks, elect_generator
+from .consensus import VisibilitySnapshot, elect_generator
 from .domain import (
     ConfigError,
     Landmark,
-    ObservationMatch,
     RandomStreams,
     RobotState,
     WorldConfig,
@@ -45,6 +56,10 @@ class DegradationScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "pair", normalize_pair(*self.pair))
+        for name in ("start_loop", "end_loop", "multiplier"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.start_loop < 0:
             raise ConfigError(f"start_loop must be >= 0, got {self.start_loop}")
         if self.end_loop < self.start_loop:
@@ -95,12 +110,15 @@ class ExperimentState:
         self.min_common: int | None = None
         n = config.n_robots
         # Seal-time caches: observation counts per pair (mirrors the chain),
-        # the derived importance values, and the current loop's summed
-        # qualities per pair. Kept in the exact arithmetic form the
-        # navigability module uses, so sealed averages replay bit-identically.
+        # the derived importance values, and the current loop's partner rows:
+        # (i, [(j, summed pair quality), ...]) for every robot i that shares a
+        # landmark with some j, ascending by i and then j. Kept in the exact
+        # arithmetic form the navigability module uses, so sealed averages
+        # replay bit-identically.
         self._counts = [[0] * n for _ in range(n)]
         self._alpha = [[0.0] * n for _ in range(n)]
-        self._raw = [[0.0] * n for _ in range(n)]
+        self._partner_rows: list[tuple[int, list[tuple[int, float]]]] = []
+        self._grid = _landmark_grid(config, landmarks)
 
     def total_stake(self) -> float:
         return ordered_sum(r.stake for r in self.robots)
@@ -122,27 +140,73 @@ def step_movement(state: ExperimentState) -> list[tuple[float, float]]:
     return positions
 
 
+def _landmark_grid(
+    config: WorldConfig, landmarks: list[Landmark]
+) -> tuple[float, dict[tuple[float, float], list[tuple[int, float, float, int]]]]:
+    """Cell size, and the landmarks in each cell's 3x3 neighbourhood.
+
+    A cell is (x // size, y // size). For every cell next to a landmark, the
+    map lists (id, x, y, mask bit) of the landmarks in that cell and its eight
+    neighbours, ascending by id; a cell missing from the map has none.
+
+    The prune is conservative: the distance test alone decides, and no
+    landmark it would accept lies outside the robot's neighbourhood. The test
+    accepts only if dx * dx <= radius_sq (the dy term can only add), so
+    |dx| <= sqrt(radius_sq) up to rounding, or |dx| < 2**-511, below which
+    dx * dx leaves the normal float range and rounds by an absolute amount.
+    The cell is at least 1.0001 times that reach, a margin far above
+    rounding, so the exact quotients x / size of robot and landmark differ
+    by less than one and their floors by at most one; likewise for y. Float
+    floor division returns that exact floor while the quotient stays far
+    below 2**51, which a cell of at least 2**-40 of the world's extent
+    ensures.
+    """
+    radius_sq = config.sensing_radius * config.sensing_radius
+    reach = max(math.sqrt(radius_sq), 2.0**-511) * 1.0001
+    size = max(reach, max(config.width, config.height) / 2**40)
+    near: dict[tuple[float, float], list[tuple[int, float, float, int]]] = {}
+    for lm in landmarks:
+        cx = lm.x // size
+        cy = lm.y // size
+        entry = (lm.id, lm.x, lm.y, 1 << lm.id)
+        for nx in (cx - 1.0, cx, cx + 1.0):
+            for ny in (cy - 1.0, cy, cy + 1.0):
+                near.setdefault((nx, ny), []).append(entry)
+    # Landmarks are visited in id order, so every list is already ascending.
+    return size, near
+
+
 def compute_visibility(state: ExperimentState) -> VisibilitySnapshot:
     """Recognition sets and fresh pairwise match qualities for this loop.
 
     A robot recognizes a landmark iff their Euclidean distance is within the
-    sensing radius. Qualities are drawn uniformly in [0, 1) per (pair,
-    common landmark), in ascending pair-then-landmark order, then scaled by an
-    active degradation scenario. Also refreshes the seal-time quality cache
-    and the common-count extremes.
+    sensing radius; only the landmarks of the robot's 3x3 grid neighbourhood
+    are measured (see `_landmark_grid`). A pair whose landmark bitmasks share
+    no bit is skipped before any set intersection. Qualities are drawn
+    uniformly in [0, 1) per (pair, common landmark), in ascending
+    pair-then-landmark order, then scaled by an active degradation scenario;
+    pairs that share nothing draw nothing, exactly as in a full pass. The
+    snapshot lists each cooperating pair with its sorted common landmark ids,
+    for emission. Also replaces the seal-time partner sums and refreshes the
+    common-count extremes.
     """
     config = state.config
     radius_sq = config.sensing_radius * config.sensing_radius
+    size, near = state._grid
     recognized: list[set[int]] = []
+    masks: list[int] = []
     for robot in state.robots:
         seen = set()
+        mask = 0
         rx, ry = robot.x, robot.y
-        for lm in state.landmarks:
-            dx = rx - lm.x
-            dy = ry - lm.y
+        for k, lx, ly, bit in near.get((rx // size, ry // size), ()):
+            dx = rx - lx
+            dy = ry - ly
             if dx * dx + dy * dy <= radius_sq:
-                seen.add(lm.id)
+                seen.add(k)
+                mask |= bit
         recognized.append(seen)
+        masks.append(mask)
 
     scenario = state.scenario
     degraded_pair = None
@@ -150,17 +214,20 @@ def compute_visibility(state: ExperimentState) -> VisibilitySnapshot:
         degraded_pair = scenario.pair
     rng = state.streams.quality
     qualities: dict[tuple[int, int, int], float] = {}
-    raw = state._raw
+    cooperating: list[tuple[int, int, list[int]]] = []
     n = len(recognized)
+    partners: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    least = None
     for i in range(n):
+        mask_i = masks[i]
         rec_i = recognized[i]
-        for j in range(i + 1, n):
+        for j in [j for j in range(i + 1, n) if mask_i & masks[j]]:
             common = sorted(rec_i & recognized[j])
             count = len(common)
             if count > state.max_common:
                 state.max_common = count
-            if state.min_common is None or count < state.min_common:
-                state.min_common = count
+            if least is None or count < least:
+                least = count
             total = 0.0
             scale = degraded_pair == (i, j)
             for k in common:
@@ -169,37 +236,33 @@ def compute_visibility(state: ExperimentState) -> VisibilitySnapshot:
                     q *= scenario.multiplier
                 qualities[(i, j, k)] = q
                 total += q
-            raw[i][j] = total
-            raw[j][i] = total
-    return VisibilitySnapshot(config.n_landmarks, recognized, qualities)
-
-
-def observation_matches(
-    snapshot: VisibilitySnapshot, i: int, j: int, loop_index: int
-) -> list[ObservationMatch]:
-    """Per-landmark sighting records for one pair, ascending by landmark id."""
-    a, b = normalize_pair(i, j)
-    return [
-        ObservationMatch((a, b), k, snapshot.qualities[(a, b, k)], loop_index)
-        for k in sorted(common_landmarks(snapshot, a, b))
-    ]
+            # Rows fill in ascending order: first the partners below i (added
+            # while visiting them), then those above.
+            partners[i].append((j, total))
+            partners[j].append((i, total))
+            cooperating.append((i, j, common))
+    state._partner_rows = [(i, row) for i, row in enumerate(partners) if row]
+    if len(cooperating) < n * (n - 1) // 2:
+        least = 0  # some pair shares no landmark
+    if least is not None and (state.min_common is None or least < state.min_common):
+        state.min_common = least
+    return VisibilitySnapshot(config.n_landmarks, recognized, qualities, cooperating)
 
 
 def emit_transactions(
     state: ExperimentState, snapshot: VisibilitySnapshot
 ) -> list[Transaction]:
-    """One pending observation transaction per pair sharing >= 1 landmark."""
-    added = []
+    """One pending observation transaction per pair sharing >= 1 landmark.
+
+    Walks the snapshot's cooperating pairs, so pairs come out ascending and
+    each pair's matches ascending by landmark id.
+    """
     loop = state.loop_index
-    n = snapshot.n_robots
-    for i in range(n):
-        rec_i = snapshot.recognized[i]
-        for j in range(i + 1, n):
-            common = sorted(rec_i & snapshot.recognized[j])
-            if not common:
-                continue
-            matches = [(k, snapshot.qualities[(i, j, k)]) for k in common]
-            added.append(Transaction.observation((i, j), matches, loop))
+    qualities = snapshot.qualities
+    added = [
+        Transaction.observation((i, j), [(k, qualities[(i, j, k)]) for k in common], loop)
+        for i, j, common in snapshot.cooperating
+    ]
     state.pending.extend(added)
     return added
 
@@ -218,17 +281,22 @@ def _navigability_weights(
     stakes = [r.stake for r in robots]
     total_stake = ordered_sum(stakes)
     alpha = state._alpha
-    raw = state._raw
-    weights = []
+    weights = [0.0] * n
     total = 0.0
-    for i in range(n):
+    # Row i sums only over this loop's partners, in ascending j like the full
+    # row over all n robots. Every skipped j (i itself included) shares no
+    # landmark with i this loop, so its term is alpha * (w_i * 0.0) == +0.0,
+    # because alpha and the finite w_i are >= 0. An accumulator starts at
+    # +0.0 and only grows, and acc + 0.0 == acc for any acc >= 0, so skipping
+    # those terms leaves every bit of the row sum unchanged. For the same
+    # reason the total skips the rows without partners, whose sums are +0.0.
+    for i, row in state._partner_rows:
         w_i = stakes[i] / total_stake
         alpha_row = alpha[i]
-        raw_row = raw[i]
         acc = 0.0
-        for j in range(n):
-            acc += alpha_row[j] * (w_i * raw_row[j])
-        weights.append(acc)
+        for j, pair_sum in row:
+            acc += alpha_row[j] * (w_i * pair_sum)
+        weights[i] = acc
         total += acc
     return weights, total / (n * (n - 1)), stakes
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from stakenav import Chain, KIND_OBSERVATION
 from stakenav.cli import (
     LEDGER_FILE,
@@ -76,6 +78,32 @@ def test_non_numeric_flag_exits_one(capsys):
 def test_invalid_config_value_names_field(capsys):
     assert main(["--robots", "0"]) == 1
     assert "n_robots" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,value,field",
+    [
+        ("--reward", "inf", "generator_reward"),
+        ("--initial-stake", "inf", "initial_stake"),
+        ("--width", "inf", "width"),
+        ("--radius", "inf", "sensing_radius"),
+        ("--step", "nan", "step_size"),
+    ],
+)
+def test_non_finite_flag_exits_one_naming_the_field(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "out"
+    assert main([flag, value, "--loops", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"stakenav: error: {field} must be finite, got {value}\n"
+    assert not out.exists()
+
+
+def test_non_finite_pair_in_config_file_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"degrade_pair": [Infinity, 1], "degrade_loops": [1, 2], '
+                   '"degrade_factor": 0.1}')
+    assert main(["--config", str(cfg)]) == 1
+    assert "degrade_pair" in capsys.readouterr().err
 
 
 def test_bad_pair_value_exits_one(capsys):

@@ -5,7 +5,6 @@ import pytest
 from stakenav import (
     ConfigError,
     InvalidPairError,
-    ObservationMatch,
     RandomStreams,
     WorldConfig,
     derive_stream,
@@ -52,6 +51,16 @@ def test_config_rejects_bad_values_naming_the_field(field, value):
     assert field in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "field",
+    ["width", "height", "sensing_radius", "step_size", "generator_reward", "initial_stake"],
+)
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_config_rejects_non_finite_values_naming_the_field(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        WorldConfig(**{field: value})
+
+
 def test_config_is_frozen():
     cfg = WorldConfig()
     with pytest.raises(AttributeError):
@@ -65,16 +74,6 @@ def test_normalize_pair():
         normalize_pair(2, 2)
     with pytest.raises(InvalidPairError):
         normalize_pair(-1, 4)
-
-
-def test_observation_match_normalizes_pair_and_bounds_quality():
-    m = ObservationMatch((5, 2), 7, 0.25, 3)
-    assert m.pair == (2, 5)
-    assert m.landmark_id == 7
-    with pytest.raises(ValueError):
-        ObservationMatch((0, 1), 0, 1.5, 0)
-    with pytest.raises(ValueError):
-        ObservationMatch((0, 1), 0, -0.1, 0)
 
 
 def test_derive_stream_is_deterministic_and_label_separated():

@@ -9,6 +9,7 @@ from stakenav import (
     ExperimentState,
     KIND_OBSERVATION,
     KIND_REWARD,
+    Landmark,
     StakeTable,
     Transaction,
     WorldConfig,
@@ -19,7 +20,6 @@ from stakenav import (
     init_world,
     maybe_seal_blocks,
     navigability_matrix,
-    observation_matches,
     run_experiment,
     step_movement,
 )
@@ -27,6 +27,10 @@ from stakenav import (
 SMALL = WorldConfig(
     n_robots=4, n_landmarks=8, width=120.0, height=120.0,
     sensing_radius=70.0, loops=4, block_size=3, seed=5,
+)
+# Under 10% of pairs share a landmark in any loop.
+SPARSE = WorldConfig(
+    n_robots=30, n_landmarks=60, width=800.0, height=800.0, loops=6, seed=0,
 )
 
 
@@ -49,6 +53,13 @@ def test_scenario_validation():
         DegradationScenario((0, 9), 0, 2, 0.5).check_against(SMALL)
     with pytest.raises(ConfigError):
         DegradationScenario((0, 1), 0, 99, 0.5).check_against(SMALL)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="multiplier"):
+            DegradationScenario((0, 1), 0, 2, bad)
+        with pytest.raises(ConfigError, match="start_loop"):
+            DegradationScenario((0, 1), bad, 2, 0.5)
+        with pytest.raises(ConfigError, match="end_loop"):
+            DegradationScenario((0, 1), 0, bad, 0.5)
 
 
 def test_step_movement_stays_in_bounds_and_logs_trajectory():
@@ -64,15 +75,75 @@ def test_step_movement_stays_in_bounds_and_logs_trajectory():
     assert len(state.trajectory) == 51
 
 
+def assert_distance_rule(state, snap):
+    for robot, seen in zip(state.robots, snap.recognized):
+        for lm in state.landmarks:
+            visible = math.dist(robot.position, (lm.x, lm.y)) <= state.config.sensing_radius
+            assert (lm.id in seen) == visible
+
+
+def hand_placed_state(config, robots_xy, landmarks_xy):
+    robots, _, streams = init_world(config)
+    for robot, (x, y) in zip(robots, robots_xy):
+        robot.x, robot.y = x, y
+    landmarks = [Landmark(k, x, y) for k, (x, y) in enumerate(landmarks_xy)]
+    return ExperimentState(config, None, robots, landmarks, streams)
+
+
 def test_compute_visibility_matches_distance_rule():
     state = fresh_state()
     step_movement(state)
     snap = compute_visibility(state)
     snap.check()
-    for robot, seen in zip(state.robots, snap.recognized):
-        for lm in state.landmarks:
-            visible = math.dist(robot.position, (lm.x, lm.y)) <= state.config.sensing_radius
-            assert (lm.id in seen) == visible
+    assert_distance_rule(state, snap)
+
+
+def test_compute_visibility_grid_boundaries():
+    # Grid cells are just over 5 wide. Robot 0 sits in cell (0, 0); landmark
+    # 0 is exactly 5 away (a 3-4-5 triangle) in the diagonal cell (1, 1),
+    # landmark 1 a hair beyond 5, landmark 2 exactly 5 away straight across
+    # one boundary, landmark 3 two cells over. Robot 1 sees nothing.
+    cfg = WorldConfig(n_robots=2, n_landmarks=4, width=50.0, height=50.0,
+                      sensing_radius=5.0, seed=1)
+    state = hand_placed_state(
+        cfg,
+        [(5.0, 5.0), (40.0, 40.0)],
+        [(8.0, 9.0), (8.0, 9.0 + 2**-20), (10.0, 5.0), (11.0, 5.0)],
+    )
+    snap = compute_visibility(state)
+    assert snap.recognized == [{0, 2}, set()]
+    assert_distance_rule(state, snap)
+    assert snap.cooperating == [] and snap.qualities == {}
+    assert state.min_common == 0 and state.max_common == 0
+
+
+def test_compute_visibility_grid_in_a_huge_world():
+    # Cell indices near 2**52 are where float floor division stops being
+    # exact; here cells of radius width would put the pair two cells apart.
+    x = 4904401271609417.0
+    cfg = WorldConfig(n_robots=1, n_landmarks=1, width=5e15, height=5e15,
+                      sensing_radius=1.5, seed=1)
+    state = hand_placed_state(cfg, [(x, 7.0)], [(x + 1.0, 7.0)])
+    assert compute_visibility(state).recognized == [{0}]
+
+
+def test_compute_visibility_in_a_sparse_world():
+    state = fresh_state(SPARSE)
+    for _ in range(SPARSE.loops):
+        step_movement(state)
+        snap = compute_visibility(state)
+        snap.check()
+        assert_distance_rule(state, snap)
+        n = SPARSE.n_robots
+        expected = [
+            (i, j, sorted(snap.recognized[i] & snap.recognized[j]))
+            for i in range(n)
+            for j in range(i + 1, n)
+            if snap.recognized[i] & snap.recognized[j]
+        ]
+        assert snap.cooperating == expected
+        assert 0 < len(expected) < n * (n - 1) // 2 // 10
+    assert state.min_common == 0
 
 
 def test_qualities_drawn_only_for_common_landmarks():
@@ -85,22 +156,9 @@ def test_qualities_drawn_only_for_common_landmarks():
         assert 0.0 <= q < 1.0
 
 
-def test_observation_matches_are_sorted_and_stamped():
-    state = fresh_state()
-    step_movement(state)
-    snap = compute_visibility(state)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            ms = observation_matches(snap, j, i, loop_index=0)
-            assert [m.landmark_id for m in ms] == sorted(m.landmark_id for m in ms)
-            for m in ms:
-                assert m.pair == (i, j)
-                assert m.loop_index == 0
-                assert m.quality == snap.qualities[(i, j, m.landmark_id)]
-
-
 def test_emit_one_transaction_per_cooperating_pair():
     state = fresh_state()
+    state.loop_index = 2
     step_movement(state)
     snap = compute_visibility(state)
     added = emit_transactions(state, snap)
@@ -110,13 +168,18 @@ def test_emit_one_transaction_per_cooperating_pair():
         for j in range(i + 1, 4)
         if snap.recognized[i] & snap.recognized[j]
     ]
+    assert expected_pairs
     assert [tx.pair for tx in added] == expected_pairs
     for tx in added:
+        i, j = tx.pair
+        assert i < j
         assert tx.kind == KIND_OBSERVATION
         assert tx.tx_id is None  # ids only exist once sealed
-        assert tx.loop_index == 0
+        assert tx.loop_index == 2
         ks = [k for k, _ in tx.matches]
-        assert ks == sorted(snap.recognized[tx.pair[0]] & snap.recognized[tx.pair[1]])
+        assert ks == sorted(snap.recognized[i] & snap.recognized[j])
+        for k, q in tx.matches:
+            assert q == snap.qualities[(i, j, k)]
     assert state.pending == added
 
 
@@ -291,3 +354,20 @@ def test_replay_equivalence_holds_under_scenario():
     fast = run_experiment(cfg, scenario)
     scratch = run_from_scratch(cfg, scenario)
     assert fast.chain.dumps() == scratch.chain.dumps()
+
+
+@pytest.mark.parametrize("scenario", [None, DegradationScenario((2, 10), 1, 3, 0.0)])
+def test_replay_equivalence_holds_in_a_sparse_world(scenario):
+    fast = run_experiment(SPARSE, scenario)
+    scratch = run_from_scratch(SPARSE, scenario)
+    assert fast.chain.dumps() == scratch.chain.dumps()
+    assert [r.stake for r in fast.robots] == [r.stake for r in scratch.robots]
+    assert fast.min_common == 0
+    assert any(avg > 0.0 for _, avg in fast.nav_series)
+    if scenario is not None:
+        zeroed = [
+            tx.matches
+            for tx in fast.chain.transactions()
+            if tx.kind == KIND_OBSERVATION and tx.pair == (2, 10) and 1 <= tx.loop_index <= 3
+        ]
+        assert zeroed and all(q == 0.0 for matches in zeroed for _, q in matches)
