@@ -14,7 +14,6 @@ from .consensus import (
     ScanCounter,
     StakeTable,
     VisibilitySnapshot,
-    common_landmarks,
     consensus_score,
     consensus_score_matrix,
     elect_generator,
@@ -94,7 +93,6 @@ __all__ = [
     "alpha_importance",
     "average_navigability",
     "canonical_encode",
-    "common_landmarks",
     "compute_visibility",
     "consensus_score",
     "consensus_score_matrix",

@@ -97,14 +97,15 @@ def _coerce(key: str, value) -> int | float:
 
 def _parse_pair(text, key: str) -> tuple[int, int]:
     if isinstance(text, (list, tuple)) and len(text) == 2:
-        parts = list(text)
-    elif isinstance(text, str):
-        parts = text.split(",")
-    else:
+        # As for integer config keys: no bool, no float, no string.
+        if type(text[0]) is not int or type(text[1]) is not int:
+            raise UsageError(f"config key '{key}' must be two integers, got {text!r}")
+        return text[0], text[1]
+    if not isinstance(text, str):
         raise UsageError(f"{key} must be two comma-separated integers, got {text!r}")
     try:
-        a, b = (int(p) for p in parts)
-    except (TypeError, ValueError, OverflowError):
+        a, b = (int(p) for p in text.split(","))
+    except ValueError:
         raise UsageError(f"{key} must be two comma-separated integers, got {text!r}") from None
     return a, b
 
@@ -244,6 +245,8 @@ def run_and_export(request: RunRequest, stream=None) -> RunSummary:
     started = time.perf_counter()
     state = run_experiment(request.config, request.scenario)
     duration = time.perf_counter() - started
+    # Raises ValueError if the last reward made the stake total overflow,
+    # before any file is opened.
     summary = summarize(state, duration)
 
     out = Path(request.out_dir)
@@ -309,6 +312,11 @@ def main(argv: list[str] | None = None) -> int:
         run_and_export(request)
     except OSError as exc:
         print(f"stakenav: i/o error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        # A run that cannot be completed, such as a stake total that
+        # overflowed; raised before any export is written.
+        print(f"stakenav: error: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -8,7 +8,7 @@ symmetric, but score(i, j) * weight(j) == score(j, i) * weight(i).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .domain import InvalidPairError, normalize_pair, ordered_sum
 
@@ -32,22 +32,40 @@ class StakeTable:
         return len(self.stakes)
 
 
-@dataclass
 class VisibilitySnapshot:
     """Which landmarks each robot recognizes in one loop, plus pair qualities.
 
     `recognized[i]` is the set of landmark ids robot i recognizes.
+    `cooperating` lists (i, j, matches) for every pair with i < j that shares
+    a landmark, ascending by pair; `matches` holds the pair's (landmark id,
+    quality) tuples ascending by id. The simulator builds it while drawing,
+    and emission hands each `matches` list to its transaction as is.
     `qualities` maps (i, j, k) with i < j to the match quality of landmark k
     for that pair; entries exist exactly for landmarks in the intersection of
-    the two robots' recognized sets. `cooperating` lists (i, j, sorted common
-    landmark ids) for every pair with i < j that shares a landmark, ascending
-    by pair; the simulator fills it so emission need not intersect again.
+    the two robots' recognized sets. A snapshot built by hand may pass it
+    directly; otherwise it is derived from `cooperating` on first read. Only
+    the reference oracle reads it.
     """
 
-    n_landmarks: int
-    recognized: list[set[int]]
-    qualities: dict[tuple[int, int, int], float] = field(default_factory=dict)
-    cooperating: list[tuple[int, int, list[int]]] = field(default_factory=list)
+    def __init__(
+        self,
+        n_landmarks: int,
+        recognized: list[set[int]],
+        qualities: dict[tuple[int, int, int], float] | None = None,
+        cooperating: list[tuple[int, int, list[tuple[int, float]]]] | None = None,
+    ):
+        self.n_landmarks = n_landmarks
+        self.recognized = recognized
+        self.cooperating = cooperating if cooperating is not None else []
+        self._qualities = qualities
+
+    @property
+    def qualities(self) -> dict[tuple[int, int, int], float]:
+        if self._qualities is None:
+            self._qualities = {
+                (i, j, k): q for i, j, matches in self.cooperating for k, q in matches
+            }
+        return self._qualities
 
     @property
     def n_robots(self) -> int:
@@ -99,13 +117,6 @@ def indicator(snapshot: VisibilitySnapshot, k: int, i: int, j: int) -> int:
         raise InvalidPairError(f"indicator requires two distinct robots, got ({i}, {j})")
     rec = snapshot.recognized
     return 1 if (k in rec[i] and k in rec[j]) else 0
-
-
-def common_landmarks(snapshot: VisibilitySnapshot, i: int, j: int) -> set[int]:
-    """Landmark ids recognized by both robots of the pair."""
-    if i == j:
-        raise InvalidPairError(f"common landmarks require two distinct robots, got ({i}, {j})")
-    return snapshot.recognized[i] & snapshot.recognized[j]
 
 
 def consensus_score(

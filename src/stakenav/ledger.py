@@ -13,6 +13,13 @@ just before "index", and a line is its body with `"hash":"<hex>",` spliced
 in there. A block is encoded once, when it is sealed: the block keeps its
 body bytes, and dumping splices the hash into them.
 
+An observation keeps its matches as (landmark id, quality) tuples. When they
+arrive as exact (int, float) tuples, as the simulator draws them, they are
+checked in one pass and kept; anything else is converted. The body record
+holds the stored tuples, which encode as JSON arrays, so sealing copies no
+match. `to_dict()` returns lists, the form `json.loads` gives back. Sealing
+and verification encode through the one module-level `canonical_encode`.
+
 Dump verification parses every line, checks it against the record schema,
 re-encodes it once and requires that to equal the stored bytes (so the file
 carries exactly the canonical form), then hashes the line with the hash
@@ -58,11 +65,17 @@ class LedgerFormatError(LedgerError):
     """A dumped record could not be decoded."""
 
 
+# No cycle check: everything encoded here is a tree of records built by
+# `body_dict()` or by `json.loads`. A cyclic argument still raises, as
+# RecursionError instead of ValueError.
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False, ensure_ascii=True, check_circular=False
+)
+
+
 def canonical_encode(obj: Any) -> bytes:
     """Canonical JSON bytes: sorted keys, no whitespace, shortest floats."""
-    return json.dumps(
-        obj, sort_keys=True, separators=(",", ":"), allow_nan=False, ensure_ascii=True
-    ).encode("ascii")
+    return _CANONICAL.encode(obj).encode("ascii")
 
 
 # -- record schema ------------------------------------------------------------
@@ -117,18 +130,14 @@ def _check_transaction_record(record: Any) -> None:
         if not isinstance(matches, list) or not matches:
             raise LedgerFormatError(f"matches must be a non-empty list, got {matches!r}")
         for entry in matches:
-            if not (
-                isinstance(entry, list)
-                and len(entry) == 2
-                and type(entry[0]) is int
-                and entry[0] >= 0
-                and type(entry[1]) is float
-                and 0.0 <= entry[1] <= 1.0
-            ):
-                raise LedgerFormatError(
-                    f"match entry must be [landmark id >= 0, float quality in [0, 1]], "
-                    f"got {entry!r}"
-                )
+            if isinstance(entry, list) and len(entry) == 2:
+                k, q = entry
+                if type(k) is int and k >= 0 and type(q) is float and 0.0 <= q <= 1.0:
+                    continue
+            raise LedgerFormatError(
+                f"match entry must be [landmark id >= 0, float quality in [0, 1]], "
+                f"got {entry!r}"
+            )
     elif kind == KIND_REWARD:
         _check_fields(record, _REWARD_FIELDS, "transaction")
         _require_index(record, "generator", "transaction")
@@ -158,6 +167,31 @@ def _check_block_fields(record: Any) -> None:
         raise LedgerFormatError("block must carry a non-empty transaction list")
 
 
+def _checked_matches(matches) -> list[tuple[int, float]]:
+    """Validated (landmark id, quality) tuples for an observation.
+
+    Entries that already are exact (int, float) tuples with an id >= 0 and a
+    quality in [0, 1], as the simulator draws them, are kept as they are.
+    Anything else is checked entry by entry and converted with int() and
+    float(), raising on a negative id or a quality outside [0, 1] (NaN
+    included).
+    """
+    for entry in matches:
+        if type(entry) is not tuple or len(entry) != 2:
+            break
+        k, q = entry
+        if type(k) is not int or type(q) is not float or k < 0 or not 0.0 <= q <= 1.0:
+            break
+    else:
+        return list(matches)
+    for k, q in matches:
+        if k < 0:
+            raise LedgerError(f"landmark id must be >= 0, got {k}")
+        if not 0.0 <= q <= 1.0:
+            raise LedgerError(f"match quality must be in [0, 1], got {q}")
+    return [(int(k), float(q)) for k, q in matches]
+
+
 @dataclass
 class Transaction:
     """One ledger record: a pairwise observation or a generator reward.
@@ -185,12 +219,7 @@ class Transaction:
             self.pair = normalize_pair(*self.pair)
             if not self.matches:
                 raise LedgerError("observation transaction requires at least one match")
-            for k, q in self.matches:
-                if k < 0:
-                    raise LedgerError(f"landmark id must be >= 0, got {k}")
-                if not 0.0 <= q <= 1.0:
-                    raise LedgerError(f"match quality must be in [0, 1], got {q}")
-            self.matches = [(int(k), float(q)) for k, q in self.matches]
+            self.matches = _checked_matches(self.matches)
             if self.generator is not None or self.reward is not None:
                 raise LedgerError("observation transaction cannot carry reward fields")
         elif self.kind == KIND_REWARD:
@@ -214,15 +243,17 @@ class Transaction:
     def generator_reward(cls, generator: int, reward: float, loop_index: int) -> "Transaction":
         return cls(kind=KIND_REWARD, loop_index=loop_index, generator=generator, reward=reward)
 
-    def to_dict(self) -> dict:
+    def _record(self) -> dict:
+        """The record that is encoded into a block body. Pair and matches are
+        the stored tuples, which encode as JSON arrays."""
         if self.tx_id is None:
             raise LedgerError("transaction has no tx_id yet; it must be sealed first")
         if self.kind == KIND_OBSERVATION:
             return {
                 "kind": self.kind,
                 "loop_index": self.loop_index,
-                "matches": [[k, q] for k, q in self.matches],
-                "pair": list(self.pair),
+                "matches": self.matches,
+                "pair": self.pair,
                 "tx_id": self.tx_id,
             }
         return {
@@ -232,6 +263,14 @@ class Transaction:
             "reward": self.reward,
             "tx_id": self.tx_id,
         }
+
+    def to_dict(self) -> dict:
+        """The record as `json.loads` returns it, with lists for arrays."""
+        record = self._record()
+        if self.kind == KIND_OBSERVATION:
+            record["matches"] = [[k, q] for k, q in self.matches]
+            record["pair"] = list(self.pair)
+        return record
 
     @classmethod
     def from_dict(cls, record: Any) -> "Transaction":
@@ -269,7 +308,7 @@ class Block:
             "generator": self.generator,
             "index": self.index,
             "prev_hash": self.prev_hash,
-            "transactions": [tx.to_dict() for tx in self.transactions],
+            "transactions": [tx._record() for tx in self.transactions],
         }
 
     def compute_hash(self) -> str:
@@ -277,6 +316,7 @@ class Block:
 
     def to_dict(self) -> dict:
         record = self.body_dict()
+        record["transactions"] = [tx.to_dict() for tx in self.transactions]
         record["hash"] = self.hash
         return record
 
@@ -344,20 +384,20 @@ class Chain:
         """
         if not transactions:
             raise LedgerError("cannot seal a block with no transactions")
+        self._check_robot_index(generator, "generator")
         expected = self.next_tx_id
         for tx in transactions:
-            if tx.tx_id is None:
-                raise LedgerError("transaction has no tx_id assigned")
             if tx.tx_id != expected:
+                if tx.tx_id is None:
+                    raise LedgerError("transaction has no tx_id assigned")
                 raise LedgerError(
                     f"tx_id discontinuity: expected {expected}, got {tx.tx_id}"
                 )
             expected += 1
-        self._check_robot_index(generator, "generator")
-        for tx in transactions:
             if tx.kind == KIND_OBSERVATION:
-                self._check_robot_index(tx.pair[0], "pair")
-                self._check_robot_index(tx.pair[1], "pair")
+                i, j = tx.pair
+                self._check_robot_index(i, "pair")
+                self._check_robot_index(j, "pair")
             else:
                 self._check_robot_index(tx.generator, "reward generator")
         prev_hash = self.blocks[-1].hash if self.blocks else GENESIS_PREV_HASH

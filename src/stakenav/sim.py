@@ -13,11 +13,15 @@ pairs. Landmarks are bucketed once per run into a grid of cells wider than
 the sensing radius, so a robot measures distances only to the landmarks of
 its own and the eight surrounding cells. Each robot's sightings are also kept
 as a bitmask, and a pair whose masks share no bit is skipped with one integer
-AND. Visibility records every cooperating pair with its sorted common
-landmark ids, which emission reuses, and a seal sums each robot's
-navigability over that loop's partners only. A skipped distance test could
-only have failed, and a skipped pair or term could only have added an exact
-zero, so the bytes are those of the full quadratic pass.
+AND. A seal sums each robot's navigability over that loop's partners only.
+A skipped distance test could only have failed, and a skipped pair or term
+could only have added an exact zero, so the bytes are those of the full
+quadratic pass.
+
+Each drawn quality is handled once. Visibility stores it in its pair's list
+of (landmark id, quality) tuples; emission hands that list to the pair's
+transaction, which keeps the same tuples after checking them; sealing
+encodes the tuples straight into the block body.
 
 Transaction ids are assigned at seal time in pending order, so ids across the
 chain are gapless even though reward transactions are interleaved.
@@ -121,7 +125,19 @@ class ExperimentState:
         self._grid = _landmark_grid(config, landmarks)
 
     def total_stake(self) -> float:
-        return ordered_sum(r.stake for r in self.robots)
+        return _finite_total(r.stake for r in self.robots)
+
+
+def _finite_total(stakes) -> float:
+    """Left-to-right total of the stakes; ValueError once it has overflowed.
+
+    Huge finite stakes and rewards can sum to inf, which would turn every
+    stake weight into 0 or nan and make the exports unencodable.
+    """
+    total = ordered_sum(stakes)
+    if not math.isfinite(total):
+        raise ValueError(f"total stake overflowed to {total}; initial stake or reward too large")
+    return total
 
 
 def step_movement(state: ExperimentState) -> list[tuple[float, float]]:
@@ -185,10 +201,11 @@ def compute_visibility(state: ExperimentState) -> VisibilitySnapshot:
     no bit is skipped before any set intersection. Qualities are drawn
     uniformly in [0, 1) per (pair, common landmark), in ascending
     pair-then-landmark order, then scaled by an active degradation scenario;
-    pairs that share nothing draw nothing, exactly as in a full pass. The
-    snapshot lists each cooperating pair with its sorted common landmark ids,
-    for emission. Also replaces the seal-time partner sums and refreshes the
-    common-count extremes.
+    pairs that share nothing draw nothing, exactly as in a full pass. Each
+    cooperating pair's (landmark id, quality) tuples, ascending by id, go
+    into the snapshot's `cooperating` list as they are drawn; emission uses
+    them as they are, and no (i, j, k) map is built. Also replaces the
+    seal-time partner sums and refreshes the common-count extremes.
     """
     config = state.config
     radius_sq = config.sensing_radius * config.sensing_radius
@@ -212,9 +229,8 @@ def compute_visibility(state: ExperimentState) -> VisibilitySnapshot:
     degraded_pair = None
     if scenario is not None and scenario.active(state.loop_index):
         degraded_pair = scenario.pair
-    rng = state.streams.quality
-    qualities: dict[tuple[int, int, int], float] = {}
-    cooperating: list[tuple[int, int, list[int]]] = []
+    random = state.streams.quality.random
+    cooperating: list[tuple[int, int, list[tuple[int, float]]]] = []
     n = len(recognized)
     partners: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     least = None
@@ -228,25 +244,26 @@ def compute_visibility(state: ExperimentState) -> VisibilitySnapshot:
                 state.max_common = count
             if least is None or count < least:
                 least = count
+            matches = []
             total = 0.0
             scale = degraded_pair == (i, j)
             for k in common:
-                q = rng.random()
+                q = random()
                 if scale:
                     q *= scenario.multiplier
-                qualities[(i, j, k)] = q
+                matches.append((k, q))
                 total += q
             # Rows fill in ascending order: first the partners below i (added
             # while visiting them), then those above.
             partners[i].append((j, total))
             partners[j].append((i, total))
-            cooperating.append((i, j, common))
+            cooperating.append((i, j, matches))
     state._partner_rows = [(i, row) for i, row in enumerate(partners) if row]
     if len(cooperating) < n * (n - 1) // 2:
         least = 0  # some pair shares no landmark
     if least is not None and (state.min_common is None or least < state.min_common):
         state.min_common = least
-    return VisibilitySnapshot(config.n_landmarks, recognized, qualities, cooperating)
+    return VisibilitySnapshot(config.n_landmarks, recognized, cooperating=cooperating)
 
 
 def emit_transactions(
@@ -255,13 +272,13 @@ def emit_transactions(
     """One pending observation transaction per pair sharing >= 1 landmark.
 
     Walks the snapshot's cooperating pairs, so pairs come out ascending and
-    each pair's matches ascending by landmark id.
+    each pair's matches ascending by landmark id. Each transaction gets the
+    pair's drawn match list.
     """
     loop = state.loop_index
-    qualities = snapshot.qualities
     added = [
-        Transaction.observation((i, j), [(k, qualities[(i, j, k)]) for k in common], loop)
-        for i, j, common in snapshot.cooperating
+        Transaction.observation((i, j), matches, loop)
+        for i, j, matches in snapshot.cooperating
     ]
     state.pending.extend(added)
     return added
@@ -279,7 +296,7 @@ def _navigability_weights(
     robots = state.robots
     n = len(robots)
     stakes = [r.stake for r in robots]
-    total_stake = ordered_sum(stakes)
+    total_stake = _finite_total(stakes)
     alpha = state._alpha
     weights = [0.0] * n
     total = 0.0

@@ -106,6 +106,48 @@ def test_non_finite_pair_in_config_file_exits_one(tmp_path, capsys):
     assert "degrade_pair" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("degrade_pair", [2.9, 7]),
+        ("degrade_loops", [4.5, 6]),
+        ("degrade_pair", [True, 7]),
+    ],
+)
+def test_non_integer_pair_in_config_file_exits_one(tmp_path, capsys, key, value):
+    values = {"degrade_pair": [2, 7], "degrade_loops": [4, 6], "degrade_factor": 0.1}
+    values[key] = value
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("stakenav: error: ") and err.count("\n") == 1
+    assert key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # The first reward makes a stake inf; caught at the next seal.
+        ["--initial-stake", "1e308", "--reward", "1e308", "--loops", "2"],
+        # The total is inf from the start, so every weight would be 0.
+        ["--initial-stake", "1e308", "--reward", "0", "--loops", "2"],
+        # The only seal's reward overflows the total; caught before export.
+        ["--robots", "2", "--loops", "1", "--block-size", "100",
+         "--initial-stake", "5e307", "--reward", "1e308"],
+    ],
+)
+def test_stake_overflow_exits_two_and_writes_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("stakenav: error: total stake overflowed")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_bad_pair_value_exits_one(capsys):
     assert main(["--degrade-pair", "3,3", "--degrade-loops", "4,6",
                  "--degrade-factor", "0.1"]) == 1

@@ -9,7 +9,6 @@ from stakenav import (
     ScanCounter,
     StakeTable,
     VisibilitySnapshot,
-    common_landmarks,
     consensus_score,
     consensus_score_matrix,
     elect_generator,
@@ -79,13 +78,6 @@ def test_indicator_values_and_pair_check():
     assert indicator(snap, 3, 0, 1) == 0
     with pytest.raises(InvalidPairError):
         indicator(snap, 0, 1, 1)
-
-
-def test_common_landmarks_symmetric():
-    snap = snapshot_fixture()
-    assert common_landmarks(snap, 0, 1) == {0, 2}
-    assert common_landmarks(snap, 1, 0) == {0, 2}
-    assert common_landmarks(snap, 0, 2) == set()
 
 
 def test_consensus_score_manual():

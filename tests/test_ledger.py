@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import re
 
@@ -47,6 +48,14 @@ def build_chain(blocks=3, n_robots=4, block_size=3, seed=0):
 def test_canonical_encoding_is_sorted_compact_ascii():
     data = canonical_encode({"b": 1, "a": [1.5, "ü"], "c": None})
     assert data == b'{"a":[1.5,"\\u00fc"],"b":1,"c":null}'
+    assert canonical_encode({"p": (0, 1), "m": [(2, 0.5)]}) == b'{"m":[[2,0.5]],"p":[0,1]}'
+
+
+def test_canonical_encode_rejects_a_cycle():
+    looped = [1]
+    looped.append(looped)
+    with pytest.raises(RecursionError):
+        canonical_encode(looped)
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -64,6 +73,32 @@ def test_observation_transaction_validation():
         Transaction.observation((0, 1), [(0, 1.5)], 0)
     with pytest.raises(ValueError):
         Transaction.observation((2, 2), [(0, 0.5)], 0)
+
+
+def test_observation_matches_become_int_float_tuples():
+    drawn = [(0, 0.25), (3, 1.0)]
+    tx = Transaction.observation((0, 1), drawn, 0)
+    assert tx.matches == drawn and tx.matches is not drawn
+    for matches in ([[0, 0.25], [3, 1.0]], [(0, 0.25), (3, 1)], [(0.0, 0.25), (3, True)]):
+        tx = Transaction.observation((0, 1), matches, 0)
+        assert tx.matches == [(0, 0.25), (3, 1.0)]
+        assert all(type(m) is tuple and type(m[0]) is int and type(m[1]) is float
+                   for m in tx.matches)
+
+
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        ((0, math.nan), "match quality"),
+        ((-1, 0.5), "landmark id"),
+        ((0, -0.5), "match quality"),
+        ((0, 1.5), "match quality"),
+        ([0, math.nan], "match quality"),
+    ],
+)
+def test_observation_rejects_bad_match(entry, message):
+    with pytest.raises(LedgerError, match=message):
+        Transaction.observation((0, 1), [(1, 0.5), entry], 0)
 
 
 def test_reward_transaction_validation():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -141,7 +142,8 @@ def test_compute_visibility_in_a_sparse_world():
             for j in range(i + 1, n)
             if snap.recognized[i] & snap.recognized[j]
         ]
-        assert snap.cooperating == expected
+        assert [(i, j, [k for k, _ in matches])
+                for i, j, matches in snap.cooperating] == expected
         assert 0 < len(expected) < n * (n - 1) // 2 // 10
     assert state.min_common == 0
 
@@ -154,6 +156,28 @@ def test_qualities_drawn_only_for_common_landmarks():
         assert i < j
         assert k in snap.recognized[i] and k in snap.recognized[j]
         assert 0.0 <= q < 1.0
+
+
+def test_snapshot_qualities_are_the_drawn_qualities():
+    scenario = DegradationScenario((1, 3), 0, 2, 0.5)
+    state = fresh_state(SMALL, scenario)
+    step_movement(state)
+    replay = random.Random()
+    replay.setstate(state.streams.quality.getstate())
+    snap = compute_visibility(state)
+    assert (1, 3) in [(i, j) for i, j, _ in snap.cooperating]
+    expected = {}
+    n = SMALL.n_robots
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in sorted(snap.recognized[i] & snap.recognized[j]):
+                q = replay.random()
+                if (i, j) == scenario.pair:
+                    q *= scenario.multiplier
+                expected[(i, j, k)] = q
+    assert snap.qualities == expected
+    assert snap.qualities is snap.qualities  # derived once
+    snap.check()
 
 
 def test_emit_one_transaction_per_cooperating_pair():
@@ -180,6 +204,10 @@ def test_emit_one_transaction_per_cooperating_pair():
         assert ks == sorted(snap.recognized[i] & snap.recognized[j])
         for k, q in tx.matches:
             assert q == snap.qualities[(i, j, k)]
+    # Each transaction keeps its own list of the drawn tuples.
+    for tx, (_, _, matches) in zip(added, snap.cooperating):
+        assert tx.matches == matches and tx.matches is not matches
+        assert all(a is b for a, b in zip(tx.matches, matches))
     assert state.pending == added
 
 

@@ -1,9 +1,9 @@
 """Check that stakenav writes the same ledger bytes on this interpreter.
 
-Runs the default configuration for seed 0 and for seeds 0-19, and two sparse
-worlds for seeds 0-4, and compares the SHA-256 of the ledger dumps with
-pinned values. Needs only the standard library, so it runs on interpreters
-that have no pytest:
+Runs the default configuration for seed 0 and for seeds 0-19, two sparse
+worlds and a dense world for seeds 0-4, and compares the SHA-256 of the
+ledger dumps with pinned values. Needs only the standard library, so it runs
+on interpreters that have no pytest:
 
     python3 tools/check_determinism.py
 
@@ -32,6 +32,11 @@ SPARSE_PLAIN = dict(n_robots=200, n_landmarks=400, width=2000.0, height=2000.0, 
 SPARSE_DEGRADED = dict(n_robots=30, n_landmarks=60, width=800.0, height=800.0, loops=8)
 SPARSE_SCENARIO = DegradationScenario((2, 7), 2, 5, 0.0)
 SPARSE_DIGEST = "6b33a99556f4f3c072cfea1d7738052cb626d2726a102a96e265742a9729f21c"
+# A world where nearly every pair shares many landmarks, so each block
+# carries long match lists: 50 robots, 100 landmarks, 1 loop, seeds 0..4.
+DENSE_SEEDS = range(5)
+DENSE = dict(n_robots=50, n_landmarks=100, loops=1)
+DENSE_DIGEST = "542c04e828caff775adc85e06bca34d2942f8e491cecce018b7a09317e5824da"
 
 
 def ledger_bytes(seed: int, shape: dict | None = None, scenario=None) -> bytes:
@@ -52,6 +57,10 @@ def main() -> int:
         sparse.update(ledger_bytes(seed, SPARSE_PLAIN))
         sparse.update(ledger_bytes(seed, SPARSE_DEGRADED, SPARSE_SCENARIO))
     checks["sparse seeds 0-4 ledgers"] = (sparse.hexdigest(), SPARSE_DIGEST)
+    dense = hashlib.sha256()
+    for seed in DENSE_SEEDS:
+        dense.update(ledger_bytes(seed, DENSE))
+    checks["dense seeds 0-4 ledgers"] = (dense.hexdigest(), DENSE_DIGEST)
     version = sys.version.split()[0]
     failed = False
     for name, (got, want) in checks.items():
