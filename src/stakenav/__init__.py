@@ -47,6 +47,7 @@ from .navigability import (
     IMPORTANCE_LEVELS,
     AlphaMatrix,
     NavigabilityMatrix,
+    SealState,
     UndefinedAverageError,
     alpha_importance,
     average_navigability,
@@ -85,6 +86,7 @@ __all__ = [
     "RandomStreams",
     "RobotState",
     "ScanCounter",
+    "SealState",
     "StakeTable",
     "Transaction",
     "UndefinedAverageError",

@@ -10,9 +10,12 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 MAX_SEED = 2**64 - 1
+# Largest step size whose draw span, 2 * step_size, is still finite.
+MAX_STEP = sys.float_info.max / 2
 
 
 def ordered_sum(values) -> float:
@@ -82,6 +85,10 @@ class WorldConfig:
             raise ConfigError(f"sensing_radius must be > 0, got {self.sensing_radius}")
         if self.step_size < 0:
             raise ConfigError(f"step_size must be >= 0, got {self.step_size}")
+        if not math.isfinite(2.0 * self.step_size):
+            # A step draw spans 2 * step_size; as inf it would throw every
+            # robot into a corner of the world.
+            raise ConfigError(f"step_size must be <= {MAX_STEP!r}, got {self.step_size}")
         if self.block_size < 1:
             raise ConfigError(f"block_size must be >= 1, got {self.block_size}")
         if not 0 <= self.seed <= MAX_SEED:

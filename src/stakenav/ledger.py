@@ -343,8 +343,8 @@ class Block:
 class Chain:
     """In-memory block chain with single-writer appends.
 
-    When `n_robots` is given, appended generator and pair indices are checked
-    against it.
+    When `n_robots` is given, the generator and pair indices of appended and
+    loaded blocks are checked against it.
     """
 
     def __init__(self, n_robots: int | None = None):
@@ -384,7 +384,7 @@ class Chain:
         """
         if not transactions:
             raise LedgerError("cannot seal a block with no transactions")
-        self._check_robot_index(generator, "generator")
+        self._check_robots(generator, transactions)
         expected = self.next_tx_id
         for tx in transactions:
             if tx.tx_id != expected:
@@ -394,12 +394,6 @@ class Chain:
                     f"tx_id discontinuity: expected {expected}, got {tx.tx_id}"
                 )
             expected += 1
-            if tx.kind == KIND_OBSERVATION:
-                i, j = tx.pair
-                self._check_robot_index(i, "pair")
-                self._check_robot_index(j, "pair")
-            else:
-                self._check_robot_index(tx.generator, "reward generator")
         prev_hash = self.blocks[-1].hash if self.blocks else GENESIS_PREV_HASH
         block = Block(
             index=len(self.blocks),
@@ -413,6 +407,17 @@ class Chain:
         block.hash = hashlib.sha256(block.body).hexdigest()
         self.blocks.append(block)
         return block
+
+    def _check_robots(self, generator: int, transactions: list[Transaction]) -> None:
+        """The block generator, pairs and reward generators are team members."""
+        self._check_robot_index(generator, "generator")
+        for tx in transactions:
+            if tx.kind == KIND_OBSERVATION:
+                i, j = tx.pair
+                self._check_robot_index(i, "pair")
+                self._check_robot_index(j, "pair")
+            else:
+                self._check_robot_index(tx.generator, "reward generator")
 
     def _check_robot_index(self, index: int, label: str) -> None:
         if index < 0 or (self.n_robots is not None and index >= self.n_robots):
@@ -470,12 +475,18 @@ class Chain:
 
     @classmethod
     def loads(cls, data: bytes, n_robots: int | None = None) -> "Chain":
+        """Parse a dump; with `n_robots`, check robot indices as `append_block` does.
+
+        Hashes and links are not checked here; `verify()` does that.
+        """
         chain = cls(n_robots=n_robots)
         for index, line in enumerate(_dump_lines(data)):
             try:
-                chain.blocks.append(Block.from_dict(json.loads(line.decode("ascii"))))
+                block = Block.from_dict(json.loads(line.decode("ascii")))
+                chain._check_robots(block.generator, block.transactions)
             except _BAD_LINE_ERRORS as exc:
                 raise LedgerFormatError(f"block {index}: {exc}") from exc
+            chain.blocks.append(block)
         return chain
 
     @classmethod

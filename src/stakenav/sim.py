@@ -13,10 +13,11 @@ pairs. Landmarks are bucketed once per run into a grid of cells wider than
 the sensing radius, so a robot measures distances only to the landmarks of
 its own and the eight surrounding cells. Each robot's sightings are also kept
 as a bitmask, and a pair whose masks share no bit is skipped with one integer
-AND. A seal sums each robot's navigability over that loop's partners only.
-A skipped distance test could only have failed, and a skipped pair or term
-could only have added an exact zero, so the bytes are those of the full
-quadratic pass.
+AND. A seal sums each robot's navigability over its live terms only: the
+partners it shares a landmark with this loop and has sealed observations
+with (see `navigability.SealState`). A skipped distance test could only have
+failed, and a skipped pair or term could only have added an exact zero, so
+the bytes are those of the full quadratic pass.
 
 Each drawn quality is handled once. Visibility stores it in its pair's list
 of (landmark id, quality) tuples; emission hands that list to the pair's
@@ -43,7 +44,7 @@ from .domain import (
     ordered_sum,
 )
 from .ledger import KIND_OBSERVATION, Block, Chain, Transaction
-from .navigability import IMPORTANCE_LEVELS
+from .navigability import SealState
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class DegradationScenario:
 
 
 class ExperimentState:
-    """Everything one run accumulates: world, chain, pending, logs, caches."""
+    """Everything one run accumulates: world, chain, pending, logs, seal state."""
 
     def __init__(
         self,
@@ -112,16 +113,9 @@ class ExperimentState:
         self.trajectory: list[list[tuple[float, float]]] = [[r.position for r in robots]]
         self.max_common = 0
         self.min_common: int | None = None
-        n = config.n_robots
-        # Seal-time caches: observation counts per pair (mirrors the chain),
-        # the derived importance values, and the current loop's partner rows:
-        # (i, [(j, summed pair quality), ...]) for every robot i that shares a
-        # landmark with some j, ascending by i and then j. Kept in the exact
-        # arithmetic form the navigability module uses, so sealed averages
-        # replay bit-identically.
-        self._counts = [[0] * n for _ in range(n)]
-        self._alpha = [[0.0] * n for _ in range(n)]
-        self._partner_rows: list[tuple[int, list[tuple[int, float]]]] = []
+        # Pair history and this loop's live navigability terms; sealed
+        # averages replay the navigability module's sums bit for bit.
+        self.seal = SealState(config.n_robots)
         self._grid = _landmark_grid(config, landmarks)
 
     def total_stake(self) -> float:
@@ -204,8 +198,9 @@ def compute_visibility(state: ExperimentState) -> VisibilitySnapshot:
     pairs that share nothing draw nothing, exactly as in a full pass. Each
     cooperating pair's (landmark id, quality) tuples, ascending by id, go
     into the snapshot's `cooperating` list as they are drawn; emission uses
-    them as they are, and no (i, j, k) map is built. Also replaces the
-    seal-time partner sums and refreshes the common-count extremes.
+    them as they are, and no (i, j, k) map is built. Also starts the seal
+    state's loop with every pair's quality sum and refreshes the common-count
+    extremes.
     """
     config = state.config
     radius_sq = config.sensing_radius * config.sensing_radius
@@ -231,8 +226,8 @@ def compute_visibility(state: ExperimentState) -> VisibilitySnapshot:
         degraded_pair = scenario.pair
     random = state.streams.quality.random
     cooperating: list[tuple[int, int, list[tuple[int, float]]]] = []
+    pair_sums: list[tuple[int, int, float]] = []
     n = len(recognized)
-    partners: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     least = None
     for i in range(n):
         mask_i = masks[i]
@@ -253,12 +248,9 @@ def compute_visibility(state: ExperimentState) -> VisibilitySnapshot:
                     q *= scenario.multiplier
                 matches.append((k, q))
                 total += q
-            # Rows fill in ascending order: first the partners below i (added
-            # while visiting them), then those above.
-            partners[i].append((j, total))
-            partners[j].append((i, total))
+            pair_sums.append((i, j, total))
             cooperating.append((i, j, matches))
-    state._partner_rows = [(i, row) for i, row in enumerate(partners) if row]
+    state.seal.start_loop(pair_sums)
     if len(cooperating) < n * (n - 1) // 2:
         least = 0  # some pair shares no landmark
     if least is not None and (state.min_common is None or least < state.min_common):
@@ -284,40 +276,6 @@ def emit_transactions(
     return added
 
 
-def _navigability_weights(
-    state: ExperimentState,
-) -> tuple[list[float], float, list[float]]:
-    """Per-robot navigability, its off-diagonal average, and current stakes.
-
-    Evaluates importance * (stake weight * summed pair qualities) in the same
-    association order as the navigability module, so the results match a
-    from-scratch recomputation bit for bit.
-    """
-    robots = state.robots
-    n = len(robots)
-    stakes = [r.stake for r in robots]
-    total_stake = _finite_total(stakes)
-    alpha = state._alpha
-    weights = [0.0] * n
-    total = 0.0
-    # Row i sums only over this loop's partners, in ascending j like the full
-    # row over all n robots. Every skipped j (i itself included) shares no
-    # landmark with i this loop, so its term is alpha * (w_i * 0.0) == +0.0,
-    # because alpha and the finite w_i are >= 0. An accumulator starts at
-    # +0.0 and only grows, and acc + 0.0 == acc for any acc >= 0, so skipping
-    # those terms leaves every bit of the row sum unchanged. For the same
-    # reason the total skips the rows without partners, whose sums are +0.0.
-    for i, row in state._partner_rows:
-        w_i = stakes[i] / total_stake
-        alpha_row = alpha[i]
-        acc = 0.0
-        for j, pair_sum in row:
-            acc += alpha_row[j] * (w_i * pair_sum)
-        weights[i] = acc
-        total += acc
-    return weights, total / (n * (n - 1)), stakes
-
-
 def _seal_batch(state: ExperimentState, batch: list[Transaction]) -> Block:
     """Seal one batch: elect by navigability, append reward, update stakes.
 
@@ -325,7 +283,8 @@ def _seal_batch(state: ExperimentState, batch: list[Transaction]) -> Block:
     transactions only influence later elections.
     """
     config = state.config
-    weights, avg_nav, stakes = _navigability_weights(state)
+    stakes = [r.stake for r in state.robots]
+    weights, avg_nav = state.seal.weights(stakes, _finite_total(stakes))
     generator = elect_generator(weights, state.streams.election, stakes=stakes)
     next_id = state.chain.next_tx_id
     for tx in batch:
@@ -335,15 +294,7 @@ def _seal_batch(state: ExperimentState, batch: list[Transaction]) -> Block:
     reward_tx.tx_id = next_id
     block = state.chain.append_block(batch + [reward_tx], generator, avg_nav)
     state.nav_series.append((block.index, block.avg_navigability))
-    counts = state._counts
-    alpha = state._alpha
-    for tx in batch:
-        if tx.kind == KIND_OBSERVATION:
-            i, j = tx.pair
-            count = counts[i][j] + 1
-            counts[i][j] = counts[j][i] = count
-            value = min(count, IMPORTANCE_LEVELS) / IMPORTANCE_LEVELS
-            alpha[i][j] = alpha[j][i] = value
+    state.seal.record([tx.pair for tx in batch if tx.kind == KIND_OBSERVATION])
     state.robots[generator].stake += config.generator_reward
     return block
 

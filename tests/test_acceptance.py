@@ -308,6 +308,6 @@ def test_c12_scale_smoke_under_30s_with_invariants():
     expected_stake = 50 * 1.0 + 0.1 * len(chain.blocks)
     assert abs(state.total_stake() - expected_stake) <= 1e-12
     alpha = AlphaMatrix.from_pair_counts(chain.all_pair_tx_counts(), 50)
-    assert state._alpha == alpha.values
+    assert state.seal.alpha == alpha.values
     pairs_cap = 50 * 49 // 2 * cfg.loops
     assert chain.transaction_count() <= pairs_cap + len(chain.blocks)

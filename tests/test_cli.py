@@ -98,6 +98,16 @@ def test_non_finite_flag_exits_one_naming_the_field(tmp_path, capsys, flag, valu
     assert not out.exists()
 
 
+def test_step_whose_draw_span_overflows_exits_one(tmp_path, capsys):
+    # uniform(-step, step) spans 2 * step, which is inf here; the run used to
+    # exit 0 with every robot clamped to the (width, height) corner.
+    out = tmp_path / "out"
+    assert main(["--step", "1e308", "--loops", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "stakenav: error: step_size must be <= 8.988465674311579e+307, got 1e+308\n"
+    assert not out.exists()
+
+
 def test_non_finite_pair_in_config_file_exits_one(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text('{"degrade_pair": [Infinity, 1], "degrade_loops": [1, 2], '

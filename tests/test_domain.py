@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -38,6 +39,7 @@ def test_default_config_values():
         ("loops", -1),
         ("sensing_radius", -0.5),
         ("step_size", -1.0),
+        ("step_size", 1e308),
         ("block_size", 0),
         ("generator_reward", -0.1),
         ("initial_stake", 0.0),
@@ -59,6 +61,13 @@ def test_config_rejects_bad_values_naming_the_field(field, value):
 def test_config_rejects_non_finite_values_naming_the_field(field, value):
     with pytest.raises(ConfigError, match=f"{field} must be finite"):
         WorldConfig(**{field: value})
+
+
+def test_step_size_bound_keeps_the_draw_span_finite():
+    largest = sys.float_info.max / 2
+    assert WorldConfig(step_size=largest).step_size == largest
+    with pytest.raises(ConfigError, match="step_size must be <= "):
+        WorldConfig(step_size=math.nextafter(largest, math.inf))
 
 
 def test_config_is_frozen():

@@ -322,6 +322,39 @@ def test_verify_dump_rejects_mutated_record_at_its_block(name):
             Chain.loads(mutated_data)
 
 
+def relinked_dump(chain):
+    """The chain's dump after re-hashing and re-linking every block."""
+    prev_hash = GENESIS_PREV_HASH
+    for block in chain.blocks:
+        block.prev_hash = prev_hash
+        block.hash = block.compute_hash()
+        prev_hash = block.hash
+    return b"".join(canonical_encode(block.to_dict()) + b"\n" for block in chain.blocks)
+
+
+def test_loads_with_team_size_rejects_outsider_generator():
+    # Block 0's generator and its reward credit robot 99 in a 10-robot team.
+    chain = Chain.loads(seed_dump())
+    chain.blocks[0].generator = 99
+    chain.blocks[0].transactions[-1].generator = 99
+    data = relinked_dump(chain)
+    assert verify_dump_bytes(data) is None  # hashes and links hold
+    assert Chain.loads(data).blocks[0].generator == 99  # no team size, no check
+    with pytest.raises(LedgerFormatError, match=r"^block 0: generator index 99 out of range$"):
+        Chain.loads(data, n_robots=10)
+
+
+def test_loads_with_team_size_rejects_outsider_pair():
+    chain = Chain.loads(seed_dump())
+    tx = chain.blocks[3].transactions[0]
+    tx.pair = (tx.pair[0], 10)
+    data = relinked_dump(chain)
+    assert verify_dump_bytes(data) is None
+    with pytest.raises(LedgerFormatError, match=r"^block 3: pair index 10 out of range$"):
+        Chain.loads(data, n_robots=10)
+    assert Chain.loads(data, n_robots=11).dumps() == data
+
+
 def test_verify_dump_reports_non_finite_numbers_instead_of_raising():
     data = seed_dump()
     lines = data.split(b"\n")

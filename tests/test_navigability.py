@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from stakenav import (
     AlphaMatrix,
+    SealState,
     StakeTable,
     UndefinedAverageError,
     VisibilitySnapshot,
@@ -13,6 +14,7 @@ from stakenav import (
     navigability,
     navigability_matrix,
 )
+from stakenav.domain import ordered_sum
 from tests.test_consensus import random_snapshot
 
 
@@ -142,3 +144,55 @@ def test_matrix_unchanged_by_stake_scaling():
     for i in range(n):
         for j in range(n):
             assert abs(a.values[i][j] - b.values[i][j]) <= 1e-12
+
+
+def pair_sums_of(snap):
+    """(i, j, summed quality) per pair sharing a landmark, ascending."""
+    sums = []
+    n = snap.n_robots
+    for i in range(n):
+        for j in range(i + 1, n):
+            common = sorted(snap.recognized[i] & snap.recognized[j])
+            if common:
+                total = 0.0
+                for k in common:
+                    total += snap.qualities[(i, j, k)]
+                sums.append((i, j, total))
+    return sums
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_seal_state_weights_match_matrix_row_sums_bit_for_bit(seed):
+    rng = random.Random(seed)
+    n, m = rng.randint(2, 8), rng.randint(0, 9)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    seal = SealState(n)
+    counts = {}
+
+    def check(snap):
+        stakes = [rng.uniform(0.1, 4.0) for _ in range(n)]
+        weights, average = seal.weights(stakes, ordered_sum(stakes))
+        alpha = AlphaMatrix.from_pair_counts(counts, n)
+        matrix = navigability_matrix(StakeTable(stakes), snap, alpha)
+        assert [w.hex() for w in weights] == [matrix.row_sum(i).hex() for i in range(n)]
+        assert average.hex() == average_navigability(matrix).hex()
+        assert seal.alpha == alpha.values
+        assert seal.counts == [
+            [counts.get((min(i, j), max(i, j)), 0) if i != j else 0 for j in range(n)]
+            for i in range(n)
+        ]
+
+    for _ in range(4):  # loops
+        snap = random_snapshot(rng, n, m)
+        for i, j in pairs:  # a degraded pair draws zero qualities
+            if rng.random() < 0.15:
+                for k in snap.recognized[i] & snap.recognized[j]:
+                    snap.qualities[(i, j, k)] = 0.0
+        seal.start_loop(pair_sums_of(snap))
+        check(snap)
+        for _ in range(rng.randint(0, 5)):  # sealed batches, pairs may repeat
+            batch = [rng.choice(pairs) for _ in range(rng.randint(1, 6))]
+            seal.record(batch)
+            for pair in batch:
+                counts[pair] = counts.get(pair, 0) + 1
+            check(snap)

@@ -285,12 +285,12 @@ def test_alpha_counts_mirror_chain_history():
     state = run_experiment(WorldConfig(seed=9))
     counts = state.chain.all_pair_tx_counts()
     alpha = AlphaMatrix.from_pair_counts(counts, state.config.n_robots)
-    assert state._alpha == alpha.values
+    assert state.seal.alpha == alpha.values
     n = state.config.n_robots
     for i in range(n):
         for j in range(n):
             if i != j:
-                assert state._counts[i][j] == counts.get((min(i, j), max(i, j)), 0)
+                assert state.seal.counts[i][j] == counts.get((min(i, j), max(i, j)), 0)
 
 
 def test_degradation_scales_only_target_pair_in_window():
@@ -382,6 +382,17 @@ def test_replay_equivalence_holds_under_scenario():
     fast = run_experiment(cfg, scenario)
     scratch = run_from_scratch(cfg, scenario)
     assert fast.chain.dumps() == scratch.chain.dumps()
+
+
+def test_replay_equivalence_holds_from_a_cold_start():
+    # Every pair starts with no history, and 7 does not divide a loop's
+    # pairs, so transactions left pending from loop 0 are sealed in loop 1
+    # and give pairs that cooperate there their first importance mid-loop.
+    cfg = WorldConfig(n_robots=30, n_landmarks=60, loops=2, block_size=7, seed=0)
+    fast = run_experiment(cfg)
+    scratch = run_from_scratch(cfg)
+    assert fast.chain.dumps() == scratch.chain.dumps()
+    assert [r.stake for r in fast.robots] == [r.stake for r in scratch.robots]
 
 
 @pytest.mark.parametrize("scenario", [None, DegradationScenario((2, 10), 1, 3, 0.0)])

@@ -1,7 +1,7 @@
 """Check that stakenav writes the same ledger bytes on this interpreter.
 
 Runs the default configuration for seed 0 and for seeds 0-19, two sparse
-worlds and a dense world for seeds 0-4, and compares the SHA-256 of the
+worlds, a dense world and a cold-start world for seeds 0-4, and compares the SHA-256 of the
 ledger dumps with pinned values. Needs only the standard library, so it runs
 on interpreters that have no pytest:
 
@@ -37,6 +37,13 @@ SPARSE_DIGEST = "6b33a99556f4f3c072cfea1d7738052cb626d2726a102a96e265742a9729f21
 DENSE_SEEDS = range(5)
 DENSE = dict(n_robots=50, n_landmarks=100, loops=1)
 DENSE_DIGEST = "542c04e828caff775adc85e06bca34d2942f8e491cecce018b7a09317e5824da"
+# A short run from no history whose block size does not divide a loop's
+# pairs: observations left pending from loop 0 are sealed during loop 1 and
+# give pairs their first importance mid-loop. 30 robots, 60 landmarks,
+# 2 loops, blocks of 7, seeds 0..4.
+COLD_SEEDS = range(5)
+COLD = dict(n_robots=30, n_landmarks=60, loops=2, block_size=7)
+COLD_DIGEST = "dd31b05be90f048d3c9ada5c7cfbe7d5f85c835cd6e0c7b34b72ce90d5ce360b"
 
 
 def ledger_bytes(seed: int, shape: dict | None = None, scenario=None) -> bytes:
@@ -61,6 +68,10 @@ def main() -> int:
     for seed in DENSE_SEEDS:
         dense.update(ledger_bytes(seed, DENSE))
     checks["dense seeds 0-4 ledgers"] = (dense.hexdigest(), DENSE_DIGEST)
+    cold = hashlib.sha256()
+    for seed in COLD_SEEDS:
+        cold.update(ledger_bytes(seed, COLD))
+    checks["cold-start seeds 0-4 ledgers"] = (cold.hexdigest(), COLD_DIGEST)
     version = sys.version.split()[0]
     failed = False
     for name, (got, want) in checks.items():
