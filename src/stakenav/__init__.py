@@ -6,20 +6,12 @@ proportion to the match qualities of the landmarks they both recognize, and
 a robot's navigability aggregates those agreements over all partners,
 weighted by how often each pair has cooperated on the ledger. Block
 generators are elected by navigability and earn stake, closing the loop.
+
+`sim` is the engine a run executes; `reference` holds the paper's formulas
+one pair at a time, as the oracle the engine is tested against.
 """
 from __future__ import annotations
 
-from .consensus import (
-    DegenerateStakesError,
-    ScanCounter,
-    StakeTable,
-    VisibilitySnapshot,
-    consensus_score,
-    consensus_score_matrix,
-    elect_generator,
-    indicator,
-    stake_weight,
-)
 from .domain import (
     ConfigError,
     InvalidPairError,
@@ -43,21 +35,30 @@ from .ledger import (
     canonical_encode,
     verify_dump_bytes,
 )
-from .navigability import (
-    IMPORTANCE_LEVELS,
+from .reference import (
     AlphaMatrix,
+    DegenerateStakesError,
     NavigabilityMatrix,
-    SealState,
+    ScanCounter,
+    StakeTable,
     UndefinedAverageError,
     alpha_importance,
     average_navigability,
+    consensus_score,
+    consensus_score_matrix,
+    indicator,
     navigability,
     navigability_matrix,
+    stake_weight,
 )
 from .sim import (
+    IMPORTANCE_LEVELS,
     DegradationScenario,
     ExperimentState,
+    SealState,
+    VisibilitySnapshot,
     compute_visibility,
+    elect_generator,
     emit_transactions,
     maybe_seal_blocks,
     run_experiment,

@@ -113,7 +113,13 @@ def _parse_pair(text, key: str) -> tuple[int, int]:
 def load_config_file(path: str) -> dict:
     """Read a JSON config file and reject keys this tool does not know."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"config file {path}: cannot read ({exc.strerror or exc})") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):

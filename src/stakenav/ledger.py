@@ -439,15 +439,6 @@ class Chain:
             prev_hash = block.hash
         return None
 
-    def pair_tx_count(self, i: int, j: int) -> int:
-        """Observation transactions recorded for the unordered pair {i, j}."""
-        pair = normalize_pair(i, j)
-        count = 0
-        for tx in self.transactions():
-            if tx.kind == KIND_OBSERVATION and tx.pair == pair:
-                count += 1
-        return count
-
     def all_pair_tx_counts(self) -> dict[tuple[int, int], int]:
         """Observation transaction counts for every pair seen in the chain."""
         counts: dict[tuple[int, int], int] = {}
@@ -456,22 +447,17 @@ class Chain:
                 counts[tx.pair] = counts.get(tx.pair, 0) + 1
         return counts
 
-    def generator_histogram(self, n_robots: int | None = None) -> list[int]:
+    def generator_histogram(self) -> list[int]:
         """Blocks sealed per robot; entries sum to the chain length."""
-        n = n_robots if n_robots is not None else self.n_robots
-        if n is None:
+        if self.n_robots is None:
             raise ValueError("generator_histogram needs the team size")
-        counts = [0] * n
+        counts = [0] * self.n_robots
         for block in self.blocks:
             counts[block.generator] += 1
         return counts
 
     def dumps(self) -> bytes:
         return b"".join(block.to_line() + b"\n" for block in self.blocks)
-
-    def dump(self, path) -> None:
-        with open(path, "wb") as handle:
-            handle.write(self.dumps())
 
     @classmethod
     def loads(cls, data: bytes, n_robots: int | None = None) -> "Chain":
@@ -488,11 +474,6 @@ class Chain:
                 raise LedgerFormatError(f"block {index}: {exc}") from exc
             chain.blocks.append(block)
         return chain
-
-    @classmethod
-    def load(cls, path, n_robots: int | None = None) -> "Chain":
-        with open(path, "rb") as handle:
-            return cls.loads(handle.read(), n_robots=n_robots)
 
 
 def _block_intact(

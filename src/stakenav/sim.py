@@ -1,12 +1,16 @@
-"""Experiment driver: random motion, visibility, emission, block sealing.
+"""The engine: everything a run executes, from motion to sealed block.
 
 Each loop moves every robot by a random bounded step, recomputes which
 landmarks each robot recognizes (Euclidean distance within the sensing
 radius), draws a fresh match quality for every pairwise common landmark,
 emits one observation transaction per pair that shares at least one landmark,
 and seals blocks whenever enough transactions are pending. Sealing elects the
-generator by navigability (stake weights as cold-start fallback), appends a
-reward transaction, and credits the generator's stake.
+generator by navigability (stake weights as cold-start fallback, then
+uniform; `elect_generator`), appends a reward transaction, and credits the
+generator's stake. This module owns the loop's state (`ExperimentState`),
+the per-loop `VisibilitySnapshot`, the seal-time navigability (`SealState`)
+and the election. The paper's formulas, one pair at a time, are in
+`stakenav.reference`, which only tests call; nothing here imports it.
 
 The loop does work in proportion to the pairs that cooperate, not to all n^2
 pairs. Landmarks are bucketed once per run into a grid of cells wider than
@@ -15,9 +19,9 @@ its own and the eight surrounding cells. Each robot's sightings are also kept
 as a bitmask, and a pair whose masks share no bit is skipped with one integer
 AND. A seal sums each robot's navigability over its live terms only: the
 partners it shares a landmark with this loop and has sealed observations
-with (see `navigability.SealState`). A skipped distance test could only have
-failed, and a skipped pair or term could only have added an exact zero, so
-the bytes are those of the full quadratic pass.
+with (see `SealState`). A skipped distance test could only have failed, and
+a skipped pair or term could only have added an exact zero, so the bytes are
+those of the full quadratic pass.
 
 Each drawn quality is handled once. Visibility stores it in its pair's list
 of (landmark id, quality) tuples; emission hands that list to the pair's
@@ -30,9 +34,11 @@ chain are gapless even though reward transactions are interleaved.
 from __future__ import annotations
 
 import math
+from bisect import insort
+from collections.abc import Iterable
 from dataclasses import dataclass
+from random import Random
 
-from .consensus import VisibilitySnapshot, elect_generator
 from .domain import (
     ConfigError,
     Landmark,
@@ -44,7 +50,10 @@ from .domain import (
     ordered_sum,
 )
 from .ledger import KIND_OBSERVATION, Block, Chain, Transaction
-from .navigability import SealState
+
+# Shared-transaction count at which a pair's importance saturates; counts are
+# mapped to the ten levels 0.1, 0.2, ..., 1.0 (plus 0 for no history).
+IMPORTANCE_LEVELS = 10
 
 
 @dataclass(frozen=True)
@@ -88,6 +97,154 @@ class DegradationScenario:
             )
 
 
+class VisibilitySnapshot:
+    """Which landmarks each robot recognizes in one loop, plus pair qualities.
+
+    `recognized[i]` is the set of landmark ids robot i recognizes.
+    `cooperating` lists (i, j, matches) for every pair with i < j that shares
+    a landmark, ascending by pair; `matches` holds the pair's (landmark id,
+    quality) tuples ascending by id. The simulator builds it while drawing,
+    and emission hands each `matches` list to its transaction as is.
+    `qualities` maps (i, j, k) with i < j to the match quality of landmark k
+    for that pair; entries exist exactly for landmarks in the intersection of
+    the two robots' recognized sets. A snapshot built by hand may pass it
+    directly; otherwise it is derived from `cooperating` on first read. Only
+    the reference oracle reads it.
+    """
+
+    def __init__(
+        self,
+        n_landmarks: int,
+        recognized: list[set[int]],
+        qualities: dict[tuple[int, int, int], float] | None = None,
+        cooperating: list[tuple[int, int, list[tuple[int, float]]]] | None = None,
+    ):
+        self.n_landmarks = n_landmarks
+        self.recognized = recognized
+        self.cooperating = cooperating if cooperating is not None else []
+        self._qualities = qualities
+
+    @property
+    def qualities(self) -> dict[tuple[int, int, int], float]:
+        if self._qualities is None:
+            self._qualities = {
+                (i, j, k): q for i, j, matches in self.cooperating for k, q in matches
+            }
+        return self._qualities
+
+    @property
+    def n_robots(self) -> int:
+        return len(self.recognized)
+
+    def check(self) -> None:
+        """Validate the qualities-match-intersection invariant (test helper)."""
+        n = self.n_robots
+        expected = set()
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in self.recognized[i] & self.recognized[j]:
+                    expected.add((i, j, k))
+        actual = set(self.qualities)
+        if actual != expected:
+            raise ValueError(
+                f"quality keys do not match pairwise intersections: "
+                f"unexpected={actual - expected}, missing={expected - actual}"
+            )
+        for key, q in self.qualities.items():
+            if not 0.0 <= q <= 1.0:
+                raise ValueError(f"quality for {key} must be in [0, 1], got {q}")
+
+
+class SealState:
+    """Seal-time navigability of one run: pair history and this loop's live terms.
+
+    `counts[i][j]` is the number of sealed observations of pair (i, j) and
+    `alpha[i][j]` its importance; both are symmetric n x n lists that mirror
+    the chain. Read them, but change them only through `record`.
+
+    A robot's row holds its live terms: the partners that share a landmark
+    with it this loop and have a non-zero importance, as (j, pair quality
+    sum) ascending by j. A cooperating pair with no sealed history is held
+    apart until a seal gives it one; then it joins both rows at its sorted
+    place. Pending transactions from earlier loops can do that mid-loop.
+    """
+
+    def __init__(self, n_robots: int):
+        self.counts = [[0] * n_robots for _ in range(n_robots)]
+        self.alpha = [[0.0] * n_robots for _ in range(n_robots)]
+        self._rows: list[list[tuple[int, float]]] = [[] for _ in range(n_robots)]
+        # (i, row) for every non-empty row, ascending by i.
+        self._live: list[tuple[int, list[tuple[int, float]]]] = []
+        # (i, j) -> pair quality sum of cooperating pairs with no history.
+        self._cold: dict[tuple[int, int], float] = {}
+
+    def start_loop(self, pair_sums: Iterable[tuple[int, int, float]]) -> None:
+        """Replace the rows with one loop's (i, j, pair quality sum) triples.
+
+        The triples must have i < j and come ascending by (i, j). Row r then
+        receives its partners below r before those above, each in order.
+        """
+        counts = self.counts
+        rows: list[list[tuple[int, float]]] = [[] for _ in counts]
+        cold = {}
+        for i, j, total in pair_sums:
+            if counts[i][j]:
+                rows[i].append((j, total))
+                rows[j].append((i, total))
+            else:
+                cold[(i, j)] = total
+        self._rows = rows
+        self._live = [(i, row) for i, row in enumerate(rows) if row]
+        self._cold = cold
+
+    def record(self, pairs: Iterable[tuple[int, int]]) -> None:
+        """Count one sealed observation for each (i, j) pair, i < j."""
+        counts = self.counts
+        alpha = self.alpha
+        cold = self._cold
+        for pair in pairs:
+            i, j = pair
+            count = counts[i][j] + 1
+            counts[i][j] = counts[j][i] = count
+            alpha[i][j] = alpha[j][i] = min(count, IMPORTANCE_LEVELS) / IMPORTANCE_LEVELS
+            if count == 1 and pair in cold:
+                total = cold.pop(pair)
+                self._insert(i, j, total)
+                self._insert(j, i, total)
+
+    def _insert(self, i: int, j: int, total: float) -> None:
+        row = self._rows[i]
+        if not row:
+            insort(self._live, (i, row))  # i is unique, so rows are never compared
+        insort(row, (j, total))
+
+    def weights(self, stakes: list[float], total_stake: float) -> tuple[list[float], float]:
+        """Per-robot navigability and its off-diagonal average.
+
+        `total_stake` is the left-to-right sum of `stakes`. Each row sums
+        alpha_ij * (w_i * pair sum) in ascending j, and the average sums rows
+        in ascending i, as the oracle's `navigability_matrix`,
+        `NavigabilityMatrix.row_sum` and `average_navigability` do (see
+        `stakenav.reference`), so the results match them bit for bit.
+        Every term left out has a zero importance or a zero pair sum, so it is
+        0.0 * finite >= 0 == +0.0, and acc + 0.0 == acc for any acc >= 0; a
+        row with no live term is +0.0 and adds nothing to the total.
+        """
+        n = len(stakes)
+        alpha = self.alpha
+        weights = [0.0] * n
+        total = 0.0
+        for i, row in self._live:
+            w_i = stakes[i] / total_stake
+            alpha_row = alpha[i]
+            acc = 0.0
+            for j, pair_sum in row:
+                acc += alpha_row[j] * (w_i * pair_sum)
+            weights[i] = acc
+            total += acc
+        return weights, total / (n * (n - 1))
+
+
 class ExperimentState:
     """Everything one run accumulates: world, chain, pending, logs, seal state."""
 
@@ -114,7 +271,7 @@ class ExperimentState:
         self.max_common = 0
         self.min_common: int | None = None
         # Pair history and this loop's live navigability terms; sealed
-        # averages replay the navigability module's sums bit for bit.
+        # averages replay the reference oracle's sums bit for bit.
         self.seal = SealState(config.n_robots)
         self._grid = _landmark_grid(config, landmarks)
 
@@ -274,6 +431,50 @@ def emit_transactions(
     ]
     state.pending.extend(added)
     return added
+
+
+def elect_generator(
+    weights: list[float],
+    rng: Random,
+    stakes: list[float] | None = None,
+) -> int:
+    """Pick a robot index with probability proportional to its weight.
+
+    Sampling is inverse-CDF over the cumulative weight vector with a single
+    uniform draw. Degenerate cascade: if all weights are zero, fall back to
+    `stakes`; if those are also all zero (or absent), pick uniformly.
+    """
+    n = len(weights)
+    if n == 0:
+        raise ValueError("cannot elect from an empty weight vector")
+    for w in weights:
+        if w < 0:
+            raise ValueError(f"election weights must be >= 0, got {w}")
+    total = ordered_sum(weights)
+    if total > 0.0:
+        return _sample_index(weights, total, rng)
+    if stakes is not None:
+        if len(stakes) != n:
+            raise ValueError(f"{len(stakes)} stakes for {n} weights")
+        stake_total = ordered_sum(stakes)
+        if stake_total > 0.0:
+            return _sample_index(stakes, stake_total, rng)
+    return rng.randrange(n)
+
+
+def _sample_index(weights: list[float], total: float, rng: Random) -> int:
+    u = rng.random() * total
+    acc = 0.0
+    last_positive = 0
+    for idx, w in enumerate(weights):
+        if w > 0.0:
+            last_positive = idx
+        acc += w
+        if u < acc:
+            return idx
+    # Rounding can leave acc fractionally below total; land on the last
+    # index that carries any probability mass.
+    return last_positive
 
 
 def _seal_batch(state: ExperimentState, batch: list[Transaction]) -> Block:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +50,35 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     cfg.write_text(json.dumps({"robots": 5, "robtos": 6}))
     assert main(["--config", str(cfg)]) == 1
     assert "robtos" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind,reason",
+    [
+        ("missing", "cannot read (No such file or directory)"),
+        ("directory", "cannot read (Is a directory)"),
+        ("binary", "not UTF-8 (invalid start byte at byte 0)"),
+    ],
+)
+def test_unreadable_config_file_exits_one_without_traceback(tmp_path, kind, reason):
+    path = tmp_path / "run.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "binary":
+        path.write_bytes(b"\xff{}")
+    # A separate interpreter, so an uncaught error would print its traceback.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    argv = ["--config", str(path), "--out", str(tmp_path / "out")]
+    result = subprocess.run(
+        [sys.executable, "-m", "stakenav.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 1
+    assert result.stderr == f"stakenav: error: config file {path}: {reason}\n"
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_scenario(tmp_path):
@@ -172,7 +205,7 @@ def test_run_writes_all_exports(tmp_path, capsys):
     for name in (LEDGER_FILE, TRAJECTORIES_FILE, TIMESERIES_FILE, SUMMARY_FILE):
         assert (out / name).is_file()
 
-    chain = Chain.load(out / LEDGER_FILE)
+    chain = Chain.loads((out / LEDGER_FILE).read_bytes(), n_robots=10)
     assert chain.verify() is None
     summary = json.loads((out / SUMMARY_FILE).read_text())
     assert summary["blocks"] == len(chain.blocks)
@@ -180,7 +213,7 @@ def test_run_writes_all_exports(tmp_path, capsys):
     obs = sum(1 for tx in chain.transactions() if tx.kind == KIND_OBSERVATION)
     assert summary["observation_transactions"] == obs
     assert summary["reward_transactions"] == len(chain.blocks)
-    assert summary["generator_histogram"] == chain.generator_histogram(10)
+    assert summary["generator_histogram"] == chain.generator_histogram()
     assert "duration" not in json.dumps(summary)
 
     traj_lines = (out / TRAJECTORIES_FILE).read_text().splitlines()

@@ -1,0 +1,66 @@
+"""The package layout: engine and oracle apart, one name per thing, and the
+same ledger bytes on every supported interpreter."""
+import ast
+import importlib
+import os
+import subprocess
+from pathlib import Path
+
+import pytest
+
+import stakenav
+import stakenav.reference
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "stakenav"
+ENGINE_MODULES = ("cli", "domain", "ledger", "sim")
+# One CPython release per minor version that `requires-python` admits.
+INTERPRETERS = ("3.10.13", "3.11.7", "3.12.1", "3.13.0")
+
+
+@pytest.mark.parametrize("name", ["stakenav.navigability", "stakenav.consensus"])
+def test_old_submodules_are_gone(name):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(name)
+
+
+def test_navigability_is_the_reference_function():
+    assert stakenav.navigability is stakenav.reference.navigability
+
+
+def test_package_holds_the_six_modules():
+    assert sorted(p.stem for p in PACKAGE.glob("*.py")) == [
+        "__init__", "cli", "domain", "ledger", "reference", "sim",
+    ]
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            yield base
+            for alias in node.names:
+                yield f"{base}.{alias.name}"
+
+
+@pytest.mark.parametrize("module", ENGINE_MODULES)
+def test_engine_does_not_import_the_oracle(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    for name in _imported_modules(tree):
+        assert "reference" not in name.split("."), f"{module}.py imports {name}"
+
+
+@pytest.mark.parametrize("version", INTERPRETERS)
+def test_check_determinism_passes_under(version):
+    pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    python = pyenv / "versions" / version / "bin" / "python"
+    if not python.is_file():
+        pytest.skip(f"CPython {version} is not installed")
+    result = subprocess.run(
+        [str(python), str(ROOT / "tools" / "check_determinism.py")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
