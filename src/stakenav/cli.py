@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 from .domain import WorldConfig
-from .ledger import KIND_OBSERVATION
 from .sim import DegradationScenario, ExperimentState, run_experiment
 
 # Flag/config-file key -> WorldConfig field.
@@ -207,7 +207,7 @@ class RunSummary:
 
 def summarize(state: ExperimentState, duration_seconds: float) -> RunSummary:
     chain = state.chain
-    observations = sum(1 for tx in chain.transactions() if tx.kind == KIND_OBSERVATION)
+    observations = sum(block.observation_count for block in chain.blocks)
     total = chain.transaction_count()
     return RunSummary(
         blocks=len(chain.blocks),
@@ -234,8 +234,8 @@ def _trajectories_csv(state: ExperimentState) -> str:
 def _timeseries_csv(state: ExperimentState) -> str:
     lines = ["block_index,first_tx_id,last_tx_id,avg_navigability,generator"]
     for block in state.chain.blocks:
-        first = block.transactions[0].tx_id
-        last = block.transactions[-1].tx_id
+        first = block.first_tx_id
+        last = first + block.transaction_count - 1
         lines.append(
             f"{block.index},{first},{last},{block.avg_navigability!r},{block.generator}"
         )
@@ -245,7 +245,10 @@ def _timeseries_csv(state: ExperimentState) -> str:
 def run_and_export(request: RunRequest, stream=None) -> RunSummary:
     """Run the experiment and write the four export files.
 
-    Exports are byte-identical across reruns of the same request.
+    Exports are byte-identical across reruns of the same request. Each is
+    written to a temporary name in the output directory, and all four are
+    renamed into place only once every one is written, so a failed write
+    leaves the files of an earlier run as they were.
     """
     stream = stream if stream is not None else sys.stdout
     started = time.perf_counter()
@@ -257,11 +260,22 @@ def run_and_export(request: RunRequest, stream=None) -> RunSummary:
 
     out = Path(request.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / LEDGER_FILE).write_bytes(state.chain.dumps())
-    (out / TRAJECTORIES_FILE).write_text(_trajectories_csv(state), encoding="ascii")
-    (out / TIMESERIES_FILE).write_text(_timeseries_csv(state), encoding="ascii")
     summary_text = json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n"
-    (out / SUMMARY_FILE).write_text(summary_text, encoding="ascii")
+    exports = {
+        LEDGER_FILE: state.chain.dumps(),
+        TRAJECTORIES_FILE: _trajectories_csv(state).encode("ascii"),
+        TIMESERIES_FILE: _timeseries_csv(state).encode("ascii"),
+        SUMMARY_FILE: summary_text.encode("ascii"),
+    }
+    temporaries = {name: out / f".{name}.tmp" for name in exports}
+    try:
+        for name, data in exports.items():
+            temporaries[name].write_bytes(data)
+        for name, temporary in temporaries.items():
+            os.replace(temporary, out / name)
+    finally:
+        for temporary in temporaries.values():
+            temporary.unlink(missing_ok=True)
 
     print(f"blocks sealed: {summary.blocks}", file=stream)
     print(

@@ -16,6 +16,11 @@ from dataclasses import dataclass
 MAX_SEED = 2**64 - 1
 # Largest step size whose draw span, 2 * step_size, is still finite.
 MAX_STEP = sys.float_info.max / 2
+# Team and landmark bounds that keep a run's memory finite: the seal state's
+# two n x n lists take at most 2 * 4096**2 * 8 B, about 268 MB, and a
+# robot's visibility mask holds at most 2**20 bits.
+MAX_ROBOTS = 4096
+MAX_LANDMARKS = 2**20
 
 
 def ordered_sum(values) -> float:
@@ -75,10 +80,12 @@ class WorldConfig:
             raise ConfigError(f"width must be > 0, got {self.width}")
         if not self.height > 0:
             raise ConfigError(f"height must be > 0, got {self.height}")
-        if self.n_robots < 1:
-            raise ConfigError(f"n_robots must be >= 1, got {self.n_robots}")
-        if self.n_landmarks < 0:
-            raise ConfigError(f"n_landmarks must be >= 0, got {self.n_landmarks}")
+        if not 1 <= self.n_robots <= MAX_ROBOTS:
+            raise ConfigError(f"n_robots must be in [1, {MAX_ROBOTS}], got {self.n_robots}")
+        if not 0 <= self.n_landmarks <= MAX_LANDMARKS:
+            raise ConfigError(
+                f"n_landmarks must be in [0, {MAX_LANDMARKS}], got {self.n_landmarks}"
+            )
         if self.loops < 0:
             raise ConfigError(f"loops must be >= 0, got {self.loops}")
         if not self.sensing_radius > 0:

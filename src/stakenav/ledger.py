@@ -10,26 +10,28 @@ The genesis block's prev_hash is 64 zero hex digits.
 Dump format: one block per line, each line the canonical encoding of the
 block including its "hash" field. Keys are sorted, so that field always sits
 just before "index", and a line is its body with `"hash":"<hex>",` spliced
-in there. A block is encoded once, when it is sealed: the block keeps its
-body bytes, and dumping splices the hash into them.
+in there.
 
-An observation keeps its matches as (landmark id, quality) tuples. When they
-arrive as exact (int, float) tuples, as the simulator draws them, they are
-checked in one pass and kept; anything else is converted. The body record
-holds the stored tuples, which encode as JSON arrays, so sealing copies no
-match. `to_dict()` returns lists, the form `json.loads` gives back. Sealing
-and verification encode through the one module-level `canonical_encode`.
+A sealed block is its bytes. `Chain.append_block` numbers the records it is
+given, encodes the body once through the module-level `canonical_encode` and
+keeps those bytes with a few header numbers; dumping splices the hash into
+them, and `Block.transactions` decodes the body only when it is read.
+Records are frozen and slotted, one class per kind (`Observation`,
+`Reward`). The simulator builds them straight from what it drew; every path
+that takes input from outside (the `Transaction` factories, `from_dict` and
+`verify_dump_bytes`) checks each field.
 
-Dump verification parses every line, checks it against the record schema,
-re-encodes it once and requires that to equal the stored bytes (so the file
-carries exactly the canonical form), then hashes the line with the hash
-field cut out and re-checks the hash, the link and the tx_id sequence. It
-builds no Block or Transaction. Any single-bit change to the stored bytes
-is therefore detected.
+There is one verifier. `verify_dump_bytes` parses every line, checks it
+against the record schema, re-encodes it once and requires that to equal the
+stored bytes (so the file carries exactly the canonical form), then hashes
+the line with the hash field cut out and re-checks the hash, the link and
+the tx_id sequence. `Chain.verify()` runs it on the chain's own dump. Any
+single-bit change to the stored bytes is therefore detected.
 """
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -66,7 +68,7 @@ class LedgerFormatError(LedgerError):
 
 
 # No cycle check: everything encoded here is a tree of records built by
-# `body_dict()` or by `json.loads`. A cyclic argument still raises, as
+# `Chain.append_block` or by `json.loads`. A cyclic argument still raises, as
 # RecursionError instead of ValueError.
 _CANONICAL = json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), allow_nan=False, ensure_ascii=True, check_circular=False
@@ -170,20 +172,9 @@ def _check_block_fields(record: Any) -> None:
 def _checked_matches(matches) -> list[tuple[int, float]]:
     """Validated (landmark id, quality) tuples for an observation.
 
-    Entries that already are exact (int, float) tuples with an id >= 0 and a
-    quality in [0, 1], as the simulator draws them, are kept as they are.
-    Anything else is checked entry by entry and converted with int() and
-    float(), raising on a negative id or a quality outside [0, 1] (NaN
-    included).
+    Raises on a negative id or a quality outside [0, 1] (NaN included), and
+    converts each entry with int() and float().
     """
-    for entry in matches:
-        if type(entry) is not tuple or len(entry) != 2:
-            break
-        k, q = entry
-        if type(k) is not int or type(q) is not float or k < 0 or not 0.0 <= q <= 1.0:
-            break
-    else:
-        return list(matches)
     for k, q in matches:
         if k < 0:
             raise LedgerError(f"landmark id must be >= 0, got {k}")
@@ -192,152 +183,140 @@ def _checked_matches(matches) -> list[tuple[int, float]]:
     return [(int(k), float(q)) for k, q in matches]
 
 
-@dataclass
-class Transaction:
-    """One ledger record: a pairwise observation or a generator reward.
+def _check_loop_index(loop_index: int) -> None:
+    if loop_index < 0:
+        raise LedgerError(f"loop_index must be >= 0, got {loop_index}")
 
-    Observation transactions carry the unordered robot pair and the
-    (landmark_id, quality) matches seen this loop. Reward transactions credit
-    the elected block generator. `tx_id` is assigned when the transaction is
-    sealed into a block and is None while pending.
+
+class Transaction:
+    """One ledger record: an `Observation` or a `Reward`.
+
+    The factories and `from_dict` check every field; the record classes
+    themselves check nothing, so the simulator builds observations from the
+    tuples it drew at no cost. `tx_id` is None until the record is sealed:
+    `Chain.append_block` numbers the records it encodes, and the records that
+    `Block.transactions` decodes carry their ids.
     """
 
-    kind: str
-    loop_index: int
-    tx_id: int | None = None
-    pair: tuple[int, int] | None = None
-    matches: list[tuple[int, float]] = field(default_factory=list)
-    generator: int | None = None
-    reward: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.loop_index < 0:
-            raise LedgerError(f"loop_index must be >= 0, got {self.loop_index}")
-        if self.kind == KIND_OBSERVATION:
-            if self.pair is None:
-                raise LedgerError("observation transaction requires a robot pair")
-            self.pair = normalize_pair(*self.pair)
-            if not self.matches:
-                raise LedgerError("observation transaction requires at least one match")
-            self.matches = _checked_matches(self.matches)
-            if self.generator is not None or self.reward is not None:
-                raise LedgerError("observation transaction cannot carry reward fields")
-        elif self.kind == KIND_REWARD:
-            if self.generator is None or self.generator < 0:
-                raise LedgerError(f"reward transaction requires a robot index, got {self.generator}")
-            if self.reward is None or self.reward < 0:
-                raise LedgerError(f"reward must be >= 0, got {self.reward}")
-            self.reward = float(self.reward)
-            if self.pair is not None or self.matches:
-                raise LedgerError("reward transaction cannot carry observation fields")
-        else:
-            raise LedgerError(f"unknown transaction kind {self.kind!r}")
-
-    @classmethod
+    @staticmethod
     def observation(
-        cls, pair: tuple[int, int], matches: list[tuple[int, float]], loop_index: int
-    ) -> "Transaction":
-        return cls(kind=KIND_OBSERVATION, loop_index=loop_index, pair=pair, matches=matches)
+        pair: tuple[int, int], matches: list[tuple[int, float]], loop_index: int
+    ) -> "Observation":
+        _check_loop_index(loop_index)
+        pair = normalize_pair(*pair)
+        if not matches:
+            raise LedgerError("observation transaction requires at least one match")
+        return Observation(pair, _checked_matches(matches), loop_index)
 
-    @classmethod
-    def generator_reward(cls, generator: int, reward: float, loop_index: int) -> "Transaction":
-        return cls(kind=KIND_REWARD, loop_index=loop_index, generator=generator, reward=reward)
+    @staticmethod
+    def generator_reward(generator: int, reward: float, loop_index: int) -> "Reward":
+        _check_loop_index(loop_index)
+        if generator < 0:
+            raise LedgerError(f"reward transaction requires a robot index, got {generator}")
+        if reward < 0:
+            raise LedgerError(f"reward must be >= 0, got {reward}")
+        return Reward(generator, float(reward), loop_index)
 
-    def _record(self) -> dict:
-        """The record that is encoded into a block body. Pair and matches are
-        the stored tuples, which encode as JSON arrays."""
-        if self.tx_id is None:
-            raise LedgerError("transaction has no tx_id yet; it must be sealed first")
-        if self.kind == KIND_OBSERVATION:
-            return {
-                "kind": self.kind,
-                "loop_index": self.loop_index,
-                "matches": self.matches,
-                "pair": self.pair,
-                "tx_id": self.tx_id,
-            }
-        return {
-            "generator": self.generator,
-            "kind": self.kind,
-            "loop_index": self.loop_index,
-            "reward": self.reward,
-            "tx_id": self.tx_id,
-        }
-
-    def to_dict(self) -> dict:
-        """The record as `json.loads` returns it, with lists for arrays."""
-        record = self._record()
-        if self.kind == KIND_OBSERVATION:
-            record["matches"] = [[k, q] for k, q in self.matches]
-            record["pair"] = list(self.pair)
-        return record
-
-    @classmethod
-    def from_dict(cls, record: Any) -> "Transaction":
+    @staticmethod
+    def from_dict(record: Any) -> "Transaction":
         _check_transaction_record(record)
         if record["kind"] == KIND_OBSERVATION:
-            tx = cls.observation(record["pair"], record["matches"], record["loop_index"])
-        else:
-            tx = cls.generator_reward(record["generator"], record["reward"], record["loop_index"])
-        tx.tx_id = record["tx_id"]
-        return tx
+            matches = [(k, q) for k, q in record["matches"]]
+            return Observation(tuple(record["pair"]), matches, record["loop_index"], record["tx_id"])
+        return Reward(record["generator"], record["reward"], record["loop_index"], record["tx_id"])
+
+    def to_dict(self) -> dict:
+        """The record as `json.loads` reads it from a block, lists for arrays."""
+        if self.tx_id is None:
+            raise LedgerError("transaction has no tx_id yet; it must be sealed first")
+        return json.loads(canonical_encode(self._record(self.tx_id)))
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
+class Observation(Transaction):
+    """Robots `pair` (i < j) both recognized each landmark of `matches`, as
+    (landmark id, quality) tuples ascending by id, in loop `loop_index`."""
+
+    pair: tuple[int, int]
+    matches: list[tuple[int, float]]
+    loop_index: int
+    tx_id: int | None = None
+    kind = KIND_OBSERVATION
+
+    def _record(self, tx_id: int) -> dict:
+        """The body record; pair and matches encode as JSON arrays as they are."""
+        return {
+            "kind": KIND_OBSERVATION,
+            "loop_index": self.loop_index,
+            "matches": self.matches,
+            "pair": self.pair,
+            "tx_id": tx_id,
+        }
+
+
+@dataclass(frozen=True, slots=True)
+class Reward(Transaction):
+    """`reward` stake credited to the block generator `generator`, sealed in
+    loop `loop_index`."""
+
+    generator: int
+    reward: float
+    loop_index: int
+    tx_id: int | None = None
+    kind = KIND_REWARD
+
+    def _record(self, tx_id: int) -> dict:
+        return {
+            "generator": self.generator,
+            "kind": KIND_REWARD,
+            "loop_index": self.loop_index,
+            "reward": self.reward,
+            "tx_id": tx_id,
+        }
+
+
+@dataclass(frozen=True, slots=True)
 class Block:
-    """Hash-chained batch of transactions with its elected generator.
+    """One sealed block: its header numbers and its canonical body bytes.
 
-    `avg_navigability` snapshots the average navigability at generation time.
-    `body` holds the canonical body bytes written when the block was sealed;
-    `to_line()` dumps those bytes, so fields edited after sealing show up in
-    `Chain.verify()` but not in the dump. Blocks built another way (for
-    example by `Chain.loads`) have no body and encode from their fields.
+    `body` is the canonical encoding of the block without its hash field,
+    written once by `Chain.append_block` or read from a dump by `Chain.loads`;
+    `hash` is its SHA-256. The transactions live only in `body`: their ids
+    run from `first_tx_id` for `transaction_count` records, of which
+    `observation_count` are observations, and `transactions` decodes them on
+    every read.
     """
 
     index: int
     prev_hash: str
-    transactions: list[Transaction]
     generator: int
     avg_navigability: float
     hash: str
-    body: bytes | None = field(default=None, repr=False, compare=False)
+    body: bytes = field(repr=False)
+    first_tx_id: int
+    transaction_count: int
+    observation_count: int
 
-    def body_dict(self) -> dict:
-        return {
-            "avg_navigability": self.avg_navigability,
-            "generator": self.generator,
-            "index": self.index,
-            "prev_hash": self.prev_hash,
-            "transactions": [tx._record() for tx in self.transactions],
-        }
-
-    def compute_hash(self) -> str:
-        return hashlib.sha256(canonical_encode(self.body_dict())).hexdigest()
-
-    def to_dict(self) -> dict:
-        record = self.body_dict()
-        record["transactions"] = [tx.to_dict() for tx in self.transactions]
-        record["hash"] = self.hash
-        return record
+    @property
+    def transactions(self) -> list[Transaction]:
+        return _decode_transactions(self.body)
 
     def to_line(self) -> bytes:
-        body = self.body
-        if body is None:
-            return canonical_encode(self.to_dict())
-        at = body.index(_INDEX_KEY)
-        return b'%s"hash":"%s",%s' % (body[:at], self.hash.encode("ascii"), body[at:])
+        """The dump line: the body with the hash field spliced in before "index"."""
+        at = self.body.index(_INDEX_KEY)
+        return b'%s"hash":"%s",%s' % (self.body[:at], self.hash.encode("ascii"), self.body[at:])
 
-    @classmethod
-    def from_dict(cls, record: Any) -> "Block":
-        _check_block_fields(record)
-        return cls(
-            index=record["index"],
-            prev_hash=record["prev_hash"],
-            transactions=[Transaction.from_dict(tx) for tx in record["transactions"]],
-            generator=record["generator"],
-            avg_navigability=record["avg_navigability"],
-            hash=record["hash"],
-        )
+
+def _decode_transactions(body: bytes) -> list[Transaction]:
+    return [Transaction.from_dict(tx) for tx in json.loads(body)["transactions"]]
+
+
+def _cut_hash(line: bytes) -> bytes:
+    """A canonical dump line without its hash field: the block's body."""
+    at = line.index(_HASH_KEY)
+    return line[:at] + line[at + _HASH_FIELD_LEN:]
 
 
 class Chain:
@@ -364,80 +343,69 @@ class Chain:
     def next_tx_id(self) -> int:
         if not self.blocks:
             return 0
-        return self.blocks[-1].transactions[-1].tx_id + 1
+        last = self.blocks[-1]
+        return last.first_tx_id + last.transaction_count
 
     def transactions(self):
         for block in self.blocks:
             yield from block.transactions
 
     def transaction_count(self) -> int:
-        return sum(len(block.transactions) for block in self.blocks)
+        return sum(block.transaction_count for block in self.blocks)
 
     def append_block(
         self, transactions: list[Transaction], generator: int, avg_navigability: float
     ) -> Block:
         """Seal `transactions` into a new block and link it to the chain tip.
 
-        Transactions must already carry tx_ids continuing the chain's
-        sequence without gaps. The block body is encoded here, once; the
-        block keeps the bytes for dumping.
+        The records are numbered from `next_tx_id` in list order, whatever
+        their own `tx_id`, and the body is encoded here, once; the block
+        keeps the bytes and no record.
         """
         if not transactions:
             raise LedgerError("cannot seal a block with no transactions")
-        self._check_robots(generator, transactions)
-        expected = self.next_tx_id
-        for tx in transactions:
-            if tx.tx_id != expected:
-                if tx.tx_id is None:
-                    raise LedgerError("transaction has no tx_id assigned")
-                raise LedgerError(
-                    f"tx_id discontinuity: expected {expected}, got {tx.tx_id}"
-                )
-            expected += 1
+        observations = self._checked_observations(generator, transactions)
+        index = len(self.blocks)
         prev_hash = self.blocks[-1].hash if self.blocks else GENESIS_PREV_HASH
+        first = self.next_tx_id
+        avg_navigability = float(avg_navigability)
+        body = canonical_encode({
+            "avg_navigability": avg_navigability,
+            "generator": generator,
+            "index": index,
+            "prev_hash": prev_hash,
+            "transactions": [tx._record(tx_id) for tx_id, tx in enumerate(transactions, first)],
+        })
         block = Block(
-            index=len(self.blocks),
-            prev_hash=prev_hash,
-            transactions=transactions,
-            generator=generator,
-            avg_navigability=float(avg_navigability),
-            hash="",
+            index, prev_hash, generator, avg_navigability, hashlib.sha256(body).hexdigest(),
+            body, first, len(transactions), observations,
         )
-        block.body = canonical_encode(block.body_dict())
-        block.hash = hashlib.sha256(block.body).hexdigest()
         self.blocks.append(block)
         return block
 
-    def _check_robots(self, generator: int, transactions: list[Transaction]) -> None:
-        """The block generator, pairs and reward generators are team members."""
+    def _checked_observations(self, generator: int, transactions: list[Transaction]) -> int:
+        """The number of observations in `transactions`, after checking that the
+        block generator, pairs and reward generators are team members."""
         self._check_robot_index(generator, "generator")
+        observations = 0
         for tx in transactions:
             if tx.kind == KIND_OBSERVATION:
                 i, j = tx.pair
                 self._check_robot_index(i, "pair")
                 self._check_robot_index(j, "pair")
+                observations += 1
             else:
                 self._check_robot_index(tx.generator, "reward generator")
+        return observations
 
     def _check_robot_index(self, index: int, label: str) -> None:
         if index < 0 or (self.n_robots is not None and index >= self.n_robots):
             raise LedgerError(f"{label} index {index} out of range")
 
     def verify(self) -> int | None:
-        """Re-check every hash, link, and the tx_id sequence.
-
-        Hashes are recomputed from the blocks' fields, not from their stored
-        bodies, so edits made in memory are caught. Returns None when the
-        chain is intact, otherwise the index of the first invalid block.
-        """
-        prev_hash = GENESIS_PREV_HASH
-        expected_tx_id = 0
-        for position, block in enumerate(self.blocks):
-            if not _block_intact(block, position, prev_hash, expected_tx_id):
-                return position
-            expected_tx_id += len(block.transactions)
-            prev_hash = block.hash
-        return None
+        """`verify_dump_bytes` of this chain's dump: None when intact,
+        otherwise the index of the first invalid block."""
+        return verify_dump_bytes(self.dumps())
 
     def all_pair_tx_counts(self) -> dict[tuple[int, int], int]:
         """Observation transaction counts for every pair seen in the chain."""
@@ -457,38 +425,40 @@ class Chain:
         return counts
 
     def dumps(self) -> bytes:
-        return b"".join(block.to_line() + b"\n" for block in self.blocks)
+        # Written into one growing buffer, so no list of lines sits beside
+        # the result.
+        out = io.BytesIO()
+        for block in self.blocks:
+            out.write(block.to_line())
+            out.write(b"\n")
+        return out.getvalue()
 
     @classmethod
     def loads(cls, data: bytes, n_robots: int | None = None) -> "Chain":
         """Parse a dump; with `n_robots`, check robot indices as `append_block` does.
 
-        Hashes and links are not checked here; `verify()` does that.
+        Every record must pass the schema, and each block keeps its line's
+        bytes, so `dumps()` gives back the lines that were read. Hashes and
+        links are not checked here; `verify()` does that.
         """
         chain = cls(n_robots=n_robots)
         for index, line in enumerate(_dump_lines(data)):
             try:
-                block = Block.from_dict(json.loads(line.decode("ascii")))
-                chain._check_robots(block.generator, block.transactions)
+                record = json.loads(line.decode("ascii"))
+                _check_block_fields(record)
+                transactions = [Transaction.from_dict(tx) for tx in record["transactions"]]
+                observations = chain._checked_observations(record["generator"], transactions)
+                block = Block(
+                    record["index"], record["prev_hash"], record["generator"],
+                    record["avg_navigability"], record["hash"], _cut_hash(line),
+                    transactions[0].tx_id, len(transactions), observations,
+                )
+                if block.to_line() != line:
+                    raise LedgerFormatError("hash field is not where canonical form puts it")
             except _BAD_LINE_ERRORS as exc:
                 raise LedgerFormatError(f"block {index}: {exc}") from exc
             chain.blocks.append(block)
         return chain
-
-
-def _block_intact(
-    block: Block, position: int, prev_hash: str, expected_tx_id: int
-) -> bool:
-    """One block's place in the chain: index, link, id sequence, hash."""
-    if block.index != position or block.prev_hash != prev_hash:
-        return False
-    if not block.transactions:
-        return False
-    for tx in block.transactions:
-        if tx.tx_id != expected_tx_id:
-            return False
-        expected_tx_id += 1
-    return block.compute_hash() == block.hash
 
 
 # What a line that cannot be decoded or fails the schema raises. ValueError
@@ -533,9 +503,7 @@ def verify_dump_bytes(data: bytes) -> int | None:
             expected_tx_id += 1
         if canonical_encode(record) != line:
             return position
-        at = line.index(_HASH_KEY)
-        body = line[:at] + line[at + _HASH_FIELD_LEN:]
-        if hashlib.sha256(body).hexdigest() != record["hash"]:
+        if hashlib.sha256(_cut_hash(line)).hexdigest() != record["hash"]:
             return position
         prev_hash = record["hash"]
     return None

@@ -24,12 +24,13 @@ a skipped pair or term could only have added an exact zero, so the bytes are
 those of the full quadratic pass.
 
 Each drawn quality is handled once. Visibility stores it in its pair's list
-of (landmark id, quality) tuples; emission hands that list to the pair's
-transaction, which keeps the same tuples after checking them; sealing
-encodes the tuples straight into the block body.
+of (landmark id, quality) tuples; emission copies that list, tuples shared,
+into the pair's frozen observation record, unchecked; sealing encodes the
+tuples straight into the block body, and the block keeps only those bytes.
 
-Transaction ids are assigned at seal time in pending order, so ids across the
-chain are gapless even though reward transactions are interleaved.
+`Chain.append_block` numbers transactions as it seals them, in pending
+order, so ids across the chain are gapless even though reward transactions
+are interleaved.
 """
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ from .domain import (
     normalize_pair,
     ordered_sum,
 )
-from .ledger import KIND_OBSERVATION, Block, Chain, Transaction
+from .ledger import Block, Chain, Observation, Transaction
 
 # Shared-transaction count at which a pair's importance saturates; counts are
 # mapped to the ten levels 0.1, 0.2, ..., 1.0 (plus 0 for no history).
@@ -104,7 +105,7 @@ class VisibilitySnapshot:
     `cooperating` lists (i, j, matches) for every pair with i < j that shares
     a landmark, ascending by pair; `matches` holds the pair's (landmark id,
     quality) tuples ascending by id. The simulator builds it while drawing,
-    and emission hands each `matches` list to its transaction as is.
+    and emission copies each `matches` list into its observation.
     `qualities` maps (i, j, k) with i < j to the match quality of landmark k
     for that pair; entries exist exactly for landmarks in the intersection of
     the two robots' recognized sets. A snapshot built by hand may pass it
@@ -262,7 +263,7 @@ class ExperimentState:
         self.landmarks = landmarks
         self.streams = streams
         self.chain = Chain(n_robots=config.n_robots)
-        self.pending: list[Transaction] = []
+        self.pending: list[Observation] = []
         self.loop_index = 0
         # One (block index, average navigability) point per sealed block.
         self.nav_series: list[tuple[int, float]] = []
@@ -355,7 +356,7 @@ def compute_visibility(state: ExperimentState) -> VisibilitySnapshot:
     pairs that share nothing draw nothing, exactly as in a full pass. Each
     cooperating pair's (landmark id, quality) tuples, ascending by id, go
     into the snapshot's `cooperating` list as they are drawn; emission uses
-    them as they are, and no (i, j, k) map is built. Also starts the seal
+    those tuples, and no (i, j, k) map is built. Also starts the seal
     state's loop with every pair's quality sum and refreshes the common-count
     extremes.
     """
@@ -417,17 +418,16 @@ def compute_visibility(state: ExperimentState) -> VisibilitySnapshot:
 
 def emit_transactions(
     state: ExperimentState, snapshot: VisibilitySnapshot
-) -> list[Transaction]:
-    """One pending observation transaction per pair sharing >= 1 landmark.
+) -> list[Observation]:
+    """One pending observation per pair sharing >= 1 landmark.
 
     Walks the snapshot's cooperating pairs, so pairs come out ascending and
-    each pair's matches ascending by landmark id. Each transaction gets the
-    pair's drawn match list.
+    each pair's matches ascending by landmark id. Each observation gets a
+    copy of the pair's drawn match list; nothing is re-checked.
     """
     loop = state.loop_index
     added = [
-        Transaction.observation((i, j), matches, loop)
-        for i, j, matches in snapshot.cooperating
+        Observation((i, j), list(matches), loop) for i, j, matches in snapshot.cooperating
     ]
     state.pending.extend(added)
     return added
@@ -477,7 +477,7 @@ def _sample_index(weights: list[float], total: float, rng: Random) -> int:
     return last_positive
 
 
-def _seal_batch(state: ExperimentState, batch: list[Transaction]) -> Block:
+def _seal_batch(state: ExperimentState, batch: list[Observation]) -> Block:
     """Seal one batch: elect by navigability, append reward, update stakes.
 
     Importance comes from the chain state before this block, so a block's own
@@ -487,15 +487,10 @@ def _seal_batch(state: ExperimentState, batch: list[Transaction]) -> Block:
     stakes = [r.stake for r in state.robots]
     weights, avg_nav = state.seal.weights(stakes, _finite_total(stakes))
     generator = elect_generator(weights, state.streams.election, stakes=stakes)
-    next_id = state.chain.next_tx_id
-    for tx in batch:
-        tx.tx_id = next_id
-        next_id += 1
-    reward_tx = Transaction.generator_reward(generator, config.generator_reward, state.loop_index)
-    reward_tx.tx_id = next_id
-    block = state.chain.append_block(batch + [reward_tx], generator, avg_nav)
+    reward = Transaction.generator_reward(generator, config.generator_reward, state.loop_index)
+    block = state.chain.append_block(batch + [reward], generator, avg_nav)
     state.nav_series.append((block.index, block.avg_navigability))
-    state.seal.record([tx.pair for tx in batch if tx.kind == KIND_OBSERVATION])
+    state.seal.record([tx.pair for tx in batch])
     state.robots[generator].stake += config.generator_reward
     return block
 

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import stakenav.ledger
 from stakenav import Chain, KIND_OBSERVATION
 from stakenav.cli import (
     LEDGER_FILE,
@@ -15,7 +17,9 @@ from stakenav.cli import (
     build_parser,
     main,
     parse_config,
+    run_and_export,
 )
+from stakenav.domain import MAX_ROBOTS
 
 
 def parse(argv):
@@ -191,6 +195,20 @@ def test_stake_overflow_exits_two_and_writes_nothing(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_huge_team_in_config_file_exits_one(tmp_path, capsys):
+    # Without a bound this config ran until it was killed.
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"robots": 10000000000000000000000}')
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"stakenav: error: n_robots must be in [1, {MAX_ROBOTS}], "
+        "got 10000000000000000000000\n"
+    )
+    assert not out.exists()
+
+
 def test_bad_pair_value_exits_one(capsys):
     assert main(["--degrade-pair", "3,3", "--degrade-loops", "4,6",
                  "--degrade-factor", "0.1"]) == 1
@@ -228,6 +246,51 @@ def test_run_writes_all_exports(tmp_path, capsys):
         assert int(last) == block.transactions[-1].tx_id
         assert float(avg) == block.avg_navigability
         assert int(gen) == block.generator
+
+
+def test_export_encodes_each_block_once_and_decodes_none(tmp_path, monkeypatch):
+    encode = stakenav.ledger.canonical_encode
+    decode = stakenav.ledger._decode_transactions
+    encoded, decoded = [], []
+
+    def counting_encode(obj):
+        encoded.append(obj)
+        return encode(obj)
+
+    def counting_decode(body):
+        decoded.append(body)
+        return decode(body)
+
+    monkeypatch.setattr(stakenav.ledger, "canonical_encode", counting_encode)
+    monkeypatch.setattr(stakenav.ledger, "_decode_transactions", counting_decode)
+    summary = run_and_export(parse(["--seed", "0", "--out", str(tmp_path)]), io.StringIO())
+    assert summary.blocks > 0
+    assert len(encoded) == summary.blocks
+    assert decoded == []
+
+
+def test_failed_export_leaves_the_earlier_files(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    assert main(["--seed", "4", "--loops", "3", "--out", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(before) == sorted((LEDGER_FILE, TRAJECTORIES_FILE, TIMESERIES_FILE, SUMMARY_FILE))
+
+    write_bytes = Path.write_bytes
+    writes = []
+
+    def fourth_write_fails(path, data):
+        writes.append(path)
+        if len(writes) == 4:
+            raise OSError(28, "No space left on device")
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", fourth_write_fails)
+    capsys.readouterr()
+    assert main(["--seed", "5", "--loops", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "stakenav: i/o error: [Errno 28] No space left on device\n"
+    assert len(writes) == 4
+    # The new run's files differ, yet nothing was replaced and nothing is left over.
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_repeat_runs_are_byte_identical(tmp_path, capsys):

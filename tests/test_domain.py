@@ -12,6 +12,7 @@ from stakenav import (
     init_world,
     normalize_pair,
 )
+from stakenav.domain import MAX_LANDMARKS, MAX_ROBOTS
 
 
 def test_default_config_values():
@@ -45,6 +46,8 @@ def test_default_config_values():
         ("initial_stake", 0.0),
         ("seed", -1),
         ("seed", 2**64),
+        ("n_robots", MAX_ROBOTS + 1),
+        ("n_landmarks", MAX_LANDMARKS + 1),
     ],
 )
 def test_config_rejects_bad_values_naming_the_field(field, value):
@@ -68,6 +71,12 @@ def test_step_size_bound_keeps_the_draw_span_finite():
     assert WorldConfig(step_size=largest).step_size == largest
     with pytest.raises(ConfigError, match="step_size must be <= "):
         WorldConfig(step_size=math.nextafter(largest, math.inf))
+
+
+def test_team_and_landmark_bounds_are_inclusive():
+    # Only constructed, never run: a run at the bounds would take minutes.
+    config = WorldConfig(n_robots=MAX_ROBOTS, n_landmarks=MAX_LANDMARKS)
+    assert (config.n_robots, config.n_landmarks) == (4096, 2**20)
 
 
 def test_config_is_frozen():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,20 +13,24 @@ from stakenav import (
     KIND_OBSERVATION,
     KIND_REWARD,
     Chain,
+    ExperimentState,
     LedgerError,
     LedgerFormatError,
     Transaction,
     WorldConfig,
     canonical_encode,
+    compute_visibility,
+    emit_transactions,
+    init_world,
     run_experiment,
+    step_movement,
     verify_dump_bytes,
 )
 
 
 def obs(pair, loop, tx_id=None, matches=((0, 0.5),)):
     tx = Transaction.observation(pair, list(matches), loop)
-    tx.tx_id = tx_id
-    return tx
+    return dataclasses.replace(tx, tx_id=tx_id)
 
 
 def build_chain(blocks=3, n_robots=4, block_size=3, seed=0):
@@ -37,10 +42,8 @@ def build_chain(blocks=3, n_robots=4, block_size=3, seed=0):
         for _ in range(block_size):
             i, j = rng.sample(range(n_robots), 2)
             matches = [(k, rng.random()) for k in range(rng.randint(1, 3))]
-            txs.append(obs((i, j), b, chain.next_tx_id + len(txs), matches))
-        reward = Transaction.generator_reward(rng.randrange(n_robots), 0.1, b)
-        reward.tx_id = chain.next_tx_id + block_size
-        txs.append(reward)
+            txs.append(obs((i, j), b, matches=matches))
+        txs.append(Transaction.generator_reward(rng.randrange(n_robots), 0.1, b))
         chain.append_block(txs, txs[-1].generator, rng.random())
     return chain
 
@@ -113,9 +116,7 @@ def test_reward_transaction_validation():
 
 def test_transaction_dict_round_trip():
     for tx in (obs((0, 2), 4, 7, [(1, 0.25), (3, 0.75)]),
-               Transaction.generator_reward(1, 0.1, 2)):
-        if tx.tx_id is None:
-            tx.tx_id = 9
+               dataclasses.replace(Transaction.generator_reward(1, 0.1, 2), tx_id=9)):
         again = Transaction.from_dict(tx.to_dict())
         assert again == tx
 
@@ -148,10 +149,11 @@ def test_transaction_from_dict_is_strict():
 def test_block_hash_covers_body():
     chain = build_chain(blocks=1)
     block = chain.blocks[0]
-    assert block.hash == block.compute_hash()
     assert block.prev_hash == GENESIS_PREV_HASH
-    expected = hashlib.sha256(canonical_encode(block.body_dict())).hexdigest()
-    assert block.hash == expected
+    record = json.loads(block.to_line())
+    assert record.pop("hash") == block.hash
+    assert canonical_encode(record) == block.body
+    assert block.hash == hashlib.sha256(block.body).hexdigest()
 
 
 def test_append_block_validates_ids_and_indices():
@@ -159,15 +161,13 @@ def test_append_block_validates_ids_and_indices():
     with pytest.raises(LedgerError):
         chain.append_block([], 0, 0.0)  # empty block
     with pytest.raises(LedgerError):
-        chain.append_block([obs((0, 1), 0, 5)], 0, 0.0)  # ids must start at 0
-    with pytest.raises(LedgerError):
         chain.append_block([obs((0, 1), 0, 0)], 3, 0.0)  # generator out of range
     with pytest.raises(LedgerError):
         chain.append_block([obs((0, 7), 0, 0)], 0, 0.0)  # pair out of range
     chain.append_block([obs((0, 1), 0, 0)], 2, 0.0)
     assert chain.next_tx_id == 1
-    with pytest.raises(LedgerError):
-        chain.append_block([obs((0, 1), 1, 3)], 0, 0.0)  # gap in ids
+    chain.append_block([obs((0, 1), 1, 5), obs((1, 2), 1)], 0, 0.0)  # ids numbered here
+    assert [tx.tx_id for tx in chain.blocks[1].transactions] == [1, 2]
 
 
 def test_verify_accepts_untampered_chain():
@@ -175,13 +175,28 @@ def test_verify_accepts_untampered_chain():
 
 
 def test_verify_reports_first_tampered_block():
+    config = WorldConfig()
+    state = ExperimentState(config, None, *init_world(config))
+    step_movement(state)
+    emitted = emit_transactions(state, compute_visibility(state))[0]
     chain = build_chain(blocks=5)
-    chain.blocks[2].transactions[0].loop_index = 99
-    assert chain.verify() == 2
+    for record, name in (
+        (emitted, "loop_index"),
+        (chain.blocks[2].transactions[0], "loop_index"),
+        (chain.blocks[3], "prev_hash"),
+    ):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, 99)
 
-    chain = build_chain(blocks=5)
-    object.__setattr__(chain.blocks[3], "prev_hash", "f" * 64)
-    assert chain.verify() == 3
+    # Records and blocks are frozen, so the edits are made to the dump.
+    data = chain.dumps()
+    line = data.split(b"\n")[2]
+    edited = re.sub(rb'"loop_index":\d+', b'"loop_index":99', line, count=1)
+    assert Chain.loads(replace_line(data, 2, edited)).verify() == 2
+
+    line = data.split(b"\n")[3]
+    edited = re.sub(rb'"prev_hash":"\w+"', b'"prev_hash":"' + b"f" * 64 + b'"', line)
+    assert Chain.loads(replace_line(data, 3, edited)).verify() == 3
 
     chain = build_chain(blocks=5)
     chain.blocks[1], chain.blocks[2] = chain.blocks[2], chain.blocks[1]
@@ -270,7 +285,7 @@ def test_sealed_lines_match_a_fresh_encoding():
     for seed in range(5):
         chain = run_experiment(WorldConfig(seed=seed)).chain
         for block in chain.blocks:
-            assert block.to_line() == canonical_encode(block.to_dict())
+            assert canonical_encode(json.loads(block.to_line())) == block.to_line()
             assert rehash(block.to_line()) == block.to_line()
         data = chain.dumps()
         assert Chain.loads(data).dumps() == data
@@ -311,22 +326,28 @@ def test_verify_dump_rejects_mutated_record_at_its_block(name):
             Chain.loads(mutated_data)
 
 
-def relinked_dump(chain):
-    """The chain's dump after re-hashing and re-linking every block."""
+def relinked_dump(records):
+    """The dump of these block records after re-hashing and re-linking every block."""
     prev_hash = GENESIS_PREV_HASH
-    for block in chain.blocks:
-        block.prev_hash = prev_hash
-        block.hash = block.compute_hash()
-        prev_hash = block.hash
-    return b"".join(canonical_encode(block.to_dict()) + b"\n" for block in chain.blocks)
+    lines = []
+    for record in records:
+        record["prev_hash"] = prev_hash
+        del record["hash"]
+        record["hash"] = prev_hash = hashlib.sha256(canonical_encode(record)).hexdigest()
+        lines.append(canonical_encode(record) + b"\n")
+    return b"".join(lines)
+
+
+def seed_records():
+    return [json.loads(line) for line in seed_dump().splitlines()]
 
 
 def test_loads_with_team_size_rejects_outsider_generator():
     # Block 0's generator and its reward credit robot 99 in a 10-robot team.
-    chain = Chain.loads(seed_dump())
-    chain.blocks[0].generator = 99
-    chain.blocks[0].transactions[-1].generator = 99
-    data = relinked_dump(chain)
+    records = seed_records()
+    records[0]["generator"] = 99
+    records[0]["transactions"][-1]["generator"] = 99
+    data = relinked_dump(records)
     assert verify_dump_bytes(data) is None  # hashes and links hold
     assert Chain.loads(data).blocks[0].generator == 99  # no team size, no check
     with pytest.raises(LedgerFormatError, match=r"^block 0: generator index 99 out of range$"):
@@ -334,10 +355,10 @@ def test_loads_with_team_size_rejects_outsider_generator():
 
 
 def test_loads_with_team_size_rejects_outsider_pair():
-    chain = Chain.loads(seed_dump())
-    tx = chain.blocks[3].transactions[0]
-    tx.pair = (tx.pair[0], 10)
-    data = relinked_dump(chain)
+    records = seed_records()
+    tx = records[3]["transactions"][0]
+    tx["pair"] = [tx["pair"][0], 10]
+    data = relinked_dump(records)
     assert verify_dump_bytes(data) is None
     with pytest.raises(LedgerFormatError, match=r"^block 3: pair index 10 out of range$"):
         Chain.loads(data, n_robots=10)

@@ -340,14 +340,9 @@ def run_from_scratch(config, scenario=None):
         weights = [matrix.row_sum(i) for i in range(config.n_robots)]
         avg = average_navigability(matrix)
         generator = elect_generator(weights, state.streams.election, stakes=stakes)
-        next_id = state.chain.next_tx_id
-        for tx in batch:
-            tx.tx_id = next_id
-            next_id += 1
         reward = Transaction.generator_reward(
             generator, config.generator_reward, state.loop_index
         )
-        reward.tx_id = next_id
         state.chain.append_block(batch + [reward], generator, avg)
         state.robots[generator].stake += config.generator_reward
 

@@ -2,12 +2,13 @@
 
 Runs the default configuration for seed 0 and for seeds 0-19, two sparse
 worlds, a dense world and a cold-start world for seeds 0-4, and compares the SHA-256 of the
-ledger dumps with pinned values. Needs only the standard library, so it runs
-on interpreters that have no pytest:
+ledger dumps with pinned values. Each dump must also load back with
+`Chain.loads`, dump to the same bytes and verify. Needs only the standard
+library, so it runs on interpreters that have no pytest:
 
     python3 tools/check_determinism.py
 
-Exits 0 when every digest matches, 1 otherwise.
+Exits 0 when every digest matches and every dump round-trips, 1 otherwise.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from stakenav import DegradationScenario, WorldConfig, run_experiment  # noqa: E402
+from stakenav import Chain, DegradationScenario, WorldConfig, run_experiment  # noqa: E402
 
 # Same value as GOLDEN_SEED0_LEDGER in tests/test_acceptance.py.
 GOLDEN_SEED0_LEDGER = "8580c9a0fe7ef7871a91a2fb798d64764f415eb45c0954abfb5391dcd5cdc7b6"
@@ -46,38 +47,47 @@ COLD = dict(n_robots=30, n_landmarks=60, loops=2, block_size=7)
 COLD_DIGEST = "dd31b05be90f048d3c9ada5c7cfbe7d5f85c835cd6e0c7b34b72ce90d5ce360b"
 
 
-def ledger_bytes(seed: int, shape: dict | None = None, scenario=None) -> bytes:
-    config = WorldConfig(seed=seed, **(shape or {}))
-    return run_experiment(config, scenario).chain.dumps()
+def world_digest(runs) -> tuple[str, bool]:
+    """SHA-256 of the ledger dumps of `runs`, (seed, shape, scenario) in
+    order, and whether every dump loads, dumps back unchanged and verifies."""
+    digest = hashlib.sha256()
+    round_trips = True
+    for seed, shape, scenario in runs:
+        config = WorldConfig(seed=seed, **shape)
+        data = run_experiment(config, scenario).chain.dumps()
+        loaded = Chain.loads(data, n_robots=config.n_robots)
+        round_trips = round_trips and loaded.dumps() == data and loaded.verify() is None
+        digest.update(data)
+    return digest.hexdigest(), round_trips
 
 
 def main() -> int:
-    checks = {
-        "seed-0 ledger": (hashlib.sha256(ledger_bytes(0)).hexdigest(), GOLDEN_SEED0_LEDGER),
+    worlds = {
+        "seed-0 ledger": ([(0, {}, None)], GOLDEN_SEED0_LEDGER),
+        "seeds 0-19 ledgers": ([(seed, {}, None) for seed in SWEEP_SEEDS], SWEEP_DIGEST),
+        "sparse seeds 0-4 ledgers": (
+            [
+                run
+                for seed in SPARSE_SEEDS
+                for run in ((seed, SPARSE_PLAIN, None), (seed, SPARSE_DEGRADED, SPARSE_SCENARIO))
+            ],
+            SPARSE_DIGEST,
+        ),
+        "dense seeds 0-4 ledgers": ([(seed, DENSE, None) for seed in DENSE_SEEDS], DENSE_DIGEST),
+        "cold-start seeds 0-4 ledgers": ([(seed, COLD, None) for seed in COLD_SEEDS], COLD_DIGEST),
     }
-    sweep = hashlib.sha256()
-    for seed in SWEEP_SEEDS:
-        sweep.update(ledger_bytes(seed))
-    checks["seeds 0-19 ledgers"] = (sweep.hexdigest(), SWEEP_DIGEST)
-    sparse = hashlib.sha256()
-    for seed in SPARSE_SEEDS:
-        sparse.update(ledger_bytes(seed, SPARSE_PLAIN))
-        sparse.update(ledger_bytes(seed, SPARSE_DEGRADED, SPARSE_SCENARIO))
-    checks["sparse seeds 0-4 ledgers"] = (sparse.hexdigest(), SPARSE_DIGEST)
-    dense = hashlib.sha256()
-    for seed in DENSE_SEEDS:
-        dense.update(ledger_bytes(seed, DENSE))
-    checks["dense seeds 0-4 ledgers"] = (dense.hexdigest(), DENSE_DIGEST)
-    cold = hashlib.sha256()
-    for seed in COLD_SEEDS:
-        cold.update(ledger_bytes(seed, COLD))
-    checks["cold-start seeds 0-4 ledgers"] = (cold.hexdigest(), COLD_DIGEST)
     version = sys.version.split()[0]
     failed = False
-    for name, (got, want) in checks.items():
-        ok = got == want
-        failed = failed or not ok
-        print(f"python {version}: {name}: {'ok' if ok else f'MISMATCH {got} != {want}'}")
+    for name, (runs, want) in worlds.items():
+        got, round_trips = world_digest(runs)
+        if got != want:
+            result = f"MISMATCH {got} != {want}"
+        elif not round_trips:
+            result = "a loaded dump does not dump back unchanged or does not verify"
+        else:
+            result = "ok"
+        failed = failed or result != "ok"
+        print(f"python {version}: {name}: {result}")
     return 1 if failed else 0
 
 
