@@ -15,17 +15,20 @@ in there.
 A sealed block is its bytes. `Chain.append_block` numbers the records it is
 given, encodes the body once through the module-level `canonical_encode` and
 keeps those bytes with a few header numbers; dumping splices the hash into
-them, and `Block.transactions` decodes the body only when it is read.
-Records are frozen and slotted, one class per kind (`Observation`,
-`Reward`). The simulator builds them straight from what it drew; every path
-that takes input from outside (the `Transaction` factories, `from_dict` and
-`verify_dump_bytes`) checks each field.
+them, and `Block.transactions` builds records from the body only when it
+is read. Records are frozen and slotted, one class per kind (`Observation`,
+`Reward`). The simulator builds them straight from what it drew, and the
+`Transaction` factories check each field a library caller gives.
 
-There is one verifier. `verify_dump_bytes` parses every line, checks it
-against the record schema, re-encodes it once and requires that to equal the
-stored bytes (so the file carries exactly the canonical form), then hashes
-the line with the hash field cut out and re-checks the hash, the link and
-the tx_id sequence. `Chain.verify()` runs it on the chain's own dump. Any
+There is one reader of dump bytes, `_read_dump`. Per line it decodes the
+line, checks it against the record schema, the index, the prev_hash link and
+the tx_id sequence, re-encodes it once and requires that to equal the stored
+bytes (so the file carries exactly the canonical form), then hashes the line
+with the hash field cut out and compares the stored hash; given a team size,
+it also checks robot ids. The first line that fails raises
+`LedgerFormatError("block K: <rule>")`. `verify_dump_bytes` returns that K,
+and `Chain.loads` raises it, so a loaded chain is valid by construction.
+`Chain.verify()` runs `verify_dump_bytes` on the chain's own dump. Any
 single-bit change to the stored bytes is therefore detected.
 """
 from __future__ import annotations
@@ -82,11 +85,11 @@ def canonical_encode(obj: Any) -> bytes:
 
 # -- record schema ------------------------------------------------------------
 #
-# The only copy of the parse-time rules, shared by `from_dict` and by
-# `verify_dump_bytes`. A record that passes re-encodes without error, and
-# matches what sealing would write for the same values: numbers that
-# construction would convert (an int quality) or pairs it would normalise
-# (a reversed pair) are rejected rather than converted.
+# The only copy of the parse-time rules, run by `_read_dump`. A record that
+# passes re-encodes without error, and matches what sealing would write for
+# the same values: numbers that construction would convert (an int quality)
+# or pairs it would normalise (a reversed pair) are rejected rather than
+# converted.
 
 
 def _check_fields(record: dict, fields: frozenset, what: str) -> None:
@@ -188,14 +191,32 @@ def _check_loop_index(loop_index: int) -> None:
         raise LedgerError(f"loop_index must be >= 0, got {loop_index}")
 
 
+def _check_team(block: dict, n_robots: int | None) -> None:
+    """Raise LedgerError unless the block record's generator, pairs and reward
+    generators are robot ids, below `n_robots` when it is known."""
+
+    def check(index: int, label: str) -> None:
+        if index < 0 or (n_robots is not None and index >= n_robots):
+            raise LedgerError(f"{label} index {index} out of range")
+
+    check(block["generator"], "generator")
+    for tx in block["transactions"]:
+        if tx["kind"] == KIND_OBSERVATION:
+            i, j = tx["pair"]
+            check(i, "pair")
+            check(j, "pair")
+        else:
+            check(tx["generator"], "reward generator")
+
+
 class Transaction:
     """One ledger record: an `Observation` or a `Reward`.
 
-    The factories and `from_dict` check every field; the record classes
-    themselves check nothing, so the simulator builds observations from the
-    tuples it drew at no cost. `tx_id` is None until the record is sealed:
-    `Chain.append_block` numbers the records it encodes, and the records that
-    `Block.transactions` decodes carry their ids.
+    The factories check every field; the record classes themselves check
+    nothing, so the simulator builds observations from the tuples it drew at
+    no cost. `tx_id` is None until the record is sealed: `Chain.append_block`
+    numbers the records it encodes, and the records that `Block.transactions`
+    builds carry their ids.
     """
 
     __slots__ = ()
@@ -215,23 +236,9 @@ class Transaction:
         _check_loop_index(loop_index)
         if generator < 0:
             raise LedgerError(f"reward transaction requires a robot index, got {generator}")
-        if reward < 0:
-            raise LedgerError(f"reward must be >= 0, got {reward}")
+        if not (math.isfinite(reward) and reward >= 0):
+            raise LedgerError(f"reward must be finite and >= 0, got {reward}")
         return Reward(generator, float(reward), loop_index)
-
-    @staticmethod
-    def from_dict(record: Any) -> "Transaction":
-        _check_transaction_record(record)
-        if record["kind"] == KIND_OBSERVATION:
-            matches = [(k, q) for k, q in record["matches"]]
-            return Observation(tuple(record["pair"]), matches, record["loop_index"], record["tx_id"])
-        return Reward(record["generator"], record["reward"], record["loop_index"], record["tx_id"])
-
-    def to_dict(self) -> dict:
-        """The record as `json.loads` reads it from a block, lists for arrays."""
-        if self.tx_id is None:
-            raise LedgerError("transaction has no tx_id yet; it must be sealed first")
-        return json.loads(canonical_encode(self._record(self.tx_id)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,11 +289,12 @@ class Block:
     """One sealed block: its header numbers and its canonical body bytes.
 
     `body` is the canonical encoding of the block without its hash field,
-    written once by `Chain.append_block` or read from a dump by `Chain.loads`;
-    `hash` is its SHA-256. The transactions live only in `body`: their ids
-    run from `first_tx_id` for `transaction_count` records, of which
-    `observation_count` are observations, and `transactions` decodes them on
-    every read.
+    written once by `Chain.append_block` or read from a verified dump by
+    `Chain.loads`; `hash` is its SHA-256. The transactions live only in
+    `body`: their ids run from `first_tx_id` for `transaction_count` records,
+    of which `observation_count` are observations, and `transactions` builds
+    them on every read, unchecked: every body was encoded by `append_block`
+    or passed the dump reader.
     """
 
     index: int
@@ -301,7 +309,14 @@ class Block:
 
     @property
     def transactions(self) -> list[Transaction]:
-        return _decode_transactions(self.body)
+        return [
+            Observation(
+                tuple(tx["pair"]), [(k, q) for k, q in tx["matches"]], tx["loop_index"], tx["tx_id"]
+            )
+            if tx["kind"] == KIND_OBSERVATION
+            else Reward(tx["generator"], tx["reward"], tx["loop_index"], tx["tx_id"])
+            for tx in json.loads(self.body)["transactions"]
+        ]
 
     def to_line(self) -> bytes:
         """The dump line: the body with the hash field spliced in before "index"."""
@@ -309,8 +324,14 @@ class Block:
         return b'%s"hash":"%s",%s' % (self.body[:at], self.hash.encode("ascii"), self.body[at:])
 
 
-def _decode_transactions(body: bytes) -> list[Transaction]:
-    return [Transaction.from_dict(tx) for tx in json.loads(body)["transactions"]]
+def _sealed_block(record: dict, body: bytes, hash: str) -> Block:
+    """The Block for a block record (its hash field aside), its body bytes and hash."""
+    transactions = record["transactions"]
+    return Block(
+        record["index"], record["prev_hash"], record["generator"], record["avg_navigability"],
+        hash, body, transactions[0]["tx_id"], len(transactions),
+        sum(tx["kind"] == KIND_OBSERVATION for tx in transactions),
+    )
 
 
 def _cut_hash(line: bytes) -> bytes:
@@ -364,43 +385,21 @@ class Chain:
         """
         if not transactions:
             raise LedgerError("cannot seal a block with no transactions")
-        observations = self._checked_observations(generator, transactions)
-        index = len(self.blocks)
-        prev_hash = self.blocks[-1].hash if self.blocks else GENESIS_PREV_HASH
+        if not math.isfinite(avg_navigability):
+            raise LedgerError(f"avg_navigability must be finite, got {avg_navigability}")
         first = self.next_tx_id
-        avg_navigability = float(avg_navigability)
-        body = canonical_encode({
-            "avg_navigability": avg_navigability,
+        record = {
+            "avg_navigability": float(avg_navigability),
             "generator": generator,
-            "index": index,
-            "prev_hash": prev_hash,
+            "index": len(self.blocks),
+            "prev_hash": self.blocks[-1].hash if self.blocks else GENESIS_PREV_HASH,
             "transactions": [tx._record(tx_id) for tx_id, tx in enumerate(transactions, first)],
-        })
-        block = Block(
-            index, prev_hash, generator, avg_navigability, hashlib.sha256(body).hexdigest(),
-            body, first, len(transactions), observations,
-        )
+        }
+        _check_team(record, self.n_robots)
+        body = canonical_encode(record)
+        block = _sealed_block(record, body, hashlib.sha256(body).hexdigest())
         self.blocks.append(block)
         return block
-
-    def _checked_observations(self, generator: int, transactions: list[Transaction]) -> int:
-        """The number of observations in `transactions`, after checking that the
-        block generator, pairs and reward generators are team members."""
-        self._check_robot_index(generator, "generator")
-        observations = 0
-        for tx in transactions:
-            if tx.kind == KIND_OBSERVATION:
-                i, j = tx.pair
-                self._check_robot_index(i, "pair")
-                self._check_robot_index(j, "pair")
-                observations += 1
-            else:
-                self._check_robot_index(tx.generator, "reward generator")
-        return observations
-
-    def _check_robot_index(self, index: int, label: str) -> None:
-        if index < 0 or (self.n_robots is not None and index >= self.n_robots):
-            raise LedgerError(f"{label} index {index} out of range")
 
     def verify(self) -> int | None:
         """`verify_dump_bytes` of this chain's dump: None when intact,
@@ -435,75 +434,73 @@ class Chain:
 
     @classmethod
     def loads(cls, data: bytes, n_robots: int | None = None) -> "Chain":
-        """Parse a dump; with `n_robots`, check robot indices as `append_block` does.
+        """Read a dump through the one verifying reader; with `n_robots`, also
+        check robot ids as `append_block` does.
 
-        Every record must pass the schema, and each block keeps its line's
-        bytes, so `dumps()` gives back the lines that were read. Hashes and
-        links are not checked here; `verify()` does that.
+        Raises `LedgerFormatError("block K: <rule>")` at the first line that
+        fails, so a loaded chain is valid, and `dumps()` gives back the bytes
+        that were read.
         """
         chain = cls(n_robots=n_robots)
-        for index, line in enumerate(_dump_lines(data)):
-            try:
-                record = json.loads(line.decode("ascii"))
-                _check_block_fields(record)
-                transactions = [Transaction.from_dict(tx) for tx in record["transactions"]]
-                observations = chain._checked_observations(record["generator"], transactions)
-                block = Block(
-                    record["index"], record["prev_hash"], record["generator"],
-                    record["avg_navigability"], record["hash"], _cut_hash(line),
-                    transactions[0].tx_id, len(transactions), observations,
-                )
-                if block.to_line() != line:
-                    raise LedgerFormatError("hash field is not where canonical form puts it")
-            except _BAD_LINE_ERRORS as exc:
-                raise LedgerFormatError(f"block {index}: {exc}") from exc
-            chain.blocks.append(block)
+        for record, body in _read_dump(data, n_robots):
+            chain.blocks.append(_sealed_block(record, body, record["hash"]))
         return chain
 
 
-# What a line that cannot be decoded or fails the schema raises. ValueError
-# covers bad ASCII, bad JSON, an integer too long to convert and
-# LedgerFormatError; RecursionError comes from arrays nested too deeply.
-_BAD_LINE_ERRORS = (ValueError, RecursionError)
-
-
-def _dump_lines(data: bytes) -> list[bytes]:
+def _read_dump(data: bytes, n_robots: int | None = None):
+    """Yield (record, body) for each line of a dump, in order, once the line
+    has passed every rule; raise `LedgerFormatError("block K: <rule>")` at the
+    first line K that does not. The team check runs only when `n_robots` is
+    given: the schema already rejects negative ids."""
+    prev_hash = GENESIS_PREV_HASH
+    next_tx_id = 0
     lines = data.split(b"\n")
-    if lines and lines[-1] == b"":
+    if lines[-1] == b"":
         lines.pop()
-    return lines
+    for index, line in enumerate(lines):
+        try:
+            record = json.loads(line.decode("ascii"))
+            _check_block_fields(record)
+            transactions = record["transactions"]
+            for tx in transactions:
+                _check_transaction_record(tx)
+            if n_robots is not None:
+                _check_team(record, n_robots)
+            if record["index"] != index:
+                raise LedgerFormatError(f"index is {record['index']}, expected {index}")
+            if record["prev_hash"] != prev_hash:
+                raise LedgerFormatError("prev_hash does not link to the previous block")
+            for tx in transactions:
+                if tx["tx_id"] != next_tx_id:
+                    raise LedgerFormatError(f"tx_id is {tx['tx_id']}, expected {next_tx_id}")
+                next_tx_id += 1
+            if canonical_encode(record) != line:
+                raise LedgerFormatError("line is not the canonical encoding of its record")
+            body = _cut_hash(line)
+            if hashlib.sha256(body).hexdigest() != record["hash"]:
+                raise LedgerFormatError("hash does not match the block body")
+        # ValueError covers bad ASCII, bad JSON, an integer too long to
+        # convert and LedgerError; RecursionError comes from arrays nested
+        # too deeply.
+        except (ValueError, RecursionError) as exc:
+            raise LedgerFormatError(f"block {index}: {exc}") from exc
+        prev_hash = record["hash"]
+        yield record, body
 
 
 def verify_dump_bytes(data: bytes) -> int | None:
     """Verify a dumped chain directly from its bytes.
 
-    Each line must decode, pass the record schema, carry the expected index,
-    prev_hash and tx_ids, re-encode to exactly the stored bytes (the dump is
-    canonical by construction), and, with its hash field cut out, hash to
-    the stored hash. Builds no Block or Transaction. Stops at the first bad
-    line, so any byte-level change is reported no later than the block it
-    lands in. Returns None when valid, otherwise the index of the first
-    invalid block.
+    Runs the dump reader, which checks each line's schema, index, prev_hash
+    link, tx_ids, canonical form and hash, and builds no Block or
+    Transaction. Stops at the first bad line, so any byte-level change is
+    reported no later than the block it lands in. Returns None when valid,
+    otherwise the index of the first invalid block.
     """
-    prev_hash = GENESIS_PREV_HASH
-    expected_tx_id = 0
-    for position, line in enumerate(_dump_lines(data)):
-        try:
-            record = json.loads(line.decode("ascii"))
-            _check_block_fields(record)
-            for tx in record["transactions"]:
-                _check_transaction_record(tx)
-        except _BAD_LINE_ERRORS:
-            return position
-        if record["index"] != position or record["prev_hash"] != prev_hash:
-            return position
-        for tx in record["transactions"]:
-            if tx["tx_id"] != expected_tx_id:
-                return position
-            expected_tx_id += 1
-        if canonical_encode(record) != line:
-            return position
-        if hashlib.sha256(_cut_hash(line)).hexdigest() != record["hash"]:
-            return position
-        prev_hash = record["hash"]
+    verified = 0
+    try:
+        for _ in _read_dump(data):
+            verified += 1
+    except LedgerFormatError:
+        return verified
     return None

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -250,19 +251,20 @@ def test_run_writes_all_exports(tmp_path, capsys):
 
 def test_export_encodes_each_block_once_and_decodes_none(tmp_path, monkeypatch):
     encode = stakenav.ledger.canonical_encode
-    decode = stakenav.ledger._decode_transactions
     encoded, decoded = [], []
 
     def counting_encode(obj):
         encoded.append(obj)
         return encode(obj)
 
-    def counting_decode(body):
-        decoded.append(body)
-        return decode(body)
+    def counting_loads(data):
+        decoded.append(data)
+        return json.loads(data)
 
+    # Every decode in the ledger module, of a dump line or of a block body,
+    # goes through its `json.loads`.
     monkeypatch.setattr(stakenav.ledger, "canonical_encode", counting_encode)
-    monkeypatch.setattr(stakenav.ledger, "_decode_transactions", counting_decode)
+    monkeypatch.setattr(stakenav.ledger, "json", types.SimpleNamespace(loads=counting_loads))
     summary = run_and_export(parse(["--seed", "0", "--out", str(tmp_path)]), io.StringIO())
     assert summary.blocks > 0
     assert len(encoded) == summary.blocks

@@ -114,20 +114,28 @@ def test_reward_transaction_validation():
         Transaction.generator_reward(0, -0.1, 0)
 
 
-def test_transaction_dict_round_trip():
-    for tx in (obs((0, 2), 4, 7, [(1, 0.25), (3, 0.75)]),
-               dataclasses.replace(Transaction.generator_reward(1, 0.1, 2), tx_id=9)):
-        again = Transaction.from_dict(tx.to_dict())
-        assert again == tx
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_reward_and_avg_navigability_must_be_finite(value):
+    chain = Chain(n_robots=3)
+    with pytest.raises(LedgerError, match="^reward must be finite"):
+        Transaction.generator_reward(0, value, 0)
+    with pytest.raises(LedgerError, match="^avg_navigability must be finite"):
+        chain.append_block([obs((0, 1), 0), Transaction.generator_reward(0, 0.1, 0)], 0, value)
+    assert len(chain) == 0
 
 
-def test_transaction_to_dict_requires_sealed_id():
-    with pytest.raises(LedgerError):
-        Transaction.observation((0, 1), [(0, 0.5)], 0).to_dict()
+def test_block_transactions_are_the_appended_records():
+    chain = Chain(n_robots=4)
+    chain.append_block([obs((0, 1), 0)], 0, 0.0)
+    appended = [obs((0, 2), 4, 7, [(1, 0.25), (3, 0.75)]), Transaction.generator_reward(1, 0.1, 2)]
+    chain.append_block(appended, 1, 0.5)
+    sealed = [dataclasses.replace(tx, tx_id=tx_id) for tx_id, tx in enumerate(appended, 1)]
+    assert chain.blocks[1].transactions == sealed  # tuples, not lists, for pair and matches
+    assert Chain.loads(chain.dumps()).blocks[1].transactions == sealed
 
 
-def test_transaction_from_dict_is_strict():
-    good = obs((0, 1), 0, 0).to_dict()
+def test_reader_rejects_a_bad_transaction_record_at_its_block():
+    records = seed_records()
     for breakage in (
         lambda d: d.update(extra=1),
         lambda d: d.pop("loop_index"),
@@ -140,10 +148,12 @@ def test_transaction_from_dict_is_strict():
         lambda d: d.update(matches=[[-1, 0.5]]),
         lambda d: d.update(loop_index=-1),
     ):
-        d = json.loads(json.dumps(good))
-        breakage(d)
-        with pytest.raises(LedgerError):
-            Transaction.from_dict(d)
+        broken = json.loads(json.dumps(records))
+        breakage(broken[3]["transactions"][0])
+        data = relinked_dump(broken)
+        assert verify_dump_bytes(data) == 3
+        with pytest.raises(LedgerFormatError, match=r"^block 3: "):
+            Chain.loads(data)
 
 
 def test_block_hash_covers_body():
@@ -192,11 +202,15 @@ def test_verify_reports_first_tampered_block():
     data = chain.dumps()
     line = data.split(b"\n")[2]
     edited = re.sub(rb'"loop_index":\d+', b'"loop_index":99', line, count=1)
-    assert Chain.loads(replace_line(data, 2, edited)).verify() == 2
+    assert verify_dump_bytes(replace_line(data, 2, edited)) == 2
+    with pytest.raises(LedgerFormatError, match=r"^block 2: "):
+        Chain.loads(replace_line(data, 2, edited))
 
     line = data.split(b"\n")[3]
     edited = re.sub(rb'"prev_hash":"\w+"', b'"prev_hash":"' + b"f" * 64 + b'"', line)
-    assert Chain.loads(replace_line(data, 3, edited)).verify() == 3
+    assert verify_dump_bytes(replace_line(data, 3, edited)) == 3
+    with pytest.raises(LedgerFormatError, match=r"^block 3: "):
+        Chain.loads(replace_line(data, 3, edited))
 
     chain = build_chain(blocks=5)
     chain.blocks[1], chain.blocks[2] = chain.blocks[2], chain.blocks[1]
@@ -256,6 +270,8 @@ def test_single_bit_flips_are_detected_no_later_than_the_block():
         block_idx = next(i for s, e, i in offsets if s <= pos < e)
         data[pos] ^= bit
         result = verify_dump_bytes(bytes(data))
+        with pytest.raises(LedgerFormatError, match=rf"^block {result}: "):
+            Chain.loads(bytes(data))  # the same reader, so the same block
         data[pos] ^= bit
         assert result is not None and result <= block_idx, (pos, bit, result, block_idx)
     assert verify_dump_bytes(bytes(data)) is None
@@ -321,9 +337,8 @@ def test_verify_dump_rejects_mutated_record_at_its_block(name):
     assert mutated != lines[index]
     mutated_data = replace_line(data, index, rehash(mutated))
     assert verify_dump_bytes(mutated_data) == index
-    if name not in ("trailing space", "spaced separators"):  # only verify wants canonical bytes
-        with pytest.raises(LedgerFormatError):
-            Chain.loads(mutated_data)
+    with pytest.raises(LedgerFormatError, match=rf"^block {index}: "):
+        Chain.loads(mutated_data)
 
 
 def relinked_dump(records):
@@ -340,6 +355,49 @@ def relinked_dump(records):
 
 def seed_records():
     return [json.loads(line) for line in seed_dump().splitlines()]
+
+
+def _wrong_index(records):
+    records[3]["index"] = 4
+    return relinked_dump(records)
+
+
+def _broken_link(records):
+    data = relinked_dump(records)
+    line = data.split(b"\n")[3]
+    edited = re.sub(rb'"prev_hash":"\w+"', b'"prev_hash":"' + b"f" * 64 + b'"', line)
+    return replace_line(data, 3, rehash(edited))
+
+
+def _tx_id_gap(records):
+    for tx in records[3]["transactions"]:
+        tx["tx_id"] += 1
+    return relinked_dump(records)
+
+
+def _stale_hash(records):
+    data = relinked_dump(records)
+    line = data.split(b"\n")[3]
+    return replace_line(data, 3, re.sub(rb'"loop_index":\d+', b'"loop_index":99', line, count=1))
+
+
+# Rules that are not about one record's fields: each breaks block 3 of an
+# otherwise valid seed-0 dump, and the loader's message names the rule.
+CHAIN_RULES = {
+    "index": (_wrong_index, "index is 4, expected 3"),
+    "prev_hash": (_broken_link, "prev_hash does not link"),
+    "tx_id": (_tx_id_gap, "tx_id is"),
+    "hash": (_stale_hash, "hash does not match"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(CHAIN_RULES))
+def test_reader_names_the_rule_a_block_breaks(rule):
+    breaker, message = CHAIN_RULES[rule]
+    data = breaker(seed_records())
+    assert verify_dump_bytes(data) == 3
+    with pytest.raises(LedgerFormatError, match=rf"^block 3: {message}"):
+        Chain.loads(data)
 
 
 def test_loads_with_team_size_rejects_outsider_generator():

@@ -1,9 +1,11 @@
 """The package layout: engine and oracle apart, one name per thing, and the
 same ledger bytes on every supported interpreter."""
 import ast
-import importlib
+import importlib.util
 import os
 import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -64,3 +66,21 @@ def test_check_determinism_passes_under(version):
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_check_determinism_reports_a_dump_that_does_not_load(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src/
+    spec = importlib.util.spec_from_file_location(
+        "check_determinism", ROOT / "tools" / "check_determinism.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    garbled = types.SimpleNamespace(chain=types.SimpleNamespace(dumps=lambda: b"not json\n"))
+    monkeypatch.setattr(tool, "run_experiment", lambda config, scenario: garbled)
+    assert tool.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5
+    for line in lines:
+        assert ": MISMATCH " in line
+        assert line.endswith("; seed 0 does not load: block 0: Expecting value: "
+                             "line 1 column 1 (char 0)")
