@@ -35,22 +35,6 @@ from .ledger import (
     canonical_encode,
     verify_dump_bytes,
 )
-from .reference import (
-    AlphaMatrix,
-    DegenerateStakesError,
-    NavigabilityMatrix,
-    ScanCounter,
-    StakeTable,
-    UndefinedAverageError,
-    alpha_importance,
-    average_navigability,
-    consensus_score,
-    consensus_score_matrix,
-    indicator,
-    navigability,
-    navigability_matrix,
-    stake_weight,
-)
 from .sim import (
     IMPORTANCE_LEVELS,
     DegradationScenario,
@@ -113,3 +97,13 @@ __all__ = [
     "step_movement",
     "verify_dump_bytes",
 ]
+
+
+def __getattr__(name: str):
+    """Load an oracle name from `reference` on first access (PEP 562): every
+    other name in `__all__` is imported above, so no run loads the oracle."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import reference
+    value = globals()[name] = getattr(reference, name)
+    return value

@@ -7,13 +7,15 @@ then explicit flags. Exit codes: 0 success, 1 bad usage or invalid config,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
+from . import ledger
 from .domain import WorldConfig
 from .sim import DegradationScenario, ExperimentState, run_experiment
 
@@ -52,7 +54,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process and shared: parsing
+    leaves it unchanged."""
     parser = _Parser(
         prog="stakenav",
         description="Simulate a stake-weighted robot team and export its cooperation ledger.",
@@ -131,8 +136,7 @@ def load_config_file(path: str) -> dict:
     return data
 
 
-@dataclass
-class RunRequest:
+class RunRequest(NamedTuple):
     config: WorldConfig
     scenario: DegradationScenario | None
     out_dir: str
@@ -174,8 +178,7 @@ def parse_config(args: argparse.Namespace) -> RunRequest:
     return RunRequest(config=config, scenario=scenario, out_dir=args.out)
 
 
-@dataclass
-class RunSummary:
+class RunSummary(NamedTuple):
     """Recounted totals for one exported run; duration stays out of files."""
 
     blocks: int
@@ -295,27 +298,28 @@ def run_and_export(request: RunRequest, stream=None) -> RunSummary:
 
 
 def verify_dump(path: str, stream=None) -> int:
-    """Check a ledger dump file; report the first bad block if any."""
-    from .ledger import verify_dump_bytes
-
+    """Check a ledger dump file; report the first bad block and its rule if any."""
     stream = stream if stream is not None else sys.stdout
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         print(f"stakenav: cannot read {path}: {exc}", file=sys.stderr)
         return 2
-    bad_index = verify_dump_bytes(data)
+    bad_index = ledger.verify_dump_bytes(data)
     if bad_index is None:
         print(f"{path}: valid", file=stream)
         return 0
-    print(f"{path}: invalid at block {bad_index}", file=stream)
+    # Only a failure reads the dump again, for the reader's "block K: <rule>".
+    try:
+        ledger.Chain.loads(data)
+    except ledger.LedgerFormatError as exc:
+        print(f"{path}: invalid at {exc}", file=stream)
     return 3
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
 

@@ -11,7 +11,7 @@ import hashlib
 import math
 import random
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 MAX_SEED = 2**64 - 1
 # Largest step size whose draw span, 2 * step_size, is still finite.
@@ -53,10 +53,7 @@ def normalize_pair(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-@dataclass(frozen=True)
-class WorldConfig:
-    """Experiment parameters. Defaults mirror the desk-scale setup."""
-
+class _WorldFields(NamedTuple):
     width: float = 200.0
     height: float = 200.0
     n_robots: int = 10
@@ -69,7 +66,14 @@ class WorldConfig:
     generator_reward: float = 0.1
     initial_stake: float = 1.0
 
-    def __post_init__(self):
+
+class WorldConfig(_WorldFields):
+    """Experiment parameters, checked when built. Defaults mirror the desk-scale setup."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in (
             "width", "height", "sensing_radius", "step_size", "generator_reward", "initial_stake"
         ):
@@ -104,24 +108,25 @@ class WorldConfig:
             raise ConfigError(f"initial_stake must be > 0, got {self.initial_stake}")
         if self.generator_reward < 0:
             raise ConfigError(f"generator_reward must be >= 0, got {self.generator_reward}")
+        return self
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so `_replace` checks too
 
 
-@dataclass
 class RobotState:
     """One robot: index, planar position, and stake (navigation reliability)."""
 
-    id: int
-    x: float
-    y: float
-    stake: float
+    __slots__ = ("id", "x", "y", "stake")
+
+    def __init__(self, id: int, x: float, y: float, stake: float):
+        self.id, self.x, self.y, self.stake = id, x, y, stake
 
     @property
     def position(self) -> tuple[float, float]:
         return (self.x, self.y)
 
 
-@dataclass(frozen=True)
-class Landmark:
+class Landmark(NamedTuple):
     """One landmark: index and planar position."""
 
     id: int
@@ -143,8 +148,7 @@ def derive_stream(seed: int, label: str) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-@dataclass
-class RandomStreams:
+class RandomStreams(NamedTuple):
     """Per-concern random generators derived from one root seed."""
 
     placement: random.Random

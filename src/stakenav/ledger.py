@@ -16,7 +16,7 @@ A sealed block is its bytes. `Chain.append_block` numbers the records it is
 given, encodes the body once through the module-level `canonical_encode` and
 keeps those bytes with a few header numbers; dumping splices the hash into
 them, and `Block.transactions` builds records from the body only when it
-is read. Records are frozen and slotted, one class per kind (`Observation`,
+is read. Records are named tuples, one class per kind (`Observation`,
 `Reward`). The simulator builds them straight from what it drew, and the
 `Transaction` factories check each field a library caller gives.
 
@@ -37,8 +37,9 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any
+import re
+from collections import Counter
+from typing import Any, NamedTuple
 
 from .domain import normalize_pair
 
@@ -60,6 +61,7 @@ _REWARD_FIELDS = frozenset(("generator", "kind", "loop_index", "reward", "tx_id"
 _HASH_KEY = b'"hash":"'
 _HASH_FIELD_LEN = len(_HASH_KEY) + 64 + len(b'",')
 _INDEX_KEY = b'"index":'
+_PAIR = re.compile(rb'"pair":\[(\d+),(\d+)\]')
 
 
 class LedgerError(ValueError):
@@ -210,16 +212,14 @@ def _check_team(block: dict, n_robots: int | None) -> None:
 
 
 class Transaction:
-    """One ledger record: an `Observation` or a `Reward`.
+    """Checked factories for the two ledger records, `Observation` and `Reward`.
 
-    The factories check every field; the record classes themselves check
+    The factories check every field; the records, named tuples, check
     nothing, so the simulator builds observations from the tuples it drew at
     no cost. `tx_id` is None until the record is sealed: `Chain.append_block`
     numbers the records it encodes, and the records that `Block.transactions`
     builds carry their ids.
     """
-
-    __slots__ = ()
 
     @staticmethod
     def observation(
@@ -241,8 +241,7 @@ class Transaction:
         return Reward(generator, float(reward), loop_index)
 
 
-@dataclass(frozen=True, slots=True)
-class Observation(Transaction):
+class Observation(NamedTuple):
     """Robots `pair` (i < j) both recognized each landmark of `matches`, as
     (landmark id, quality) tuples ascending by id, in loop `loop_index`."""
 
@@ -263,8 +262,7 @@ class Observation(Transaction):
         }
 
 
-@dataclass(frozen=True, slots=True)
-class Reward(Transaction):
+class Reward(NamedTuple):
     """`reward` stake credited to the block generator `generator`, sealed in
     loop `loop_index`."""
 
@@ -284,8 +282,7 @@ class Reward(Transaction):
         }
 
 
-@dataclass(frozen=True, slots=True)
-class Block:
+class Block(NamedTuple):
     """One sealed block: its header numbers and its canonical body bytes.
 
     `body` is the canonical encoding of the block without its hash field,
@@ -302,13 +299,17 @@ class Block:
     generator: int
     avg_navigability: float
     hash: str
-    body: bytes = field(repr=False)
+    body: bytes
     first_tx_id: int
     transaction_count: int
     observation_count: int
 
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self) if k != "body")
+        return f"Block({shown})"
+
     @property
-    def transactions(self) -> list[Transaction]:
+    def transactions(self) -> list[Observation | Reward]:
         return [
             Observation(
                 tuple(tx["pair"]), [(k, q) for k, q in tx["matches"]], tx["loop_index"], tx["tx_id"]
@@ -375,7 +376,7 @@ class Chain:
         return sum(block.transaction_count for block in self.blocks)
 
     def append_block(
-        self, transactions: list[Transaction], generator: int, avg_navigability: float
+        self, transactions: list[Observation | Reward], generator: int, avg_navigability: float
     ) -> Block:
         """Seal `transactions` into a new block and link it to the chain tip.
 
@@ -407,12 +408,13 @@ class Chain:
         return verify_dump_bytes(self.dumps())
 
     def all_pair_tx_counts(self) -> dict[tuple[int, int], int]:
-        """Observation transaction counts for every pair seen in the chain."""
-        counts: dict[tuple[int, int], int] = {}
-        for tx in self.transactions():
-            if tx.kind == KIND_OBSERVATION:
-                counts[tx.pair] = counts.get(tx.pair, 0) + 1
-        return counts
+        """Observation transaction counts for every pair seen in the chain.
+
+        Scanned from the body bytes, not decoded: every body is canonical
+        (`append_block` encoded it or the dump reader verified it), so each
+        observation holds `"pair":[i,j]` once, written so, and nothing else does."""
+        found = Counter(pair for block in self.blocks for pair in _PAIR.findall(block.body))
+        return {(int(i), int(j)): count for (i, j), count in found.items()}
 
     def generator_histogram(self) -> list[int]:
         """Blocks sealed per robot; entries sum to the chain length."""

@@ -37,8 +37,8 @@ from __future__ import annotations
 import math
 from bisect import insort
 from collections.abc import Iterable
-from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 from .domain import (
     ConfigError,
@@ -57,20 +57,23 @@ from .ledger import Block, Chain, Observation, Transaction
 IMPORTANCE_LEVELS = 10
 
 
-@dataclass(frozen=True)
-class DegradationScenario:
-    """Multiply one pair's drawn match qualities during a window of loops.
-
-    The window [start_loop, end_loop] is inclusive over 0-based loop indices.
-    """
-
+class _ScenarioFields(NamedTuple):
     pair: tuple[int, int]
     start_loop: int
     end_loop: int
     multiplier: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "pair", normalize_pair(*self.pair))
+
+class DegradationScenario(_ScenarioFields):
+    """Multiply one pair's drawn match qualities during a window of loops.
+
+    The window [start_loop, end_loop] is inclusive over 0-based loop indices.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, pair: tuple[int, int], start_loop: int, end_loop: int, multiplier: float):
+        self = super().__new__(cls, normalize_pair(*pair), start_loop, end_loop, multiplier)
         for name in ("start_loop", "end_loop", "multiplier"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -83,6 +86,9 @@ class DegradationScenario:
             )
         if not 0.0 <= self.multiplier < 1.0:
             raise ConfigError(f"multiplier must be in [0, 1), got {self.multiplier}")
+        return self
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so `_replace` checks too
 
     def active(self, loop_index: int) -> bool:
         return self.start_loop <= loop_index <= self.end_loop

@@ -21,6 +21,7 @@ from stakenav.cli import (
     run_and_export,
 )
 from stakenav.domain import MAX_ROBOTS
+from tests.test_ledger import CHAIN_RULES, seed_records
 
 
 def parse(argv):
@@ -334,6 +335,18 @@ def test_verify_reports_non_finite_numbers_as_invalid(tmp_path, capsys):
         capsys.readouterr()
         assert main(["--verify", str(ledger)]) == 3
         assert "invalid at block 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("rule, message", [
+    ("hash", "hash does not match the block body"),
+    ("prev_hash", "prev_hash does not link to the previous block"),
+])
+def test_verify_names_the_rule_that_failed(tmp_path, capsys, rule, message):
+    breaker, _ = CHAIN_RULES[rule]
+    ledger = tmp_path / LEDGER_FILE
+    ledger.write_bytes(breaker(seed_records()))
+    assert main(["--verify", str(ledger)]) == 3
+    assert capsys.readouterr().out == f"{ledger}: invalid at block 3: {message}\n"
 
 
 def test_help_exits_zero(capsys):

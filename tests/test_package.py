@@ -55,12 +55,41 @@ def test_engine_does_not_import_the_oracle(module):
         assert "reference" not in name.split("."), f"{module}.py imports {name}"
 
 
-@pytest.mark.parametrize("version", INTERPRETERS)
-def test_check_determinism_passes_under(version):
+def _interpreter(version):
     pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
     python = pyenv / "versions" / version / "bin" / "python"
     if not python.is_file():
         pytest.skip(f"CPython {version} is not installed")
+    return python
+
+
+# Run in a fresh interpreter: prints the modules of interest that importing
+# the CLI newly loads, then resolves every public name with a star import.
+STARTUP_PROBE = """
+import sys
+before = set(sys.modules)
+import stakenav.cli
+print(sorted((set(sys.modules) - before) & {"dataclasses", "inspect", "stakenav.reference"}))
+from stakenav import *
+import stakenav
+print(sorted(name for name in stakenav.__all__ if name not in globals()))
+"""
+
+
+@pytest.mark.parametrize("version", INTERPRETERS)
+def test_cli_import_loads_neither_dataclasses_nor_the_oracle(version):
+    result = subprocess.run(
+        [str(_interpreter(version)), "-c", STARTUP_PROBE],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "[]"]
+
+
+@pytest.mark.parametrize("version", INTERPRETERS)
+def test_check_determinism_passes_under(version):
+    python = _interpreter(version)
     result = subprocess.run(
         [str(python), str(ROOT / "tools" / "check_determinism.py")],
         capture_output=True, text=True, timeout=300,
