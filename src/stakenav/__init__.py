@@ -40,7 +40,6 @@ from .sim import (
     DegradationScenario,
     ExperimentState,
     SealState,
-    VisibilitySnapshot,
     compute_visibility,
     elect_generator,
     emit_transactions,

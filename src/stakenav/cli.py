@@ -16,24 +16,24 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import ledger
-from .domain import WorldConfig
+from .domain import WorldConfig, check_finite
 from .sim import DegradationScenario, ExperimentState, run_experiment
 
-# Flag/config-file key -> WorldConfig field.
+# Flag/config-file key -> (WorldConfig field, value type, --help text); the
+# flag is the key with "-" for "_".
 CONFIG_KEYS = {
-    "robots": "n_robots",
-    "landmarks": "n_landmarks",
-    "width": "width",
-    "height": "height",
-    "loops": "loops",
-    "radius": "sensing_radius",
-    "step": "step_size",
-    "block_size": "block_size",
-    "seed": "seed",
-    "reward": "generator_reward",
-    "initial_stake": "initial_stake",
+    "robots": ("n_robots", int, "number of robots"),
+    "landmarks": ("n_landmarks", int, "number of landmarks"),
+    "width": ("width", float, "world width"),
+    "height": ("height", float, "world height"),
+    "loops": ("loops", int, "number of movement loops"),
+    "radius": ("sensing_radius", float, "landmark sensing radius"),
+    "step": ("step_size", float, "max per-axis movement per loop"),
+    "block_size": ("block_size", int, "observations per sealed block"),
+    "seed": ("seed", int, "root RNG seed"),
+    "reward": ("generator_reward", float, "stake credited per sealed block"),
+    "initial_stake": ("initial_stake", float, "starting stake per robot"),
 }
-_INT_KEYS = {"robots", "landmarks", "loops", "block_size", "seed"}
 SCENARIO_KEYS = ("degrade_pair", "degrade_loops", "degrade_factor")
 
 LEDGER_FILE = "ledger.jsonl"
@@ -63,17 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate a stake-weighted robot team and export its cooperation ledger.",
     )
     parser.add_argument("--config", metavar="PATH", help="JSON config file (flags override it)")
-    parser.add_argument("--robots", type=int, help="number of robots")
-    parser.add_argument("--landmarks", type=int, help="number of landmarks")
-    parser.add_argument("--width", type=float, help="world width")
-    parser.add_argument("--height", type=float, help="world height")
-    parser.add_argument("--loops", type=int, help="number of movement loops")
-    parser.add_argument("--radius", type=float, help="landmark sensing radius")
-    parser.add_argument("--step", type=float, help="max per-axis movement per loop")
-    parser.add_argument("--block-size", type=int, help="observations per sealed block")
-    parser.add_argument("--seed", type=int, help="root RNG seed")
-    parser.add_argument("--reward", type=float, help="stake credited per sealed block")
-    parser.add_argument("--initial-stake", type=float, help="starting stake per robot")
+    for key, (_, kind, text) in CONFIG_KEYS.items():
+        parser.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
     parser.add_argument(
         "--degrade-pair", metavar="I,J", help="robot pair whose match quality degrades"
     )
@@ -91,13 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _coerce(key: str, value) -> int | float:
+    """A config-file value as its setting's type; `WorldConfig` checks its range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise UsageError(f"config key '{key}' must be a number, got {value!r}")
-    if key in _INT_KEYS:
-        if isinstance(value, float):
-            raise UsageError(f"config key '{key}' must be an integer, got {value!r}")
-        return value
-    return float(value)
+    field, kind, _ = CONFIG_KEYS[key]
+    if kind is float:
+        check_finite(field, value)  # so that float() cannot overflow
+        return float(value)
+    if isinstance(value, float):
+        raise UsageError(f"config key '{key}' must be an integer, got {value!r}")
+    return value
 
 
 def _parse_pair(text, key: str) -> tuple[int, int]:
@@ -146,7 +140,7 @@ def parse_config(args: argparse.Namespace) -> RunRequest:
     """Merge defaults, config file, and flags into a validated request."""
     file_values = load_config_file(args.config) if args.config else {}
     overrides = {}
-    for key, field in CONFIG_KEYS.items():
+    for key, (field, _, _) in CONFIG_KEYS.items():
         flag = getattr(args, key)
         if flag is not None:
             overrides[field] = flag
@@ -173,57 +167,29 @@ def parse_config(args: argparse.Namespace) -> RunRequest:
         factor = scenario_values["degrade_factor"]
         if not isinstance(factor, (int, float)) or isinstance(factor, bool):
             raise UsageError(f"degrade_factor must be a number, got {factor!r}")
-        scenario = DegradationScenario(pair, start, end, float(factor))
+        # Not converted: DegradationScenario checks it, and a float quality
+        # times an int is still a float.
+        scenario = DegradationScenario(pair, start, end, factor)
         scenario.check_against(config)
     return RunRequest(config=config, scenario=scenario, out_dir=args.out)
 
 
-class RunSummary(NamedTuple):
-    """Recounted totals for one exported run; duration stays out of files."""
-
-    blocks: int
-    transactions: int
-    observation_transactions: int
-    reward_transactions: int
-    max_common: int
-    min_common: int
-    generator_histogram: list[int]
-    final_stakes: list[float]
-    total_stake: float
-    duration_seconds: float
-
-    def to_dict(self) -> dict:
-        # Everything except the wall-clock duration, which would break
-        # byte-identical reruns.
-        return {
-            "blocks": self.blocks,
-            "transactions": self.transactions,
-            "observation_transactions": self.observation_transactions,
-            "reward_transactions": self.reward_transactions,
-            "max_common_landmarks": self.max_common,
-            "min_common_landmarks": self.min_common,
-            "generator_histogram": self.generator_histogram,
-            "final_stakes": self.final_stakes,
-            "total_stake": self.total_stake,
-        }
-
-
-def summarize(state: ExperimentState, duration_seconds: float) -> RunSummary:
+def summarize(state: ExperimentState) -> dict:
+    """The run totals `summary.json` holds, recounted from the chain."""
     chain = state.chain
     observations = sum(block.observation_count for block in chain.blocks)
     total = chain.transaction_count()
-    return RunSummary(
-        blocks=len(chain.blocks),
-        transactions=total,
-        observation_transactions=observations,
-        reward_transactions=total - observations,
-        max_common=state.max_common,
-        min_common=state.min_common if state.min_common is not None else 0,
-        generator_histogram=chain.generator_histogram(),
-        final_stakes=[r.stake for r in state.robots],
-        total_stake=state.total_stake(),
-        duration_seconds=duration_seconds,
-    )
+    return {
+        "blocks": len(chain.blocks),
+        "transactions": total,
+        "observation_transactions": observations,
+        "reward_transactions": total - observations,
+        "max_common_landmarks": state.max_common,
+        "min_common_landmarks": state.min_common if state.min_common is not None else 0,
+        "generator_histogram": chain.generator_histogram(),
+        "final_stakes": [r.stake for r in state.robots],
+        "total_stake": state.total_stake(),
+    }
 
 
 def _trajectories_csv(state: ExperimentState) -> str:
@@ -245,8 +211,9 @@ def _timeseries_csv(state: ExperimentState) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_and_export(request: RunRequest, stream=None) -> RunSummary:
-    """Run the experiment and write the four export files.
+def run_and_export(request: RunRequest, stream=None) -> dict:
+    """Run the experiment, write the four export files and return the
+    summary that `summary.json` holds.
 
     Exports are byte-identical across reruns of the same request. Each is
     written to a temporary name in the output directory, and all four are
@@ -259,11 +226,11 @@ def run_and_export(request: RunRequest, stream=None) -> RunSummary:
     duration = time.perf_counter() - started
     # Raises ValueError if the last reward made the stake total overflow,
     # before any file is opened.
-    summary = summarize(state, duration)
+    summary = summarize(state)
 
     out = Path(request.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary_text = json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n"
+    summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     exports = {
         LEDGER_FILE: state.chain.dumps(),
         TRAJECTORIES_FILE: _trajectories_csv(state).encode("ascii"),
@@ -280,17 +247,18 @@ def run_and_export(request: RunRequest, stream=None) -> RunSummary:
         for temporary in temporaries.values():
             temporary.unlink(missing_ok=True)
 
-    print(f"blocks sealed: {summary.blocks}", file=stream)
+    print(f"blocks sealed: {summary['blocks']}", file=stream)
     print(
-        f"transactions: {summary.transactions} "
-        f"({summary.observation_transactions} observations, "
-        f"{summary.reward_transactions} rewards)",
+        f"transactions: {summary['transactions']} "
+        f"({summary['observation_transactions']} observations, "
+        f"{summary['reward_transactions']} rewards)",
         file=stream,
     )
-    print(f"common landmarks per pair: max {summary.max_common}, min {summary.min_common}", file=stream)
-    print(f"generator histogram: {summary.generator_histogram}", file=stream)
-    stakes = ", ".join(format(s, ".3f") for s in summary.final_stakes)
-    print(f"final stakes: [{stakes}] (total {summary.total_stake:.3f})", file=stream)
+    print(f"common landmarks per pair: max {summary['max_common_landmarks']}, "
+          f"min {summary['min_common_landmarks']}", file=stream)
+    print(f"generator histogram: {summary['generator_histogram']}", file=stream)
+    stakes = ", ".join(format(s, ".3f") for s in summary["final_stakes"])
+    print(f"final stakes: [{stakes}] (total {summary['total_stake']:.3f})", file=stream)
     print(f"elapsed: {duration:.3f}s", file=stream)
     print(f"wrote {out / LEDGER_FILE}, {out / TRAJECTORIES_FILE}, "
           f"{out / TIMESERIES_FILE}, {out / SUMMARY_FILE}", file=stream)

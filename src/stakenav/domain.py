@@ -40,6 +40,16 @@ class ConfigError(ValueError):
     """A configuration field violates its constraints."""
 
 
+def check_finite(name: str, value) -> None:
+    """ConfigError unless `value` is a finite number that a float can hold."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{name} must be <= {sys.float_info.max!r}, got {value}") from None
+    if not finite:
+        raise ConfigError(f"{name} must be finite, got {value}")
+
+
 class InvalidPairError(ValueError):
     """A robot pair (i, j) with i == j was supplied where i != j is required."""
 
@@ -77,9 +87,7 @@ class WorldConfig(_WorldFields):
         for name in (
             "width", "height", "sensing_radius", "step_size", "generator_reward", "initial_stake"
         ):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+            check_finite(name, getattr(self, name))
         if not self.width > 0:
             raise ConfigError(f"width must be > 0, got {self.width}")
         if not self.height > 0:
@@ -132,10 +140,6 @@ class Landmark(NamedTuple):
     id: int
     x: float
     y: float
-
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
 
 
 def derive_stream(seed: int, label: str) -> random.Random:

@@ -352,25 +352,12 @@ class Chain:
         self.n_robots = n_robots
         self.blocks: list[Block] = []
 
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __getitem__(self, item):
-        return self.blocks[item]
-
     @property
     def next_tx_id(self) -> int:
         if not self.blocks:
             return 0
         last = self.blocks[-1]
         return last.first_tx_id + last.transaction_count
-
-    def transactions(self):
-        for block in self.blocks:
-            yield from block.transactions
 
     def transaction_count(self) -> int:
         return sum(block.transaction_count for block in self.blocks)
@@ -453,12 +440,12 @@ def _read_dump(data: bytes, n_robots: int | None = None):
     """Yield (record, body) for each line of a dump, in order, once the line
     has passed every rule; raise `LedgerFormatError("block K: <rule>")` at the
     first line K that does not. The team check runs only when `n_robots` is
-    given: the schema already rejects negative ids."""
+    given: the schema already rejects negative ids. Every line, the last
+    included, ends in a newline."""
     prev_hash = GENESIS_PREV_HASH
     next_tx_id = 0
     lines = data.split(b"\n")
-    if lines[-1] == b"":
-        lines.pop()
+    unterminated = lines.pop()  # b"" unless the last line lacks its newline
     for index, line in enumerate(lines):
         try:
             record = json.loads(line.decode("ascii"))
@@ -488,6 +475,8 @@ def _read_dump(data: bytes, n_robots: int | None = None):
             raise LedgerFormatError(f"block {index}: {exc}") from exc
         prev_hash = record["hash"]
         yield record, body
+    if unterminated:
+        raise LedgerFormatError(f"block {len(lines)}: line does not end with a newline")
 
 
 def verify_dump_bytes(data: bytes) -> int | None:

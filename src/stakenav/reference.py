@@ -6,7 +6,8 @@ A run never calls this module; it seals through `sim.SealState` and elects
 through `sim.elect_generator`. The acceptance tests c03, c05 and c06 check
 these functions against brute force, symmetry and exact cost counts, and the
 replay tests re-seal whole runs through `navigability_matrix` to show that
-the engine matches it bit for bit.
+the engine matches it bit for bit. Their input, a `VisibilitySnapshot`, is
+built by hand or from a loop's `sim.Visibility` with `VisibilitySnapshot.of`.
 
 A robot's weight is its stake normalized by the team total. The consensus
 score of an ordered pair (i, j) is robot i's weight times the summed match
@@ -28,7 +29,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .domain import InvalidPairError, normalize_pair, ordered_sum
-from .sim import IMPORTANCE_LEVELS, VisibilitySnapshot
+from .sim import IMPORTANCE_LEVELS, Visibility
 
 
 class DegenerateStakesError(ValueError):
@@ -50,8 +51,47 @@ class StakeTable:
             if s < 0:
                 raise ValueError(f"stake of robot {i} must be >= 0, got {s}")
 
-    def __len__(self) -> int:
-        return len(self.stakes)
+
+@dataclass
+class VisibilitySnapshot:
+    """Which landmarks each robot recognizes in one loop, and the pair qualities.
+
+    `recognized[i]` is the set of landmark ids robot i recognizes, and
+    `qualities` maps (i, j, k) with i < j to the match quality of landmark k
+    for that pair. Checked when built: there is an entry exactly for each
+    landmark in the intersection of the two robots' recognized sets, and
+    every quality is in [0, 1].
+    """
+
+    n_landmarks: int
+    recognized: list[set[int]]
+    qualities: dict[tuple[int, int, int], float]
+
+    def __post_init__(self):
+        rec = self.recognized
+        n = len(rec)
+        expected = {(i, j, k) for i in range(n) for j in range(i + 1, n) for k in rec[i] & rec[j]}
+        actual = set(self.qualities)
+        if actual != expected:
+            raise ValueError(
+                f"quality keys do not match pairwise intersections: "
+                f"unexpected={actual - expected}, missing={expected - actual}"
+            )
+        for key, q in self.qualities.items():
+            if not 0.0 <= q <= 1.0:
+                raise ValueError(f"quality for {key} must be in [0, 1], got {q}")
+
+    @property
+    def n_robots(self) -> int:
+        return len(self.recognized)
+
+    @classmethod
+    def of(cls, n_landmarks: int, visibility: Visibility) -> "VisibilitySnapshot":
+        """The snapshot of one engine loop's `sim.Visibility`."""
+        qualities = {
+            (i, j, k): q for i, j, matches in visibility.cooperating for k, q in matches
+        }
+        return cls(n_landmarks, visibility.recognized, qualities)
 
 
 @dataclass

@@ -8,8 +8,8 @@ and seals blocks whenever enough transactions are pending. Sealing elects the
 generator by navigability (stake weights as cold-start fallback, then
 uniform; `elect_generator`), appends a reward transaction, and credits the
 generator's stake. This module owns the loop's state (`ExperimentState`),
-the per-loop `VisibilitySnapshot`, the seal-time navigability (`SealState`)
-and the election. The paper's formulas, one pair at a time, are in
+each loop's `Visibility`, the seal-time navigability (`SealState`) and the
+election. The paper's formulas, one pair at a time, are in
 `stakenav.reference`, which only tests call; nothing here imports it.
 
 The loop does work in proportion to the pairs that cooperate, not to all n^2
@@ -46,6 +46,7 @@ from .domain import (
     RandomStreams,
     RobotState,
     WorldConfig,
+    check_finite,
     init_world,
     normalize_pair,
     ordered_sum,
@@ -75,9 +76,7 @@ class DegradationScenario(_ScenarioFields):
     def __new__(cls, pair: tuple[int, int], start_loop: int, end_loop: int, multiplier: float):
         self = super().__new__(cls, normalize_pair(*pair), start_loop, end_loop, multiplier)
         for name in ("start_loop", "end_loop", "multiplier"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+            check_finite(name, getattr(self, name))
         if self.start_loop < 0:
             raise ConfigError(f"start_loop must be >= 0, got {self.start_loop}")
         if self.end_loop < self.start_loop:
@@ -104,62 +103,18 @@ class DegradationScenario(_ScenarioFields):
             )
 
 
-class VisibilitySnapshot:
-    """Which landmarks each robot recognizes in one loop, plus pair qualities.
+class Visibility(NamedTuple):
+    """Which landmarks each robot recognizes in one loop, and what pairs drew.
 
     `recognized[i]` is the set of landmark ids robot i recognizes.
     `cooperating` lists (i, j, matches) for every pair with i < j that shares
     a landmark, ascending by pair; `matches` holds the pair's (landmark id,
-    quality) tuples ascending by id. The simulator builds it while drawing,
-    and emission copies each `matches` list into its observation.
-    `qualities` maps (i, j, k) with i < j to the match quality of landmark k
-    for that pair; entries exist exactly for landmarks in the intersection of
-    the two robots' recognized sets. A snapshot built by hand may pass it
-    directly; otherwise it is derived from `cooperating` on first read. Only
-    the reference oracle reads it.
+    quality) tuples ascending by id. Emission copies each `matches` list into
+    its observation.
     """
 
-    def __init__(
-        self,
-        n_landmarks: int,
-        recognized: list[set[int]],
-        qualities: dict[tuple[int, int, int], float] | None = None,
-        cooperating: list[tuple[int, int, list[tuple[int, float]]]] | None = None,
-    ):
-        self.n_landmarks = n_landmarks
-        self.recognized = recognized
-        self.cooperating = cooperating if cooperating is not None else []
-        self._qualities = qualities
-
-    @property
-    def qualities(self) -> dict[tuple[int, int, int], float]:
-        if self._qualities is None:
-            self._qualities = {
-                (i, j, k): q for i, j, matches in self.cooperating for k, q in matches
-            }
-        return self._qualities
-
-    @property
-    def n_robots(self) -> int:
-        return len(self.recognized)
-
-    def check(self) -> None:
-        """Validate the qualities-match-intersection invariant (test helper)."""
-        n = self.n_robots
-        expected = set()
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in self.recognized[i] & self.recognized[j]:
-                    expected.add((i, j, k))
-        actual = set(self.qualities)
-        if actual != expected:
-            raise ValueError(
-                f"quality keys do not match pairwise intersections: "
-                f"unexpected={actual - expected}, missing={expected - actual}"
-            )
-        for key, q in self.qualities.items():
-            if not 0.0 <= q <= 1.0:
-                raise ValueError(f"quality for {key} must be in [0, 1], got {q}")
+    recognized: list[set[int]]
+    cooperating: list[tuple[int, int, list[tuple[int, float]]]]
 
 
 class SealState:
@@ -271,8 +226,6 @@ class ExperimentState:
         self.chain = Chain(n_robots=config.n_robots)
         self.pending: list[Observation] = []
         self.loop_index = 0
-        # One (block index, average navigability) point per sealed block.
-        self.nav_series: list[tuple[int, float]] = []
         # trajectory[t] = positions after t movement steps; [0] is placement.
         self.trajectory: list[list[tuple[float, float]]] = [[r.position for r in robots]]
         self.max_common = 0
@@ -350,7 +303,7 @@ def _landmark_grid(
     return size, near
 
 
-def compute_visibility(state: ExperimentState) -> VisibilitySnapshot:
+def compute_visibility(state: ExperimentState) -> Visibility:
     """Recognition sets and fresh pairwise match qualities for this loop.
 
     A robot recognizes a landmark iff their Euclidean distance is within the
@@ -361,8 +314,8 @@ def compute_visibility(state: ExperimentState) -> VisibilitySnapshot:
     pair-then-landmark order, then scaled by an active degradation scenario;
     pairs that share nothing draw nothing, exactly as in a full pass. Each
     cooperating pair's (landmark id, quality) tuples, ascending by id, go
-    into the snapshot's `cooperating` list as they are drawn; emission uses
-    those tuples, and no (i, j, k) map is built. Also starts the seal
+    into the `cooperating` list as they are drawn; emission uses those
+    tuples, and no (i, j, k) map is built. Also starts the seal
     state's loop with every pair's quality sum and refreshes the common-count
     extremes.
     """
@@ -419,21 +372,19 @@ def compute_visibility(state: ExperimentState) -> VisibilitySnapshot:
         least = 0  # some pair shares no landmark
     if least is not None and (state.min_common is None or least < state.min_common):
         state.min_common = least
-    return VisibilitySnapshot(config.n_landmarks, recognized, cooperating=cooperating)
+    return Visibility(recognized, cooperating)
 
 
-def emit_transactions(
-    state: ExperimentState, snapshot: VisibilitySnapshot
-) -> list[Observation]:
+def emit_transactions(state: ExperimentState, visibility: Visibility) -> list[Observation]:
     """One pending observation per pair sharing >= 1 landmark.
 
-    Walks the snapshot's cooperating pairs, so pairs come out ascending and
+    Walks the loop's cooperating pairs, so pairs come out ascending and
     each pair's matches ascending by landmark id. Each observation gets a
     copy of the pair's drawn match list; nothing is re-checked.
     """
     loop = state.loop_index
     added = [
-        Observation((i, j), list(matches), loop) for i, j, matches in snapshot.cooperating
+        Observation((i, j), list(matches), loop) for i, j, matches in visibility.cooperating
     ]
     state.pending.extend(added)
     return added
@@ -495,7 +446,6 @@ def _seal_batch(state: ExperimentState, batch: list[Observation]) -> Block:
     generator = elect_generator(weights, state.streams.election, stakes=stakes)
     reward = Transaction.generator_reward(generator, config.generator_reward, state.loop_index)
     block = state.chain.append_block(batch + [reward], generator, avg_nav)
-    state.nav_series.append((block.index, block.avg_navigability))
     state.seal.record([tx.pair for tx in batch])
     state.robots[generator].stake += config.generator_reward
     return block
@@ -534,8 +484,8 @@ def run_experiment(
     for loop in range(config.loops):
         state.loop_index = loop
         step_movement(state)
-        snapshot = compute_visibility(state)
-        emit_transactions(state, snapshot)
+        visibility = compute_visibility(state)
+        emit_transactions(state, visibility)
         maybe_seal_blocks(state)
     state.loop_index = config.loops
     maybe_seal_blocks(state, finalize=True)

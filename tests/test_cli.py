@@ -211,6 +211,38 @@ def test_huge_team_in_config_file_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+HUGE = 10**400
+HUGE_SCENARIO = {"degrade_pair": [2, 7], "degrade_loops": [0, 1], "degrade_factor": 0.1}
+FLOAT_MAX = "1.7976931348623157e+308"
+
+
+@pytest.mark.parametrize(
+    "config,flags,field",
+    [
+        ({"width": HUGE}, [], "width"),
+        ({"reward": HUGE}, [], "generator_reward"),
+        ({**HUGE_SCENARIO, "degrade_loops": [0, HUGE]}, [], "end_loop"),
+        ({**HUGE_SCENARIO, "degrade_factor": HUGE}, [], "multiplier"),
+        (HUGE_SCENARIO, ["--degrade-loops", f"0,{HUGE}"], "end_loop"),
+    ],
+)
+def test_huge_integer_setting_exits_one_naming_it(tmp_path, config, flags, field):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    # A separate interpreter, so an uncaught error would print its traceback.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["--config", str(cfg), *flags, "--out", str(tmp_path / "out")]
+    result = subprocess.run(
+        [sys.executable, "-m", "stakenav.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 1
+    assert result.stderr == f"stakenav: error: {field} must be <= {FLOAT_MAX}, got {HUGE}\n"
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_pair_value_exits_one(capsys):
     assert main(["--degrade-pair", "3,3", "--degrade-loops", "4,6",
                  "--degrade-factor", "0.1"]) == 1
@@ -230,7 +262,7 @@ def test_run_writes_all_exports(tmp_path, capsys):
     summary = json.loads((out / SUMMARY_FILE).read_text())
     assert summary["blocks"] == len(chain.blocks)
     assert summary["transactions"] == chain.transaction_count()
-    obs = sum(1 for tx in chain.transactions() if tx.kind == KIND_OBSERVATION)
+    obs = sum(1 for b in chain.blocks for tx in b.transactions if tx.kind == KIND_OBSERVATION)
     assert summary["observation_transactions"] == obs
     assert summary["reward_transactions"] == len(chain.blocks)
     assert summary["generator_histogram"] == chain.generator_histogram()
@@ -250,6 +282,11 @@ def test_run_writes_all_exports(tmp_path, capsys):
         assert int(gen) == block.generator
 
 
+def test_run_and_export_returns_the_summary_it_wrote(tmp_path):
+    summary = run_and_export(parse(["--seed", "3", "--out", str(tmp_path)]), io.StringIO())
+    assert summary == json.loads((tmp_path / SUMMARY_FILE).read_text())
+
+
 def test_export_encodes_each_block_once_and_decodes_none(tmp_path, monkeypatch):
     encode = stakenav.ledger.canonical_encode
     encoded, decoded = [], []
@@ -267,8 +304,8 @@ def test_export_encodes_each_block_once_and_decodes_none(tmp_path, monkeypatch):
     monkeypatch.setattr(stakenav.ledger, "canonical_encode", counting_encode)
     monkeypatch.setattr(stakenav.ledger, "json", types.SimpleNamespace(loads=counting_loads))
     summary = run_and_export(parse(["--seed", "0", "--out", str(tmp_path)]), io.StringIO())
-    assert summary.blocks > 0
-    assert len(encoded) == summary.blocks
+    assert summary["blocks"] > 0
+    assert len(encoded) == summary["blocks"]
     assert decoded == []
 
 
@@ -347,6 +384,20 @@ def test_verify_names_the_rule_that_failed(tmp_path, capsys, rule, message):
     ledger.write_bytes(breaker(seed_records()))
     assert main(["--verify", str(ledger)]) == 3
     assert capsys.readouterr().out == f"{ledger}: invalid at block 3: {message}\n"
+
+
+def test_verify_rejects_a_dump_without_its_final_newline(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["--seed", "0", "--out", str(out)]) == 0
+    ledger = out / LEDGER_FILE
+    data = ledger.read_bytes()
+    ledger.write_bytes(data[:-1])
+    capsys.readouterr()
+    assert main(["--verify", str(ledger)]) == 3
+    last = data.count(b"\n") - 1
+    assert capsys.readouterr().out == (
+        f"{ledger}: invalid at block {last}: line does not end with a newline\n"
+    )
 
 
 def test_help_exits_zero(capsys):

@@ -137,11 +137,13 @@ def test_matrix_matches_pairwise_calls_and_scan_count():
 
 def test_snapshot_check_catches_inconsistent_qualities():
     recognized = [{0}, {0}]
-    VisibilitySnapshot(1, recognized, {(0, 1, 0): 0.5}).check()
+    VisibilitySnapshot(1, recognized, {(0, 1, 0): 0.5})
     with pytest.raises(ValueError):
-        VisibilitySnapshot(1, recognized, {}).check()
+        VisibilitySnapshot(1, recognized, {})
     with pytest.raises(ValueError):
-        VisibilitySnapshot(1, [{0}, set()], {(0, 1, 0): 0.5}).check()
+        VisibilitySnapshot(1, [{0}, set()], {(0, 1, 0): 0.5})
+    with pytest.raises(ValueError):
+        VisibilitySnapshot(1, recognized, {(0, 1, 0): 1.5})
 
 
 def test_election_prefers_heavier_weights():

@@ -48,6 +48,9 @@ def test_default_config_values():
         ("seed", 2**64),
         ("n_robots", MAX_ROBOTS + 1),
         ("n_landmarks", MAX_LANDMARKS + 1),
+        # Integers that no float can hold.
+        pytest.param("width", 10**400, id="width-beyond-float"),
+        pytest.param("generator_reward", 10**400, id="generator_reward-beyond-float"),
     ],
 )
 def test_config_rejects_bad_values_naming_the_field(field, value):

@@ -120,7 +120,7 @@ def test_reward_and_avg_navigability_must_be_finite(value):
         Transaction.generator_reward(0, value, 0)
     with pytest.raises(LedgerError, match="^avg_navigability must be finite"):
         chain.append_block([obs((0, 1), 0), Transaction.generator_reward(0, 0.1, 0)], 0, value)
-    assert len(chain) == 0
+    assert chain.blocks == []
 
 
 def test_block_transactions_are_the_appended_records():
@@ -267,6 +267,16 @@ def test_verify_dump_rejects_noncanonical_but_equal_json():
 def test_verify_dump_flags_truncation():
     data = build_chain(blocks=3).dumps()
     assert verify_dump_bytes(data[:-10]) == 2
+
+
+def test_a_dump_must_end_in_a_newline():
+    data = seed_dump()
+    last = data.count(b"\n") - 1
+    assert verify_dump_bytes(data[:-1]) == last
+    with pytest.raises(LedgerFormatError, match=rf"^block {last}: line does not end with a newline$"):
+        Chain.loads(data[:-1])
+    assert verify_dump_bytes(b"") is None
+    assert Chain.loads(b"").dumps() == b""
 
 
 def test_single_bit_flips_are_detected_no_later_than_the_block():

@@ -30,6 +30,11 @@ def test_navigability_is_the_reference_function():
     assert stakenav.navigability is stakenav.reference.navigability
 
 
+def test_visibility_snapshot_belongs_to_the_oracle():
+    assert stakenav.VisibilitySnapshot is stakenav.reference.VisibilitySnapshot
+    assert not hasattr(stakenav.sim, "VisibilitySnapshot")
+
+
 def test_package_holds_the_six_modules():
     assert sorted(p.stem for p in PACKAGE.glob("*.py")) == [
         "__init__", "cli", "domain", "ledger", "reference", "sim",
@@ -108,8 +113,10 @@ def test_check_determinism_reports_a_dump_that_does_not_load(monkeypatch, capsys
     monkeypatch.setattr(tool, "run_experiment", lambda config, scenario: garbled)
     assert tool.main() == 1
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 5
-    for line in lines:
+    assert len(lines) == 6
+    for line in lines[:5]:
         assert ": MISMATCH " in line
         assert line.endswith("; seed 0 does not load: block 0: Expecting value: "
                              "line 1 column 1 (char 0)")
+    # The exports come from the CLI's own run, which the patch leaves alone.
+    assert lines[5].endswith(": seed-0 exports: ok")

@@ -13,6 +13,7 @@ from stakenav import (
     Landmark,
     StakeTable,
     Transaction,
+    VisibilitySnapshot,
     WorldConfig,
     average_navigability,
     compute_visibility,
@@ -54,7 +55,7 @@ def test_scenario_validation():
         DegradationScenario((0, 9), 0, 2, 0.5).check_against(SMALL)
     with pytest.raises(ConfigError):
         DegradationScenario((0, 1), 0, 99, 0.5).check_against(SMALL)
-    for bad in (math.nan, math.inf):
+    for bad in (math.nan, math.inf, 10**400):
         with pytest.raises(ConfigError, match="multiplier"):
             DegradationScenario((0, 1), 0, 2, bad)
         with pytest.raises(ConfigError, match="start_loop"):
@@ -95,7 +96,7 @@ def test_compute_visibility_matches_distance_rule():
     state = fresh_state()
     step_movement(state)
     snap = compute_visibility(state)
-    snap.check()
+    VisibilitySnapshot.of(state.config.n_landmarks, snap)  # checks the intersections
     assert_distance_rule(state, snap)
 
 
@@ -114,7 +115,7 @@ def test_compute_visibility_grid_boundaries():
     snap = compute_visibility(state)
     assert snap.recognized == [{0, 2}, set()]
     assert_distance_rule(state, snap)
-    assert snap.cooperating == [] and snap.qualities == {}
+    assert snap.cooperating == []
     assert state.min_common == 0 and state.max_common == 0
 
 
@@ -133,7 +134,7 @@ def test_compute_visibility_in_a_sparse_world():
     for _ in range(SPARSE.loops):
         step_movement(state)
         snap = compute_visibility(state)
-        snap.check()
+        VisibilitySnapshot.of(SPARSE.n_landmarks, snap)  # checks the intersections
         assert_distance_rule(state, snap)
         n = SPARSE.n_robots
         expected = [
@@ -152,10 +153,11 @@ def test_qualities_drawn_only_for_common_landmarks():
     state = fresh_state()
     step_movement(state)
     snap = compute_visibility(state)
-    for (i, j, k), q in snap.qualities.items():
+    for i, j, matches in snap.cooperating:
         assert i < j
-        assert k in snap.recognized[i] and k in snap.recognized[j]
-        assert 0.0 <= q < 1.0
+        for k, q in matches:
+            assert k in snap.recognized[i] and k in snap.recognized[j]
+            assert 0.0 <= q < 1.0
 
 
 def test_snapshot_qualities_are_the_drawn_qualities():
@@ -175,9 +177,7 @@ def test_snapshot_qualities_are_the_drawn_qualities():
                 if (i, j) == scenario.pair:
                     q *= scenario.multiplier
                 expected[(i, j, k)] = q
-    assert snap.qualities == expected
-    assert snap.qualities is snap.qualities  # derived once
-    snap.check()
+    assert VisibilitySnapshot.of(SMALL.n_landmarks, snap).qualities == expected
 
 
 def test_emit_one_transaction_per_cooperating_pair():
@@ -186,6 +186,7 @@ def test_emit_one_transaction_per_cooperating_pair():
     step_movement(state)
     snap = compute_visibility(state)
     added = emit_transactions(state, snap)
+    qualities = VisibilitySnapshot.of(SMALL.n_landmarks, snap).qualities
     expected_pairs = [
         (i, j)
         for i in range(4)
@@ -203,7 +204,7 @@ def test_emit_one_transaction_per_cooperating_pair():
         ks = [k for k, _ in tx.matches]
         assert ks == sorted(snap.recognized[i] & snap.recognized[j])
         for k, q in tx.matches:
-            assert q == snap.qualities[(i, j, k)]
+            assert q == qualities[(i, j, k)]
     # Each transaction keeps its own list of the drawn tuples.
     for tx, (_, _, matches) in zip(added, snap.cooperating):
         assert tx.matches == matches and tx.matches is not matches
@@ -228,9 +229,6 @@ def test_sealing_assigns_contiguous_ids_and_credits_generator():
     assert ids == list(range(len(ids)))
     reward_total = sum(r.stake for r in state.robots) - sum(stakes_before)
     assert reward_total == pytest.approx(len(blocks) * state.config.generator_reward)
-    assert [e for e in state.nav_series] == [
-        (b.index, b.avg_navigability) for b in blocks
-    ]
 
 
 def test_finalize_seals_remainder():
@@ -249,7 +247,6 @@ def test_finalize_seals_remainder():
 def test_zero_loops_runs_empty():
     state = run_experiment(WorldConfig(loops=0, seed=1))
     assert state.chain.blocks == []
-    assert state.nav_series == []
     assert len(state.trajectory) == 1  # placement only
 
 
@@ -259,7 +256,6 @@ def test_run_is_deterministic():
     b = run_experiment(cfg)
     assert a.chain.dumps() == b.chain.dumps()
     assert a.trajectory == b.trajectory
-    assert a.nav_series == b.nav_series
     assert run_experiment(WorldConfig(seed=78)).chain.dumps() != a.chain.dumps()
 
 
@@ -277,7 +273,7 @@ def test_run_invariants_default_config():
     assert abs(state.total_stake() - expected_stake) <= 1e-12
     assert state.min_common == 0 and state.max_common >= 2
     # reward count equals block count; observation count fills the rest
-    rewards = sum(1 for tx in chain.transactions() if tx.kind == KIND_REWARD)
+    rewards = sum(1 for b in chain.blocks for tx in b.transactions if tx.kind == KIND_REWARD)
     assert rewards == blocks
 
 
@@ -301,12 +297,12 @@ def test_degradation_scales_only_target_pair_in_window():
     assert base.trajectory == deg.trajectory  # movement untouched
     base_txs = {
         (tx.pair, tx.loop_index): tx.matches
-        for tx in base.chain.transactions()
+        for b in base.chain.blocks for tx in b.transactions
         if tx.kind == KIND_OBSERVATION
     }
     deg_txs = {
         (tx.pair, tx.loop_index): tx.matches
-        for tx in deg.chain.transactions()
+        for b in deg.chain.blocks for tx in b.transactions
         if tx.kind == KIND_OBSERVATION
     }
     assert base_txs.keys() == deg_txs.keys()  # emission ignores quality
@@ -349,8 +345,9 @@ def run_from_scratch(config, scenario=None):
     for loop in range(config.loops):
         state.loop_index = loop
         step_movement(state)
-        snapshot = compute_visibility(state)
-        emit_transactions(state, snapshot)
+        visibility = compute_visibility(state)
+        snapshot = VisibilitySnapshot.of(config.n_landmarks, visibility)
+        emit_transactions(state, visibility)
         while len(state.pending) >= config.block_size:
             batch = state.pending[: config.block_size]
             del state.pending[: config.block_size]
@@ -397,11 +394,11 @@ def test_replay_equivalence_holds_in_a_sparse_world(scenario):
     assert fast.chain.dumps() == scratch.chain.dumps()
     assert [r.stake for r in fast.robots] == [r.stake for r in scratch.robots]
     assert fast.min_common == 0
-    assert any(avg > 0.0 for _, avg in fast.nav_series)
+    assert any(b.avg_navigability > 0.0 for b in fast.chain.blocks)
     if scenario is not None:
         zeroed = [
             tx.matches
-            for tx in fast.chain.transactions()
+            for b in fast.chain.blocks for tx in b.transactions
             if tx.kind == KIND_OBSERVATION and tx.pair == (2, 10) and 1 <= tx.loop_index <= 3
         ]
         assert zeroed and all(q == 0.0 for matches in zeroed for _, q in matches)

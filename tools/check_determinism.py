@@ -1,10 +1,13 @@
-"""Check that stakenav writes the same ledger bytes on this interpreter.
+"""Check that stakenav writes the same bytes on this interpreter.
 
 Runs the default configuration for seed 0 and for seeds 0-19, two sparse
 worlds, a dense world and a cold-start world for seeds 0-4, and compares the SHA-256 of the
 ledger dumps with pinned values. Each dump must also load back with
-`Chain.loads`, which verifies it, and dump to the same bytes. Needs only the
-standard library, so it runs on interpreters that have no pytest:
+`Chain.loads`, which verifies it, and dump to the same bytes. Then exports
+the default seed-0 run as `stakenav --out DIR` does, into a temporary
+directory, and compares the SHA-256 of each of its four files with pinned
+values. Needs only the standard library, so it runs on interpreters that
+have no pytest:
 
     python3 tools/check_determinism.py
 
@@ -14,7 +17,9 @@ a dump that does not load is reported by the loader's message.
 from __future__ import annotations
 
 import hashlib
+import io
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -26,6 +31,7 @@ from stakenav import (  # noqa: E402
     WorldConfig,
     run_experiment,
 )
+from stakenav.cli import build_parser, parse_config, run_and_export  # noqa: E402
 
 # Same value as GOLDEN_SEED0_LEDGER in tests/test_acceptance.py.
 GOLDEN_SEED0_LEDGER = "8580c9a0fe7ef7871a91a2fb798d64764f415eb45c0954abfb5391dcd5cdc7b6"
@@ -52,6 +58,13 @@ DENSE_DIGEST = "542c04e828caff775adc85e06bca34d2942f8e491cecce018b7a09317e5824da
 COLD_SEEDS = range(5)
 COLD = dict(n_robots=30, n_landmarks=60, loops=2, block_size=7)
 COLD_DIGEST = "dd31b05be90f048d3c9ada5c7cfbe7d5f85c835cd6e0c7b34b72ce90d5ce360b"
+# SHA-256 of each file that `stakenav --out DIR` writes: the default config, seed 0.
+SEED0_EXPORTS = {
+    "ledger.jsonl": GOLDEN_SEED0_LEDGER,
+    "summary.json": "f5dbb32c9acc9a596772c5a55128d7c94ac9e301de9bab0f6cff0fb13e2c2d4e",
+    "timeseries.csv": "7d2193e58da5197a369dcb2478472d4577c1f88c2a50b1be2a000ab4b24bd13c",
+    "trajectories.csv": "ba0375ef49b74c78609c1b73c07b2be8bb5ee76cc8e206e1d43648f3048342e7",
+}
 
 
 def world_digest(runs) -> tuple[str, str | None]:
@@ -74,6 +87,20 @@ def world_digest(runs) -> tuple[str, str | None]:
             if loaded.dumps() != data:
                 problem = f"seed {seed} does not dump back unchanged"
     return digest.hexdigest(), problem
+
+
+def export_result() -> str:
+    """Whether the default seed-0 run's four exports match: "ok", or which differ."""
+    with tempfile.TemporaryDirectory() as out:
+        run_and_export(parse_config(build_parser().parse_args(["--out", out])), io.StringIO())
+        got = {
+            name: hashlib.sha256((Path(out) / name).read_bytes()).hexdigest()
+            for name in SEED0_EXPORTS
+        }
+    mismatches = [
+        f"{name} {got[name]} != {want}" for name, want in SEED0_EXPORTS.items() if got[name] != want
+    ]
+    return f"MISMATCH {'; '.join(mismatches)}" if mismatches else "ok"
 
 
 def main() -> int:
@@ -100,6 +127,9 @@ def main() -> int:
             result = problem if result == "ok" else f"{result}; {problem}"
         failed = failed or result != "ok"
         print(f"python {version}: {name}: {result}")
+    result = export_result()
+    failed = failed or result != "ok"
+    print(f"python {version}: seed-0 exports: {result}")
     return 1 if failed else 0
 
 
