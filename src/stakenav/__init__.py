@@ -31,7 +31,6 @@ from .ledger import (
     Chain,
     LedgerError,
     LedgerFormatError,
-    Transaction,
     canonical_encode,
     verify_dump_bytes,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "ScanCounter",
     "SealState",
     "StakeTable",
-    "Transaction",
     "UndefinedAverageError",
     "VisibilitySnapshot",
     "WorldConfig",

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import ledger
-from .domain import WorldConfig, check_finite
+from .domain import WorldConfig
 from .sim import DegradationScenario, ExperimentState, run_experiment
 
 # Flag/config-file key -> (WorldConfig field, value type, --help text); the
@@ -82,14 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _coerce(key: str, value) -> int | float:
-    """A config-file value as its setting's type; `WorldConfig` checks its range."""
+    """A config-file value, refused unless it is a number (not a bool) and,
+    for an integer setting, an integer; `WorldConfig` checks its range and
+    stores float settings as floats."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise UsageError(f"config key '{key}' must be a number, got {value!r}")
-    field, kind, _ = CONFIG_KEYS[key]
-    if kind is float:
-        check_finite(field, value)  # so that float() cannot overflow
-        return float(value)
-    if isinstance(value, float):
+    if isinstance(value, float) and CONFIG_KEYS[key][1] is int:
         raise UsageError(f"config key '{key}' must be an integer, got {value!r}")
     return value
 
@@ -121,6 +119,8 @@ def load_config_file(path: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path}: invalid JSON ({exc})") from None
+    except ValueError as exc:  # an integer with more digits than int() converts
+        raise UsageError(f"config file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError(f"config file {path}: expected a JSON object")
     known = set(CONFIG_KEYS) | set(SCENARIO_KEYS)

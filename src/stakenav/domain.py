@@ -21,6 +21,15 @@ MAX_STEP = sys.float_info.max / 2
 # robot's visibility mask holds at most 2**20 bits.
 MAX_ROBOTS = 4096
 MAX_LANDMARKS = 2**20
+# A run's trajectory holds n_robots * (loops + 1) positions, which take about
+# 400 B each at the peak of a run and its export, so this bound on loops keeps
+# that under about 0.4 GB.
+MAX_POSITIONS = 2**20
+# Settings stored as floats whatever number they are given as, so that equal
+# configs write equal exports.
+_FLOAT_FIELDS = (
+    "width", "height", "sensing_radius", "step_size", "generator_reward", "initial_stake"
+)
 
 
 def ordered_sum(values) -> float:
@@ -78,16 +87,17 @@ class _WorldFields(NamedTuple):
 
 
 class WorldConfig(_WorldFields):
-    """Experiment parameters, checked when built. Defaults mirror the desk-scale setup."""
+    """Experiment parameters, checked when built, with the float settings stored
+    as floats. Defaults mirror the desk-scale setup."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for name in (
-            "width", "height", "sensing_radius", "step_size", "generator_reward", "initial_stake"
-        ):
-            check_finite(name, getattr(self, name))
+        values = _WorldFields(*args, **kwargs)._asdict()
+        for name in _FLOAT_FIELDS:
+            check_finite(name, values[name])
+            values[name] = float(values[name])
+        self = super().__new__(cls, **values)
         if not self.width > 0:
             raise ConfigError(f"width must be > 0, got {self.width}")
         if not self.height > 0:
@@ -100,6 +110,11 @@ class WorldConfig(_WorldFields):
             )
         if self.loops < 0:
             raise ConfigError(f"loops must be >= 0, got {self.loops}")
+        if self.n_robots * (self.loops + 1) > MAX_POSITIONS:
+            raise ConfigError(
+                f"loops must be <= {MAX_POSITIONS // self.n_robots - 1} with "
+                f"n_robots={self.n_robots}, got {self.loops}"
+            )
         if not self.sensing_radius > 0:
             raise ConfigError(f"sensing_radius must be > 0, got {self.sensing_radius}")
         if self.step_size < 0:

@@ -17,8 +17,9 @@ given, encodes the body once through the module-level `canonical_encode` and
 keeps those bytes with a few header numbers; dumping splices the hash into
 them, and `Block.transactions` builds records from the body only when it
 is read. Records are named tuples, one class per kind (`Observation`,
-`Reward`). The simulator builds them straight from what it drew, and the
-`Transaction` factories check each field a library caller gives.
+`Reward`), that check nothing: the simulator builds them from values that
+are already checked or drawn in range. A record's `tx_id` is None until it is
+sealed, and the records that `Block.transactions` builds carry their ids.
 
 There is one reader of dump bytes, `_read_dump`. Per line it decodes the
 line, checks it against the record schema, the index, the prev_hash link and
@@ -40,8 +41,6 @@ import math
 import re
 from collections import Counter
 from typing import Any, NamedTuple
-
-from .domain import normalize_pair
 
 GENESIS_PREV_HASH = "0" * 64
 
@@ -174,25 +173,6 @@ def _check_block_fields(record: Any) -> None:
         raise LedgerFormatError("block must carry a non-empty transaction list")
 
 
-def _checked_matches(matches) -> list[tuple[int, float]]:
-    """Validated (landmark id, quality) tuples for an observation.
-
-    Raises on a negative id or a quality outside [0, 1] (NaN included), and
-    converts each entry with int() and float().
-    """
-    for k, q in matches:
-        if k < 0:
-            raise LedgerError(f"landmark id must be >= 0, got {k}")
-        if not 0.0 <= q <= 1.0:
-            raise LedgerError(f"match quality must be in [0, 1], got {q}")
-    return [(int(k), float(q)) for k, q in matches]
-
-
-def _check_loop_index(loop_index: int) -> None:
-    if loop_index < 0:
-        raise LedgerError(f"loop_index must be >= 0, got {loop_index}")
-
-
 def _check_team(block: dict, n_robots: int | None) -> None:
     """Raise LedgerError unless the block record's generator, pairs and reward
     generators are robot ids, below `n_robots` when it is known."""
@@ -209,36 +189,6 @@ def _check_team(block: dict, n_robots: int | None) -> None:
             check(j, "pair")
         else:
             check(tx["generator"], "reward generator")
-
-
-class Transaction:
-    """Checked factories for the two ledger records, `Observation` and `Reward`.
-
-    The factories check every field; the records, named tuples, check
-    nothing, so the simulator builds observations from the tuples it drew at
-    no cost. `tx_id` is None until the record is sealed: `Chain.append_block`
-    numbers the records it encodes, and the records that `Block.transactions`
-    builds carry their ids.
-    """
-
-    @staticmethod
-    def observation(
-        pair: tuple[int, int], matches: list[tuple[int, float]], loop_index: int
-    ) -> "Observation":
-        _check_loop_index(loop_index)
-        pair = normalize_pair(*pair)
-        if not matches:
-            raise LedgerError("observation transaction requires at least one match")
-        return Observation(pair, _checked_matches(matches), loop_index)
-
-    @staticmethod
-    def generator_reward(generator: int, reward: float, loop_index: int) -> "Reward":
-        _check_loop_index(loop_index)
-        if generator < 0:
-            raise LedgerError(f"reward transaction requires a robot index, got {generator}")
-        if not (math.isfinite(reward) and reward >= 0):
-            raise LedgerError(f"reward must be finite and >= 0, got {reward}")
-        return Reward(generator, float(reward), loop_index)
 
 
 class Observation(NamedTuple):
@@ -484,7 +434,7 @@ def verify_dump_bytes(data: bytes) -> int | None:
 
     Runs the dump reader, which checks each line's schema, index, prev_hash
     link, tx_ids, canonical form and hash, and builds no Block or
-    Transaction. Stops at the first bad line, so any byte-level change is
+    record. Stops at the first bad line, so any byte-level change is
     reported no later than the block it lands in. Returns None when valid,
     otherwise the index of the first invalid block.
     """

@@ -51,7 +51,7 @@ from .domain import (
     normalize_pair,
     ordered_sum,
 )
-from .ledger import Block, Chain, Observation, Transaction
+from .ledger import Block, Chain, Observation, Reward
 
 # Shared-transaction count at which a pair's importance saturates; counts are
 # mapped to the ten levels 0.1, 0.2, ..., 1.0 (plus 0 for no history).
@@ -444,7 +444,7 @@ def _seal_batch(state: ExperimentState, batch: list[Observation]) -> Block:
     stakes = [r.stake for r in state.robots]
     weights, avg_nav = state.seal.weights(stakes, _finite_total(stakes))
     generator = elect_generator(weights, state.streams.election, stakes=stakes)
-    reward = Transaction.generator_reward(generator, config.generator_reward, state.loop_index)
+    reward = Reward(generator, config.generator_reward, state.loop_index)
     block = state.chain.append_block(batch + [reward], generator, avg_nav)
     state.seal.record([tx.pair for tx in batch])
     state.robots[generator].stake += config.generator_reward

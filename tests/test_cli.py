@@ -7,20 +7,24 @@ import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stakenav.ledger
-from stakenav import Chain, KIND_OBSERVATION
+from stakenav import KIND_OBSERVATION, Chain, WorldConfig, verify_dump_bytes
 from stakenav.cli import (
+    CONFIG_KEYS,
     LEDGER_FILE,
+    SCENARIO_KEYS,
     SUMMARY_FILE,
     TIMESERIES_FILE,
     TRAJECTORIES_FILE,
+    RunRequest,
     build_parser,
     main,
     parse_config,
     run_and_export,
 )
-from stakenav.domain import MAX_ROBOTS
+from stakenav.domain import MAX_POSITIONS, MAX_ROBOTS
 from tests.test_ledger import CHAIN_RULES, seed_records
 
 
@@ -64,6 +68,9 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
         ("missing", "cannot read (No such file or directory)"),
         ("directory", "cannot read (Is a directory)"),
         ("binary", "not UTF-8 (invalid start byte at byte 0)"),
+        ("long-integer", "Exceeds the limit (4300 digits) for integer string conversion: "
+                         "value has 5001 digits; use sys.set_int_max_str_digits() "
+                         "to increase the limit"),
     ],
 )
 def test_unreadable_config_file_exits_one_without_traceback(tmp_path, kind, reason):
@@ -72,6 +79,8 @@ def test_unreadable_config_file_exits_one_without_traceback(tmp_path, kind, reas
         path.mkdir()
     elif kind == "binary":
         path.write_bytes(b"\xff{}")
+    elif kind == "long-integer":
+        path.write_text('{"width": 1' + "0" * 5000 + "}")
     # A separate interpreter, so an uncaught error would print its traceback.
     src = str(Path(__file__).resolve().parents[1] / "src")
     paths = [src, os.environ.get("PYTHONPATH", "")]
@@ -211,6 +220,23 @@ def test_huge_team_in_config_file_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_loops_beyond_the_trajectory_bound_exit_one(tmp_path):
+    # Without a bound this run was accepted and ran until it was killed.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "out"
+    argv = ["--robots", "1", "--loops", str(10**40), "--out", str(out)]
+    result = subprocess.run(
+        [sys.executable, "-m", "stakenav.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 1
+    assert result.stderr == (
+        f"stakenav: error: loops must be <= {MAX_POSITIONS - 1} with n_robots=1, got {10**40}\n"
+    )
+    assert not out.exists()
+
+
 HUGE = 10**400
 HUGE_SCENARIO = {"degrade_pair": [2, 7], "degrade_loops": [0, 1], "degrade_factor": 0.1}
 FLOAT_MAX = "1.7976931348623157e+308"
@@ -340,6 +366,66 @@ def test_repeat_runs_are_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     for name in (LEDGER_FILE, TRAJECTORIES_FILE, TIMESERIES_FILE, SUMMARY_FILE):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+FLOAT_FIELDS = ("width", "height", "sensing_radius", "step_size", "generator_reward",
+                "initial_stake")
+EXPORTS = (LEDGER_FILE, TRAJECTORIES_FILE, TIMESERIES_FILE, SUMMARY_FILE)
+
+
+def test_equal_configs_write_identical_exports(tmp_path):
+    # Equal configs, one given integers: its stakes stayed ints and a robot
+    # clamped to the world's edge was written as 200, not 200.0.
+    whole = WorldConfig(width=200, height=200, initial_stake=1, generator_reward=1)
+    floats = WorldConfig(width=200.0, height=200.0, initial_stake=1.0, generator_reward=1.0)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"width": 200, "height": 200, "initial_stake": 1, "reward": 1}))
+    from_file = parse(["--config", str(cfg)]).config
+    assert whole == floats == from_file
+    for config in (whole, floats, from_file, whole._replace(seed=0)):
+        assert all(type(getattr(config, name)) is float for name in FLOAT_FIELDS)
+
+    exports = []
+    for n, config in enumerate((whole, floats, from_file)):
+        out = tmp_path / str(n)
+        run_and_export(RunRequest(config, None, str(out)), io.StringIO())
+        exports.append({name: (out / name).read_bytes() for name in EXPORTS})
+    assert exports[0] == exports[1] == exports[2]
+    assert verify_dump_bytes(exports[0][LEDGER_FILE]) is None
+
+
+# Config-file values of every kind JSON holds, including the edges of each
+# setting's type: huge and negative integers, the largest floats, -0.0. Most
+# are small positive numbers, which most settings accept, so that some drawn
+# files parse (about one in eight).
+CONFIG_VALUES = st.integers(1, 30) | st.floats(1.0, 300.0) | st.recursive(
+    st.one_of(
+        st.integers(min_value=-(10**400), max_value=10**400),
+        st.sampled_from([0, 1, 2, 10, 2**64, 10**400, -(10**400), 1e308, -1e308, -0.0, 0.5]),
+        st.floats(),
+        st.booleans(),
+        st.none(),
+        st.text(max_size=6),
+        st.sampled_from(["0,1", "4,6", "2,7", "1,1", "-1,3", "1e400,2"]),
+    ),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(CONFIG_KEYS) + list(SCENARIO_KEYS)), CONFIG_VALUES))
+def test_any_config_file_parses_or_exits_one(tmp_path_factory, values):
+    path = tmp_path_factory.getbasetemp() / "property.json"
+    path.write_text(json.dumps(values))
+    try:
+        request = parse(["--config", str(path)])
+    except ValueError as exc:
+        assert "\n" not in str(exc)
+        assert main(["--config", str(path), "--out", str(path.with_suffix(""))]) == 1
+        return
+    assert all(type(getattr(request.config, name)) is float for name in FLOAT_FIELDS)
 
 
 def test_verify_mode(tmp_path, capsys):

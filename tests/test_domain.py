@@ -12,7 +12,7 @@ from stakenav import (
     init_world,
     normalize_pair,
 )
-from stakenav.domain import MAX_LANDMARKS, MAX_ROBOTS
+from stakenav.domain import MAX_LANDMARKS, MAX_POSITIONS, MAX_ROBOTS
 
 
 def test_default_config_values():
@@ -48,6 +48,7 @@ def test_default_config_values():
         ("seed", 2**64),
         ("n_robots", MAX_ROBOTS + 1),
         ("n_landmarks", MAX_LANDMARKS + 1),
+        ("loops", MAX_POSITIONS),
         # Integers that no float can hold.
         pytest.param("width", 10**400, id="width-beyond-float"),
         pytest.param("generator_reward", 10**400, id="generator_reward-beyond-float"),
@@ -80,6 +81,17 @@ def test_team_and_landmark_bounds_are_inclusive():
     # Only constructed, never run: a run at the bounds would take minutes.
     config = WorldConfig(n_robots=MAX_ROBOTS, n_landmarks=MAX_LANDMARKS)
     assert (config.n_robots, config.n_landmarks) == (4096, 2**20)
+
+
+def test_loops_bound_holds_the_trajectory_to_max_positions():
+    # Only constructed, never run. The trajectory holds n_robots * (loops + 1)
+    # positions.
+    for n_robots in (1, 50, MAX_ROBOTS):
+        most = MAX_POSITIONS // n_robots - 1
+        assert WorldConfig(n_robots=n_robots, loops=most).loops == most
+        message = f"^loops must be <= {most} with n_robots={n_robots}, got {most + 1}$"
+        with pytest.raises(ConfigError, match=message):
+            WorldConfig(n_robots=n_robots, loops=most + 1)
 
 
 def test_config_is_frozen():

@@ -10,12 +10,11 @@ from hypothesis import given, strategies as st
 from stakenav import (
     GENESIS_PREV_HASH,
     KIND_OBSERVATION,
-    KIND_REWARD,
     Chain,
+    ConfigError,
     ExperimentState,
     LedgerError,
     LedgerFormatError,
-    Transaction,
     WorldConfig,
     canonical_encode,
     compute_visibility,
@@ -25,11 +24,11 @@ from stakenav import (
     step_movement,
     verify_dump_bytes,
 )
+from stakenav.ledger import Observation, Reward
 
 
 def obs(pair, loop, tx_id=None, matches=((0, 0.5),)):
-    tx = Transaction.observation(pair, list(matches), loop)
-    return tx._replace(tx_id=tx_id)
+    return Observation(tuple(sorted(pair)), list(matches), loop, tx_id)
 
 
 def build_chain(blocks=3, n_robots=4, block_size=3, seed=0):
@@ -42,7 +41,7 @@ def build_chain(blocks=3, n_robots=4, block_size=3, seed=0):
             i, j = rng.sample(range(n_robots), 2)
             matches = [(k, rng.random()) for k in range(rng.randint(1, 3))]
             txs.append(obs((i, j), b, matches=matches))
-        txs.append(Transaction.generator_reward(rng.randrange(n_robots), 0.1, b))
+        txs.append(Reward(rng.randrange(n_robots), 0.1, b))
         chain.append_block(txs, txs[-1].generator, rng.random())
     return chain
 
@@ -65,68 +64,21 @@ def test_canonical_floats_round_trip(x):
     assert json.loads(canonical_encode(x)) == x
 
 
-def test_observation_transaction_validation():
-    tx = obs((3, 1), 0, 0)
-    assert tx.pair == (1, 3)
-    assert tx.kind == KIND_OBSERVATION
-    with pytest.raises(LedgerError):
-        Transaction.observation((0, 1), [], 0)  # needs at least one match
-    with pytest.raises(ValueError):
-        Transaction.observation((0, 1), [(0, 1.5)], 0)
-    with pytest.raises(ValueError):
-        Transaction.observation((2, 2), [(0, 0.5)], 0)
-
-
-def test_observation_matches_become_int_float_tuples():
-    drawn = [(0, 0.25), (3, 1.0)]
-    tx = Transaction.observation((0, 1), drawn, 0)
-    assert tx.matches == drawn and tx.matches is not drawn
-    for matches in ([[0, 0.25], [3, 1.0]], [(0, 0.25), (3, 1)], [(0.0, 0.25), (3, True)]):
-        tx = Transaction.observation((0, 1), matches, 0)
-        assert tx.matches == [(0, 0.25), (3, 1.0)]
-        assert all(type(m) is tuple and type(m[0]) is int and type(m[1]) is float
-                   for m in tx.matches)
-
-
-@pytest.mark.parametrize(
-    "entry,message",
-    [
-        ((0, math.nan), "match quality"),
-        ((-1, 0.5), "landmark id"),
-        ((0, -0.5), "match quality"),
-        ((0, 1.5), "match quality"),
-        ([0, math.nan], "match quality"),
-    ],
-)
-def test_observation_rejects_bad_match(entry, message):
-    with pytest.raises(LedgerError, match=message):
-        Transaction.observation((0, 1), [(1, 0.5), entry], 0)
-
-
-def test_reward_transaction_validation():
-    tx = Transaction.generator_reward(2, 0.1, 5)
-    assert tx.kind == KIND_REWARD
-    assert tx.generator == 2 and tx.reward == 0.1
-    with pytest.raises(LedgerError):
-        Transaction.generator_reward(-1, 0.1, 0)
-    with pytest.raises(LedgerError):
-        Transaction.generator_reward(0, -0.1, 0)
-
-
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_reward_and_avg_navigability_must_be_finite(value):
+    # A run's rewards are all `generator_reward`, which the config checks.
+    with pytest.raises(ConfigError, match="^generator_reward must be finite"):
+        WorldConfig(generator_reward=value)
     chain = Chain(n_robots=3)
-    with pytest.raises(LedgerError, match="^reward must be finite"):
-        Transaction.generator_reward(0, value, 0)
     with pytest.raises(LedgerError, match="^avg_navigability must be finite"):
-        chain.append_block([obs((0, 1), 0), Transaction.generator_reward(0, 0.1, 0)], 0, value)
+        chain.append_block([obs((0, 1), 0), Reward(0, 0.1, 0)], 0, value)
     assert chain.blocks == []
 
 
 def test_block_transactions_are_the_appended_records():
     chain = Chain(n_robots=4)
     chain.append_block([obs((0, 1), 0)], 0, 0.0)
-    appended = [obs((0, 2), 4, 7, [(1, 0.25), (3, 0.75)]), Transaction.generator_reward(1, 0.1, 2)]
+    appended = [obs((0, 2), 4, 7, [(1, 0.25), (3, 0.75)]), Reward(1, 0.1, 2)]
     chain.append_block(appended, 1, 0.5)
     sealed = [tx._replace(tx_id=tx_id) for tx_id, tx in enumerate(appended, 1)]
     assert chain.blocks[1].transactions == sealed  # tuples, not lists, for pair and matches
@@ -145,6 +97,9 @@ def test_reader_rejects_a_bad_transaction_record_at_its_block():
         lambda d: d.update(pair=[0, True]),
         lambda d: d.update(matches=[[0, 1]]),  # construction would make it 1.0
         lambda d: d.update(matches=[[-1, 0.5]]),
+        lambda d: d.update(matches=[[0, 1.5]]),
+        lambda d: d.update(matches=[[0, -0.5]]),
+        lambda d: d.update(matches=[]),
         lambda d: d.update(loop_index=-1),
     ):
         broken = json.loads(json.dumps(records))

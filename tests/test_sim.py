@@ -12,7 +12,6 @@ from stakenav import (
     KIND_REWARD,
     Landmark,
     StakeTable,
-    Transaction,
     VisibilitySnapshot,
     WorldConfig,
     average_navigability,
@@ -25,6 +24,7 @@ from stakenav import (
     run_experiment,
     step_movement,
 )
+from stakenav.ledger import Reward
 
 SMALL = WorldConfig(
     n_robots=4, n_landmarks=8, width=120.0, height=120.0,
@@ -336,9 +336,7 @@ def run_from_scratch(config, scenario=None):
         weights = [matrix.row_sum(i) for i in range(config.n_robots)]
         avg = average_navigability(matrix)
         generator = elect_generator(weights, state.streams.election, stakes=stakes)
-        reward = Transaction.generator_reward(
-            generator, config.generator_reward, state.loop_index
-        )
+        reward = Reward(generator, config.generator_reward, state.loop_index)
         state.chain.append_block(batch + [reward], generator, avg)
         state.robots[generator].stake += config.generator_reward
 
