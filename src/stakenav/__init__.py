@@ -15,9 +15,7 @@ from __future__ import annotations
 from .domain import (
     ConfigError,
     InvalidPairError,
-    Landmark,
     RandomStreams,
-    RobotState,
     WorldConfig,
     derive_stream,
     init_world,
@@ -62,12 +60,10 @@ __all__ = [
     "InvalidPairError",
     "KIND_OBSERVATION",
     "KIND_REWARD",
-    "Landmark",
     "LedgerError",
     "LedgerFormatError",
     "NavigabilityMatrix",
     "RandomStreams",
-    "RobotState",
     "ScanCounter",
     "SealState",
     "StakeTable",

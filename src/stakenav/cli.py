@@ -19,20 +19,20 @@ from . import ledger
 from .domain import WorldConfig
 from .sim import DegradationScenario, ExperimentState, run_experiment
 
-# Flag/config-file key -> (WorldConfig field, value type, --help text); the
-# flag is the key with "-" for "_".
+# Flag/config-file key -> (WorldConfig field, --help text); the flag is the
+# key with "-" for "_", and its value has the type of the field's default.
 CONFIG_KEYS = {
-    "robots": ("n_robots", int, "number of robots"),
-    "landmarks": ("n_landmarks", int, "number of landmarks"),
-    "width": ("width", float, "world width"),
-    "height": ("height", float, "world height"),
-    "loops": ("loops", int, "number of movement loops"),
-    "radius": ("sensing_radius", float, "landmark sensing radius"),
-    "step": ("step_size", float, "max per-axis movement per loop"),
-    "block_size": ("block_size", int, "observations per sealed block"),
-    "seed": ("seed", int, "root RNG seed"),
-    "reward": ("generator_reward", float, "stake credited per sealed block"),
-    "initial_stake": ("initial_stake", float, "starting stake per robot"),
+    "robots": ("n_robots", "number of robots"),
+    "landmarks": ("n_landmarks", "number of landmarks"),
+    "width": ("width", "world width"),
+    "height": ("height", "world height"),
+    "loops": ("loops", "number of movement loops"),
+    "radius": ("sensing_radius", "landmark sensing radius"),
+    "step": ("step_size", "max per-axis movement per loop"),
+    "block_size": ("block_size", "observations per sealed block"),
+    "seed": ("seed", "root RNG seed"),
+    "reward": ("generator_reward", "stake credited per sealed block"),
+    "initial_stake": ("initial_stake", "starting stake per robot"),
 }
 SCENARIO_KEYS = ("degrade_pair", "degrade_loops", "degrade_factor")
 
@@ -63,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate a stake-weighted robot team and export its cooperation ledger.",
     )
     parser.add_argument("--config", metavar="PATH", help="JSON config file (flags override it)")
-    for key, (_, kind, text) in CONFIG_KEYS.items():
+    for key, (field, text) in CONFIG_KEYS.items():
+        kind = type(WorldConfig._field_defaults[field])
         parser.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
     parser.add_argument(
         "--degrade-pair", metavar="I,J", help="robot pair whose match quality degrades"
@@ -79,17 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify", metavar="PATH", help="verify a ledger dump instead of running"
     )
     return parser
-
-
-def _coerce(key: str, value) -> int | float:
-    """A config-file value, refused unless it is a number (not a bool) and,
-    for an integer setting, an integer; `WorldConfig` checks its range and
-    stores float settings as floats."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise UsageError(f"config key '{key}' must be a number, got {value!r}")
-    if isinstance(value, float) and CONFIG_KEYS[key][1] is int:
-        raise UsageError(f"config key '{key}' must be an integer, got {value!r}")
-    return value
 
 
 def _parse_pair(text, key: str) -> tuple[int, int]:
@@ -140,12 +130,12 @@ def parse_config(args: argparse.Namespace) -> RunRequest:
     """Merge defaults, config file, and flags into a validated request."""
     file_values = load_config_file(args.config) if args.config else {}
     overrides = {}
-    for key, (field, _, _) in CONFIG_KEYS.items():
+    for key, (field, _) in CONFIG_KEYS.items():
         flag = getattr(args, key)
         if flag is not None:
             overrides[field] = flag
         elif key in file_values:
-            overrides[field] = _coerce(key, file_values[key])
+            overrides[field] = file_values[key]
     config = WorldConfig(**overrides)
 
     scenario_values = {}
@@ -164,12 +154,7 @@ def parse_config(args: argparse.Namespace) -> RunRequest:
             )
         pair = _parse_pair(scenario_values["degrade_pair"], "degrade_pair")
         start, end = _parse_pair(scenario_values["degrade_loops"], "degrade_loops")
-        factor = scenario_values["degrade_factor"]
-        if not isinstance(factor, (int, float)) or isinstance(factor, bool):
-            raise UsageError(f"degrade_factor must be a number, got {factor!r}")
-        # Not converted: DegradationScenario checks it, and a float quality
-        # times an int is still a float.
-        scenario = DegradationScenario(pair, start, end, factor)
+        scenario = DegradationScenario(pair, start, end, scenario_values["degrade_factor"])
         scenario.check_against(config)
     return RunRequest(config=config, scenario=scenario, out_dir=args.out)
 
@@ -187,7 +172,7 @@ def summarize(state: ExperimentState) -> dict:
         "max_common_landmarks": state.max_common,
         "min_common_landmarks": state.min_common if state.min_common is not None else 0,
         "generator_histogram": chain.generator_histogram(),
-        "final_stakes": [r.stake for r in state.robots],
+        "final_stakes": list(state.stakes),
         "total_stake": state.total_stake(),
     }
 

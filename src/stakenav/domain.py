@@ -1,9 +1,12 @@
-"""Core value types: world configuration, robots, landmarks, random streams.
+"""Core value types: world configuration, random streams, world placement.
 
 All randomness in the package flows through :class:`RandomStreams`, a set of
 independent generators derived from a single root seed. Each concern
 (placement, movement, quality, election) gets its own stream, so adding draws
 to one concern never perturbs the others.
+
+A robot or landmark is its index in a list: `init_world` returns the robots'
+and the landmarks' positions as lists of (x, y) tuples.
 """
 from __future__ import annotations
 
@@ -25,11 +28,6 @@ MAX_LANDMARKS = 2**20
 # 400 B each at the peak of a run and its export, so this bound on loops keeps
 # that under about 0.4 GB.
 MAX_POSITIONS = 2**20
-# Settings stored as floats whatever number they are given as, so that equal
-# configs write equal exports.
-_FLOAT_FIELDS = (
-    "width", "height", "sensing_radius", "step_size", "generator_reward", "initial_stake"
-)
 
 
 def ordered_sum(values) -> float:
@@ -57,6 +55,23 @@ def check_finite(name: str, value) -> None:
         raise ConfigError(f"{name} must be <= {sys.float_info.max!r}, got {value}") from None
     if not finite:
         raise ConfigError(f"{name} must be finite, got {value}")
+
+
+def checked_setting(name: str, value, kind: type) -> int | float:
+    """`value` as a setting of `kind`, int or float; ConfigError otherwise.
+
+    An int setting takes only an int, and a float setting a finite int or
+    float, which it stores as a float so that equal settings write equal
+    bytes. A bool, a string or any other type is refused.
+    """
+    if type(value) not in (int, kind):
+        raise ConfigError(
+            f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}"
+        )
+    if kind is int:
+        return value
+    check_finite(name, value)
+    return float(value)
 
 
 class InvalidPairError(ValueError):
@@ -87,17 +102,18 @@ class _WorldFields(NamedTuple):
 
 
 class WorldConfig(_WorldFields):
-    """Experiment parameters, checked when built, with the float settings stored
-    as floats. Defaults mirror the desk-scale setup."""
+    """Experiment parameters, checked when built. Each setting has the type of
+    its default, and a float setting is stored as a float. Defaults mirror the
+    desk-scale setup."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        values = _WorldFields(*args, **kwargs)._asdict()
-        for name in _FLOAT_FIELDS:
-            check_finite(name, values[name])
-            values[name] = float(values[name])
-        self = super().__new__(cls, **values)
+        given = _WorldFields(*args, **kwargs)
+        self = super().__new__(cls, *(
+            checked_setting(name, value, type(default))
+            for (name, default), value in zip(_WorldFields._field_defaults.items(), given)
+        ))
         if not self.width > 0:
             raise ConfigError(f"width must be > 0, got {self.width}")
         if not self.height > 0:
@@ -136,27 +152,6 @@ class WorldConfig(_WorldFields):
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so `_replace` checks too
 
 
-class RobotState:
-    """One robot: index, planar position, and stake (navigation reliability)."""
-
-    __slots__ = ("id", "x", "y", "stake")
-
-    def __init__(self, id: int, x: float, y: float, stake: float):
-        self.id, self.x, self.y, self.stake = id, x, y, stake
-
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
-
-class Landmark(NamedTuple):
-    """One landmark: index and planar position."""
-
-    id: int
-    x: float
-    y: float
-
-
 def derive_stream(seed: int, label: str) -> random.Random:
     """Derive an independent generator from (root seed, stream label).
 
@@ -185,26 +180,21 @@ class RandomStreams(NamedTuple):
         )
 
 
-def init_world(config: WorldConfig) -> tuple[list[RobotState], list[Landmark], RandomStreams]:
+def init_world(
+    config: WorldConfig,
+) -> tuple[list[tuple[float, float]], list[tuple[float, float]], RandomStreams]:
     """Place robots and landmarks uniformly at random inside the world.
 
-    Draw order is fixed (robots first, then landmarks; x before y), so equal
-    (config, seed) gives bit-identical worlds. Every robot starts with
-    `initial_stake`.
+    Returns the robots' positions, the landmarks' positions and the run's
+    streams; each position is an (x, y) tuple, and its index in the list is
+    the robot's or landmark's id. Draw order is fixed (robots first, then
+    landmarks; x before y), so equal (config, seed) gives bit-identical
+    worlds.
     """
     streams = RandomStreams.from_seed(config.seed)
-    rng = streams.placement
-    robots = [
-        RobotState(
-            id=i,
-            x=rng.uniform(0.0, config.width),
-            y=rng.uniform(0.0, config.height),
-            stake=config.initial_stake,
-        )
-        for i in range(config.n_robots)
-    ]
-    landmarks = [
-        Landmark(id=k, x=rng.uniform(0.0, config.width), y=rng.uniform(0.0, config.height))
-        for k in range(config.n_landmarks)
-    ]
-    return robots, landmarks, streams
+    uniform = streams.placement.uniform
+
+    def place(count: int) -> list[tuple[float, float]]:
+        return [(uniform(0.0, config.width), uniform(0.0, config.height)) for _ in range(count)]
+
+    return place(config.n_robots), place(config.n_landmarks), streams

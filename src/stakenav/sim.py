@@ -7,10 +7,12 @@ emits one observation transaction per pair that shares at least one landmark,
 and seals blocks whenever enough transactions are pending. Sealing elects the
 generator by navigability (stake weights as cold-start fallback, then
 uniform; `elect_generator`), appends a reward transaction, and credits the
-generator's stake. This module owns the loop's state (`ExperimentState`),
-each loop's `Visibility`, the seal-time navigability (`SealState`) and the
-election. The paper's formulas, one pair at a time, are in
-`stakenav.reference`, which only tests call; nothing here imports it.
+generator's stake. This module owns the loop's state (`ExperimentState`,
+which holds the robots' positions in its trajectory and their stakes in one
+list, both indexed by robot id), each loop's `Visibility`, the seal-time
+navigability (`SealState`) and the election. The paper's formulas, one pair
+at a time, are in `stakenav.reference`, which only tests call; nothing here
+imports it.
 
 The loop does work in proportion to the pairs that cooperate, not to all n^2
 pairs. Landmarks are bucketed once per run into a grid of cells wider than
@@ -42,11 +44,11 @@ from typing import NamedTuple
 
 from .domain import (
     ConfigError,
-    Landmark,
+    InvalidPairError,
     RandomStreams,
-    RobotState,
     WorldConfig,
     check_finite,
+    checked_setting,
     init_world,
     normalize_pair,
     ordered_sum,
@@ -69,14 +71,24 @@ class DegradationScenario(_ScenarioFields):
     """Multiply one pair's drawn match qualities during a window of loops.
 
     The window [start_loop, end_loop] is inclusive over 0-based loop indices.
+    The pair and the loops take ints, the multiplier an int or a float, which
+    is stored as a float; any other value raises ConfigError.
     """
 
     __slots__ = ()
 
     def __new__(cls, pair: tuple[int, int], start_loop: int, end_loop: int, multiplier: float):
-        self = super().__new__(cls, normalize_pair(*pair), start_loop, end_loop, multiplier)
-        for name in ("start_loop", "end_loop", "multiplier"):
-            check_finite(name, getattr(self, name))
+        if type(pair) not in (tuple, list) or [type(robot) for robot in pair] != [int, int]:
+            raise ConfigError(f"pair must be two integers, got {pair!r}")
+        try:
+            pair = normalize_pair(*pair)
+        except InvalidPairError as exc:
+            raise ConfigError(str(exc)) from None
+        for name, value in (("start_loop", start_loop), ("end_loop", end_loop)):
+            checked_setting(name, value, int)
+            check_finite(name, value)
+        multiplier = checked_setting("multiplier", multiplier, float)
+        self = super().__new__(cls, pair, start_loop, end_loop, multiplier)
         if self.start_loop < 0:
             raise ConfigError(f"start_loop must be >= 0, got {self.start_loop}")
         if self.end_loop < self.start_loop:
@@ -208,26 +220,31 @@ class SealState:
 
 
 class ExperimentState:
-    """Everything one run accumulates: world, chain, pending, logs, seal state."""
+    """Everything one run accumulates: world, chain, pending, logs, seal state.
+
+    `stakes[i]` is robot i's stake, and `trajectory[t][i]` its (x, y)
+    position after t movement steps: `trajectory[0]` is the placement and
+    `trajectory[-1]` where the robots are now. `landmarks[k]` is landmark
+    k's (x, y) position.
+    """
 
     def __init__(
         self,
         config: WorldConfig,
         scenario: DegradationScenario | None,
-        robots: list[RobotState],
-        landmarks: list[Landmark],
+        positions: list[tuple[float, float]],
+        landmarks: list[tuple[float, float]],
         streams: RandomStreams,
     ):
         self.config = config
         self.scenario = scenario
-        self.robots = robots
+        self.stakes = [config.initial_stake] * config.n_robots
         self.landmarks = landmarks
         self.streams = streams
         self.chain = Chain(n_robots=config.n_robots)
         self.pending: list[Observation] = []
         self.loop_index = 0
-        # trajectory[t] = positions after t movement steps; [0] is placement.
-        self.trajectory: list[list[tuple[float, float]]] = [[r.position for r in robots]]
+        self.trajectory = [positions]
         self.max_common = 0
         self.min_common: int | None = None
         # Pair history and this loop's live navigability terms; sealed
@@ -236,7 +253,7 @@ class ExperimentState:
         self._grid = _landmark_grid(config, landmarks)
 
     def total_stake(self) -> float:
-        return _finite_total(r.stake for r in self.robots)
+        return _finite_total(self.stakes)
 
 
 def _finite_total(stakes) -> float:
@@ -257,18 +274,19 @@ def step_movement(state: ExperimentState) -> list[tuple[float, float]]:
     config = state.config
     rng = state.streams.movement
     step = config.step_size
-    for robot in state.robots:
+    positions = []
+    for x, y in state.trajectory[-1]:
         dx = rng.uniform(-step, step)
         dy = rng.uniform(-step, step)
-        robot.x = min(max(robot.x + dx, 0.0), config.width)
-        robot.y = min(max(robot.y + dy, 0.0), config.height)
-    positions = [r.position for r in state.robots]
+        positions.append(
+            (min(max(x + dx, 0.0), config.width), min(max(y + dy, 0.0), config.height))
+        )
     state.trajectory.append(positions)
     return positions
 
 
 def _landmark_grid(
-    config: WorldConfig, landmarks: list[Landmark]
+    config: WorldConfig, landmarks: list[tuple[float, float]]
 ) -> tuple[float, dict[tuple[float, float], list[tuple[int, float, float, int]]]]:
     """Cell size, and the landmarks in each cell's 3x3 neighbourhood.
 
@@ -292,10 +310,10 @@ def _landmark_grid(
     reach = max(math.sqrt(radius_sq), 2.0**-511) * 1.0001
     size = max(reach, max(config.width, config.height) / 2**40)
     near: dict[tuple[float, float], list[tuple[int, float, float, int]]] = {}
-    for lm in landmarks:
-        cx = lm.x // size
-        cy = lm.y // size
-        entry = (lm.id, lm.x, lm.y, 1 << lm.id)
+    for k, (x, y) in enumerate(landmarks):
+        cx = x // size
+        cy = y // size
+        entry = (k, x, y, 1 << k)
         for nx in (cx - 1.0, cx, cx + 1.0):
             for ny in (cy - 1.0, cy, cy + 1.0):
                 near.setdefault((nx, ny), []).append(entry)
@@ -324,10 +342,9 @@ def compute_visibility(state: ExperimentState) -> Visibility:
     size, near = state._grid
     recognized: list[set[int]] = []
     masks: list[int] = []
-    for robot in state.robots:
+    for rx, ry in state.trajectory[-1]:
         seen = set()
         mask = 0
-        rx, ry = robot.x, robot.y
         for k, lx, ly, bit in near.get((rx // size, ry // size), ()):
             dx = rx - lx
             dy = ry - ly
@@ -441,13 +458,13 @@ def _seal_batch(state: ExperimentState, batch: list[Observation]) -> Block:
     transactions only influence later elections.
     """
     config = state.config
-    stakes = [r.stake for r in state.robots]
+    stakes = state.stakes
     weights, avg_nav = state.seal.weights(stakes, _finite_total(stakes))
     generator = elect_generator(weights, state.streams.election, stakes=stakes)
     reward = Reward(generator, config.generator_reward, state.loop_index)
     block = state.chain.append_block(batch + [reward], generator, avg_nav)
     state.seal.record([tx.pair for tx in batch])
-    state.robots[generator].stake += config.generator_reward
+    stakes[generator] += config.generator_reward
     return block
 
 
@@ -479,8 +496,8 @@ def run_experiment(
     """
     if scenario is not None:
         scenario.check_against(config)
-    robots, landmarks, streams = init_world(config)
-    state = ExperimentState(config, scenario, robots, landmarks, streams)
+    positions, landmarks, streams = init_world(config)
+    state = ExperimentState(config, scenario, positions, landmarks, streams)
     for loop in range(config.loops):
         state.loop_index = loop
         step_movement(state)

@@ -186,6 +186,25 @@ def test_non_integer_pair_in_config_file_exits_one(tmp_path, capsys, key, value)
 
 
 @pytest.mark.parametrize(
+    "values,message",
+    [
+        ({"robots": 2.5}, "n_robots must be an integer, got 2.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"width": "200"}, "width must be a number, got '200'"),
+        ({"degrade_pair": [2, 7], "degrade_loops": [4, 6], "degrade_factor": "0.1"},
+         "multiplier must be a number, got '0.1'"),
+    ],
+)
+def test_wrong_type_in_config_file_exits_one_naming_the_field(tmp_path, capsys, values, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"stakenav: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         # The first reward makes a stake inf; caught at the next seal.

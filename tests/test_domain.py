@@ -2,9 +2,12 @@ import math
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stakenav import (
     ConfigError,
+    DegradationScenario,
+    ExperimentState,
     InvalidPairError,
     RandomStreams,
     WorldConfig,
@@ -13,6 +16,7 @@ from stakenav import (
     normalize_pair,
 )
 from stakenav.domain import MAX_LANDMARKS, MAX_POSITIONS, MAX_ROBOTS
+from tests.test_cli import CONFIG_VALUES
 
 
 def test_default_config_values():
@@ -52,6 +56,15 @@ def test_default_config_values():
         # Integers that no float can hold.
         pytest.param("width", 10**400, id="width-beyond-float"),
         pytest.param("generator_reward", 10**400, id="generator_reward-beyond-float"),
+        # Each setting takes only the type of its default: an int setting an
+        # int, a float setting an int or a float; never a bool or a string.
+        ("seed", 1.5),
+        ("n_robots", 2.5),
+        ("block_size", 2.5),
+        ("n_robots", True),
+        ("loops", None),
+        ("width", "200"),
+        ("initial_stake", True),
     ],
 )
 def test_config_rejects_bad_values_naming_the_field(field, value):
@@ -131,32 +144,55 @@ def test_streams_from_seed_are_independent():
 
 
 def test_init_world_places_everything_in_bounds():
-    cfg = WorldConfig(seed=11)
-    robots, landmarks, _ = init_world(cfg)
-    assert len(robots) == cfg.n_robots
+    cfg = WorldConfig(seed=11, initial_stake=2.5)
+    positions, landmarks, streams = init_world(cfg)
+    assert len(positions) == cfg.n_robots
     assert len(landmarks) == cfg.n_landmarks
-    for r in robots:
-        assert 0.0 <= r.x <= cfg.width and 0.0 <= r.y <= cfg.height
-        assert r.stake == cfg.initial_stake
-    for lm in landmarks:
-        assert 0.0 <= lm.x <= cfg.width and 0.0 <= lm.y <= cfg.height
-    assert [r.id for r in robots] == list(range(cfg.n_robots))
-    assert [lm.id for lm in landmarks] == list(range(cfg.n_landmarks))
+    for place in positions + landmarks:
+        assert type(place) is tuple and len(place) == 2
+        x, y = place
+        assert type(x) is float and type(y) is float
+        assert 0.0 <= x <= cfg.width and 0.0 <= y <= cfg.height
+    state = ExperimentState(cfg, None, positions, landmarks, streams)
+    assert state.stakes == [2.5] * cfg.n_robots
+    assert state.trajectory == [positions]
 
 
 def test_init_world_is_deterministic_per_seed():
     cfg = WorldConfig(seed=3)
     r1, l1, _ = init_world(cfg)
     r2, l2, _ = init_world(cfg)
-    assert [(r.x, r.y) for r in r1] == [(r.x, r.y) for r in r2]
-    assert [(l.x, l.y) for l in l1] == [(l.x, l.y) for l in l2]
+    assert r1 == r2
+    assert l1 == l2
     r3, _, _ = init_world(WorldConfig(seed=4))
-    assert [(r.x, r.y) for r in r1] != [(r.x, r.y) for r in r3]
+    assert r1 != r3
 
 
-def test_robot_position_tracks_coordinates():
-    cfg = WorldConfig(seed=0)
-    robots, _, _ = init_world(cfg)
-    r = robots[0]
-    assert r.position == (r.x, r.y)
-    assert all(math.isfinite(c) for c in r.position)
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(WorldConfig._fields), CONFIG_VALUES))
+def test_any_settings_build_a_typed_config_or_raise_config_error(values):
+    try:
+        config = WorldConfig(**values)
+    except ConfigError as exc:
+        assert str(exc).split()[0] in WorldConfig._fields
+        return
+    for name, default in WorldConfig._field_defaults.items():
+        assert type(getattr(config, name)) is type(default)
+
+
+# Each argument is a value of its type, or any config-file value; a few
+# percent of the draws are valid scenarios.
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 30), min_size=2, max_size=2) | CONFIG_VALUES,
+    st.integers(0, 10) | CONFIG_VALUES,
+    st.integers(0, 20) | CONFIG_VALUES,
+    st.just(0) | st.floats(0.0, 1.0, exclude_max=True) | CONFIG_VALUES,
+)
+def test_any_scenario_is_typed_or_raises_config_error(pair, start_loop, end_loop, multiplier):
+    try:
+        scenario = DegradationScenario(pair, start_loop, end_loop, multiplier)
+    except ConfigError:
+        return
+    assert [type(value) for value in scenario] == [tuple, int, int, float]
+    assert [type(robot) for robot in scenario.pair] == [int, int]

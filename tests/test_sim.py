@@ -10,7 +10,6 @@ from stakenav import (
     ExperimentState,
     KIND_OBSERVATION,
     KIND_REWARD,
-    Landmark,
     StakeTable,
     VisibilitySnapshot,
     WorldConfig,
@@ -37,8 +36,8 @@ SPARSE = WorldConfig(
 
 
 def fresh_state(config=SMALL, scenario=None):
-    robots, landmarks, streams = init_world(config)
-    return ExperimentState(config, scenario, robots, landmarks, streams)
+    positions, landmarks, streams = init_world(config)
+    return ExperimentState(config, scenario, positions, landmarks, streams)
 
 
 def test_scenario_validation():
@@ -51,6 +50,8 @@ def test_scenario_validation():
         DegradationScenario((0, 1), 3, 2, 0.1)
     with pytest.raises(ConfigError):
         DegradationScenario((0, 1), 0, 2, 1.0)
+    with pytest.raises(ConfigError, match="two distinct robots"):
+        DegradationScenario((3, 3), 0, 2, 0.1)
     with pytest.raises(ConfigError):
         DegradationScenario((0, 9), 0, 2, 0.5).check_against(SMALL)
     with pytest.raises(ConfigError):
@@ -64,10 +65,34 @@ def test_scenario_validation():
             DegradationScenario((0, 1), 0, bad, 0.5)
 
 
+@pytest.mark.parametrize(
+    "args,field",
+    [
+        (((2.0, 7), 4, 6, 0.1), "pair"),
+        (((True, 7), 4, 6, 0.1), "pair"),
+        (((2, 7, 9), 4, 6, 0.1), "pair"),
+        ((7, 4, 6, 0.1), "pair"),
+        (((2, 7), 4.5, 6, 0.1), "start_loop"),
+        (((2, 7), 4, "6", 0.1), "end_loop"),
+        (((2, 7), 4, 6, "0.1"), "multiplier"),
+        (((2, 7), 4, 6, False), "multiplier"),
+    ],
+)
+def test_scenario_refuses_a_wrong_type_naming_the_field(args, field):
+    with pytest.raises(ConfigError, match=f"^{field} must be "):
+        DegradationScenario(*args)
+
+
+def test_scenario_stores_a_pair_tuple_and_a_float_multiplier():
+    scenario = DegradationScenario([7, 2], 4, 6, 0)
+    assert scenario == ((2, 7), 4, 6, 0.0)
+    assert type(scenario.multiplier) is float
+
+
 def test_step_movement_stays_in_bounds_and_logs_trajectory():
     state = fresh_state()
     cfg = state.config
-    before = [r.position for r in state.robots]
+    before = state.trajectory[-1]
     for _ in range(50):
         positions = step_movement(state)
         for (x, y), (px, py) in zip(positions, before):
@@ -78,18 +103,15 @@ def test_step_movement_stays_in_bounds_and_logs_trajectory():
 
 
 def assert_distance_rule(state, snap):
-    for robot, seen in zip(state.robots, snap.recognized):
-        for lm in state.landmarks:
-            visible = math.dist(robot.position, (lm.x, lm.y)) <= state.config.sensing_radius
-            assert (lm.id in seen) == visible
+    for position, seen in zip(state.trajectory[-1], snap.recognized):
+        for k, landmark in enumerate(state.landmarks):
+            visible = math.dist(position, landmark) <= state.config.sensing_radius
+            assert (k in seen) == visible
 
 
 def hand_placed_state(config, robots_xy, landmarks_xy):
-    robots, _, streams = init_world(config)
-    for robot, (x, y) in zip(robots, robots_xy):
-        robot.x, robot.y = x, y
-    landmarks = [Landmark(k, x, y) for k, (x, y) in enumerate(landmarks_xy)]
-    return ExperimentState(config, None, robots, landmarks, streams)
+    _, _, streams = init_world(config)
+    return ExperimentState(config, None, list(robots_xy), list(landmarks_xy), streams)
 
 
 def test_compute_visibility_matches_distance_rule():
@@ -218,7 +240,7 @@ def test_sealing_assigns_contiguous_ids_and_credits_generator():
     snap = compute_visibility(state)
     emit_transactions(state, snap)
     assert len(state.pending) >= 3  # sanity for this seed
-    stakes_before = [r.stake for r in state.robots]
+    stakes_before = list(state.stakes)
     blocks = maybe_seal_blocks(state)
     assert blocks and len(state.pending) < state.config.block_size
     for block in blocks:
@@ -227,7 +249,7 @@ def test_sealing_assigns_contiguous_ids_and_credits_generator():
         assert block.transactions[-1].generator == block.generator
     ids = [tx.tx_id for b in blocks for tx in b.transactions]
     assert ids == list(range(len(ids)))
-    reward_total = sum(r.stake for r in state.robots) - sum(stakes_before)
+    reward_total = sum(state.stakes) - sum(stakes_before)
     assert reward_total == pytest.approx(len(blocks) * state.config.generator_reward)
 
 
@@ -323,22 +345,22 @@ def run_from_scratch(config, scenario=None):
     """
     if scenario is not None:
         scenario.check_against(config)
-    robots, landmarks, streams = init_world(config)
-    state = ExperimentState(config, scenario, robots, landmarks, streams)
+    positions, landmarks, streams = init_world(config)
+    state = ExperimentState(config, scenario, positions, landmarks, streams)
     snapshot = None
 
     def seal(batch):
         alpha = AlphaMatrix.from_pair_counts(
             state.chain.all_pair_tx_counts(), config.n_robots
         )
-        stakes = [r.stake for r in state.robots]
+        stakes = state.stakes
         matrix = navigability_matrix(StakeTable(stakes), snapshot, alpha)
         weights = [matrix.row_sum(i) for i in range(config.n_robots)]
         avg = average_navigability(matrix)
         generator = elect_generator(weights, state.streams.election, stakes=stakes)
         reward = Reward(generator, config.generator_reward, state.loop_index)
         state.chain.append_block(batch + [reward], generator, avg)
-        state.robots[generator].stake += config.generator_reward
+        stakes[generator] += config.generator_reward
 
     for loop in range(config.loops):
         state.loop_index = loop
@@ -363,7 +385,7 @@ def test_sealed_averages_replay_bit_identically(seed):
     fast = run_experiment(cfg)
     scratch = run_from_scratch(cfg)
     assert fast.chain.dumps() == scratch.chain.dumps()
-    assert [r.stake for r in fast.robots] == [r.stake for r in scratch.robots]
+    assert fast.stakes == scratch.stakes
 
 
 def test_replay_equivalence_holds_under_scenario():
@@ -382,7 +404,7 @@ def test_replay_equivalence_holds_from_a_cold_start():
     fast = run_experiment(cfg)
     scratch = run_from_scratch(cfg)
     assert fast.chain.dumps() == scratch.chain.dumps()
-    assert [r.stake for r in fast.robots] == [r.stake for r in scratch.robots]
+    assert fast.stakes == scratch.stakes
 
 
 @pytest.mark.parametrize("scenario", [None, DegradationScenario((2, 10), 1, 3, 0.0)])
@@ -390,7 +412,7 @@ def test_replay_equivalence_holds_in_a_sparse_world(scenario):
     fast = run_experiment(SPARSE, scenario)
     scratch = run_from_scratch(SPARSE, scenario)
     assert fast.chain.dumps() == scratch.chain.dumps()
-    assert [r.stake for r in fast.robots] == [r.stake for r in scratch.robots]
+    assert fast.stakes == scratch.stakes
     assert fast.min_common == 0
     assert any(b.avg_navigability > 0.0 for b in fast.chain.blocks)
     if scenario is not None:
