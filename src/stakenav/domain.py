@@ -20,8 +20,8 @@ MAX_SEED = 2**64 - 1
 # Largest step size whose draw span, 2 * step_size, is still finite.
 MAX_STEP = sys.float_info.max / 2
 # Team and landmark bounds that keep a run's memory finite: the seal state's
-# two n x n lists take at most 2 * 4096**2 * 8 B, about 268 MB, and a
-# robot's visibility mask holds at most 2**20 bits.
+# two n x n lists take at most 2 * 4096**2 * 8 B, about 268 MB, and the
+# landmark grid lists each landmark in nine cells, at most 9 * 2**20 entries.
 MAX_ROBOTS = 4096
 MAX_LANDMARKS = 2**20
 # A run's trajectory holds n_robots * (loops + 1) positions, which take about
@@ -61,8 +61,8 @@ def checked_setting(name: str, value, kind: type) -> int | float:
     """`value` as a setting of `kind`, int or float; ConfigError otherwise.
 
     An int setting takes only an int, and a float setting a finite int or
-    float, which it stores as a float so that equal settings write equal
-    bytes. A bool, a string or any other type is refused.
+    float, which it stores as a float, -0.0 as 0.0, so that equal settings
+    write equal bytes. A bool, a string or any other type is refused.
     """
     if type(value) not in (int, kind):
         raise ConfigError(
@@ -71,7 +71,7 @@ def checked_setting(name: str, value, kind: type) -> int | float:
     if kind is int:
         return value
     check_finite(name, value)
-    return float(value)
+    return float(value) or 0.0  # -0.0 is false
 
 
 class InvalidPairError(ValueError):

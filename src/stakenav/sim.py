@@ -17,9 +17,10 @@ imports it.
 The loop does work in proportion to the pairs that cooperate, not to all n^2
 pairs. Landmarks are bucketed once per run into a grid of cells wider than
 the sensing radius, so a robot measures distances only to the landmarks of
-its own and the eight surrounding cells. Each robot's sightings are also kept
-as a bitmask, and a pair whose masks share no bit is skipped with one integer
-AND. A seal sums each robot's navigability over its live terms only: the
+its own and the eight surrounding cells. Each sighting also sets the robot's
+bit in the landmark's mask of seers, and a robot's partners are the OR of the
+masks of the landmarks it sees, so a pair that shares nothing is never
+visited. A seal sums each robot's navigability over its live terms only: the
 partners it shares a landmark with this loop and has sealed observations
 with (see `SealState`). A skipped distance test could only have failed, and
 a skipped pair or term could only have added an exact zero, so the bytes are
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
+from collections import defaultdict
 from collections.abc import Iterable
 from random import Random
 from typing import NamedTuple
@@ -287,11 +289,11 @@ def step_movement(state: ExperimentState) -> list[tuple[float, float]]:
 
 def _landmark_grid(
     config: WorldConfig, landmarks: list[tuple[float, float]]
-) -> tuple[float, dict[tuple[float, float], list[tuple[int, float, float, int]]]]:
+) -> tuple[float, dict[tuple[float, float], list[tuple[int, float, float]]]]:
     """Cell size, and the landmarks in each cell's 3x3 neighbourhood.
 
     A cell is (x // size, y // size). For every cell next to a landmark, the
-    map lists (id, x, y, mask bit) of the landmarks in that cell and its eight
+    map lists (id, x, y) of the landmarks in that cell and its eight
     neighbours, ascending by id; a cell missing from the map has none.
 
     The prune is conservative: the distance test alone decides, and no
@@ -309,11 +311,11 @@ def _landmark_grid(
     radius_sq = config.sensing_radius * config.sensing_radius
     reach = max(math.sqrt(radius_sq), 2.0**-511) * 1.0001
     size = max(reach, max(config.width, config.height) / 2**40)
-    near: dict[tuple[float, float], list[tuple[int, float, float, int]]] = {}
+    near: dict[tuple[float, float], list[tuple[int, float, float]]] = {}
     for k, (x, y) in enumerate(landmarks):
         cx = x // size
         cy = y // size
-        entry = (k, x, y, 1 << k)
+        entry = (k, x, y)
         for nx in (cx - 1.0, cx, cx + 1.0):
             for ny in (cy - 1.0, cy, cy + 1.0):
                 near.setdefault((nx, ny), []).append(entry)
@@ -326,9 +328,11 @@ def compute_visibility(state: ExperimentState) -> Visibility:
 
     A robot recognizes a landmark iff their Euclidean distance is within the
     sensing radius; only the landmarks of the robot's 3x3 grid neighbourhood
-    are measured (see `_landmark_grid`). A pair whose landmark bitmasks share
-    no bit is skipped before any set intersection. Qualities are drawn
-    uniformly in [0, 1) per (pair, common landmark), in ascending
+    are measured (see `_landmark_grid`). Each sighting sets the robot's bit
+    in the landmark's mask of seers; robot i's partners are the bits above i
+    in the OR of its landmarks' masks, so work grows with sightings and
+    cooperating pairs, never with all pairs or all landmarks. Qualities are
+    drawn uniformly in [0, 1) per (pair, common landmark), in ascending
     pair-then-landmark order, then scaled by an active degradation scenario;
     pairs that share nothing draw nothing, exactly as in a full pass. Each
     cooperating pair's (landmark id, quality) tuples, ascending by id, go
@@ -341,18 +345,18 @@ def compute_visibility(state: ExperimentState) -> Visibility:
     radius_sq = config.sensing_radius * config.sensing_radius
     size, near = state._grid
     recognized: list[set[int]] = []
-    masks: list[int] = []
-    for rx, ry in state.trajectory[-1]:
+    # Seen landmark id -> mask of the robots that see it.
+    seers: defaultdict[int, int] = defaultdict(int)
+    for i, (rx, ry) in enumerate(state.trajectory[-1]):
         seen = set()
-        mask = 0
-        for k, lx, ly, bit in near.get((rx // size, ry // size), ()):
+        bit = 1 << i
+        for k, lx, ly in near.get((rx // size, ry // size), ()):
             dx = rx - lx
             dy = ry - ly
             if dx * dx + dy * dy <= radius_sq:
                 seen.add(k)
-                mask |= bit
+                seers[k] |= bit
         recognized.append(seen)
-        masks.append(mask)
 
     scenario = state.scenario
     degraded_pair = None
@@ -363,10 +367,17 @@ def compute_visibility(state: ExperimentState) -> Visibility:
     pair_sums: list[tuple[int, int, float]] = []
     n = len(recognized)
     least = None
-    for i in range(n):
-        mask_i = masks[i]
-        rec_i = recognized[i]
-        for j in [j for j in range(i + 1, n) if mask_i & masks[j]]:
+    for i, rec_i in enumerate(recognized):
+        partners = 0
+        for k in rec_i:
+            partners |= seers[k]
+        # Shifted, bit b stands for robot i + 1 + b; walked lowest first, j ascends.
+        partners >>= i + 1
+        j = i
+        while partners:
+            step = (partners & -partners).bit_length()
+            partners >>= step
+            j += step
             common = sorted(rec_i & recognized[j])
             count = len(common)
             if count > state.max_common:

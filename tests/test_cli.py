@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -411,6 +412,24 @@ def test_equal_configs_write_identical_exports(tmp_path):
         exports.append({name: (out / name).read_bytes() for name in EXPORTS})
     assert exports[0] == exports[1] == exports[2]
     assert verify_dump_bytes(exports[0][LEDGER_FILE]) is None
+
+
+@pytest.mark.parametrize("flags, stored", [
+    (["--reward"], lambda request: request.config.generator_reward),
+    (["--degrade-pair", "2,7", "--degrade-loops", "1,4", "--degrade-factor"],
+     lambda request: request.scenario.multiplier),
+])
+def test_negative_zero_settings_write_the_bytes_of_zero(tmp_path, flags, stored):
+    # -0.0 == 0.0, yet a stored -0.0 was written as "reward":-0.0 or as
+    # [k,-0.0] match qualities.
+    exports = []
+    for value in ("0.0", "-0.0"):
+        out = tmp_path / value
+        request = parse(["--loops", "6", *flags, value, "--out", str(out)])
+        assert math.copysign(1.0, stored(request)) == 1.0
+        run_and_export(request, io.StringIO())
+        exports.append({name: (out / name).read_bytes() for name in EXPORTS})
+    assert exports[0] == exports[1]
 
 
 # Config-file values of every kind JSON holds, including the edges of each

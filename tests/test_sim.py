@@ -1,7 +1,9 @@
+import hashlib
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stakenav import (
     AlphaMatrix,
@@ -169,6 +171,65 @@ def test_compute_visibility_in_a_sparse_world():
                 for i, j, matches in snap.cooperating] == expected
         assert 0 < len(expected) < n * (n - 1) // 2 // 10
     assert state.min_common == 0
+
+
+@st.composite
+def hand_placed_worlds(draw):
+    """(config, robots, landmarks): robots and landmarks crowd a few spots,
+    a crowd of up to 130 robots shares one spot so that a landmark's robot
+    mask spans several machine words, and the radius can exceed the world."""
+    width = draw(st.floats(1.0, 1000.0))
+    height = draw(st.floats(1.0, 1000.0))
+    point = st.tuples(st.floats(0.0, width), st.floats(0.0, height))
+    spots = draw(st.lists(point, min_size=1, max_size=4))
+    place = st.sampled_from(spots) | point
+    crowd = [spots[0]] * draw(st.integers(0, 130))
+    robots = draw(st.permutations(crowd + draw(st.lists(place, min_size=1, max_size=20))))
+    landmarks = draw(st.lists(place, max_size=30))
+    config = WorldConfig(
+        n_robots=len(robots), n_landmarks=len(landmarks), width=width, height=height,
+        sensing_radius=draw(st.floats(0.5, 3000.0)), seed=draw(st.integers(0, 3)),
+    )
+    return config, robots, landmarks
+
+
+def hand_placed_world(robots, landmarks, radius=5.0):
+    config = WorldConfig(n_robots=len(robots), n_landmarks=len(landmarks), width=100.0,
+                         height=100.0, sensing_radius=radius, seed=1)
+    return config, robots, landmarks
+
+
+@settings(deadline=None, max_examples=60)
+@example(hand_placed_world([(50.0, 50.0)] * 100 + [(90.0, 90.0)] * 3, [(51.0, 50.0)]))
+@example(hand_placed_world([(10.0, 10.0), (12.0, 10.0), (90.0, 90.0)], []))
+@example(hand_placed_world([(10.0, 10.0)], [(11.0, 10.0), (12.0, 10.0)]))
+@example(hand_placed_world([(0.0, 0.0), (100.0, 100.0), (0.0, 100.0)],
+                           [(100.0, 0.0), (50.0, 50.0)], radius=500.0))
+@given(hand_placed_worlds())
+def test_cooperating_pairs_equal_an_all_pairs_intersection(world):
+    config, robots, landmarks = world
+    state = hand_placed_state(config, robots, landmarks)
+    replay = random.Random()
+    replay.setstate(state.streams.quality.getstate())
+    snap = compute_visibility(state)
+    rec = snap.recognized
+    n = len(robots)
+    common = {(i, j): sorted(rec[i] & rec[j]) for i in range(n) for j in range(i + 1, n)}
+    expected = [
+        (i, j, [(k, replay.random()) for k in ks]) for (i, j), ks in common.items() if ks
+    ]
+    assert snap.cooperating == expected
+    counts = [len(ks) for ks in common.values()]
+    assert state.max_common == max(counts, default=0)
+    assert state.min_common == min(counts, default=None)
+
+
+def test_large_sparse_world_ledger_is_pinned():
+    # 1,000 robots, of whose 499,500 pairs about 50 share a landmark per loop.
+    config = WorldConfig(n_robots=1000, n_landmarks=2000, width=10000.0, height=10000.0,
+                         loops=3, seed=4)
+    digest = hashlib.sha256(run_experiment(config).chain.dumps()).hexdigest()
+    assert digest == "5b5bb5399d09e67fe5ce1444386e1838d7dda272e0e2b25a414f99f04417e257"
 
 
 def test_qualities_drawn_only_for_common_landmarks():
