@@ -19,9 +19,9 @@ from typing import NamedTuple
 MAX_SEED = 2**64 - 1
 # Largest step size whose draw span, 2 * step_size, is still finite.
 MAX_STEP = sys.float_info.max / 2
-# Team and landmark bounds that keep a run's memory finite: the seal state's
-# two n x n lists take at most 2 * 4096**2 * 8 B, about 268 MB, and the
-# landmark grid lists each landmark in nine cells, at most 9 * 2**20 entries.
+# Team and landmark bounds that keep a run's memory finite: the seal state is
+# one n x n list of shared floats, about 134 MB at 4096 robots, and the landmark
+# grid one entry per landmark, plus the neighbourhoods of visited cells.
 MAX_ROBOTS = 4096
 MAX_LANDMARKS = 2**20
 # A run's trajectory holds n_robots * (loops + 1) positions, which take about

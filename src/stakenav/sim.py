@@ -15,16 +15,16 @@ at a time, are in `stakenav.reference`, which only tests call; nothing here
 imports it.
 
 The loop does work in proportion to the pairs that cooperate, not to all n^2
-pairs. Landmarks are bucketed once per run into a grid of cells wider than
-the sensing radius, so a robot measures distances only to the landmarks of
-its own and the eight surrounding cells. Each sighting also sets the robot's
-bit in the landmark's mask of seers, and a robot's partners are the OR of the
-masks of the landmarks it sees, so a pair that shares nothing is never
-visited. A seal sums each robot's navigability over its live terms only: the
-partners it shares a landmark with this loop and has sealed observations
-with (see `SealState`). A skipped distance test could only have failed, and
-a skipped pair or term could only have added an exact zero, so the bytes are
-those of the full quadratic pass.
+pairs. Each landmark is bucketed once per run into its cell of a grid of
+cells wider than the sensing radius, so a robot measures distances only to
+the landmarks of its cell's 3x3 neighbourhood, listed on its first visit.
+Each sighting also sets the robot's bit in the landmark's mask of seers, and
+a robot's partners are the OR of the masks of the landmarks it sees, so a
+pair that shares nothing is never visited. A seal sums each robot's
+navigability over its live terms only: the partners it shares a landmark with
+this loop and has sealed observations with (see `SealState`). A skipped
+distance test could only have failed, and a skipped pair or term could only
+have added an exact zero, so the bytes are those of the full quadratic pass.
 
 Each drawn quality is handled once. Visibility stores it in its pair's list
 of (landmark id, quality) tuples; emission copies that list, tuples shared,
@@ -60,6 +60,9 @@ from .ledger import Block, Chain, Observation, Reward
 # Shared-transaction count at which a pair's importance saturates; counts are
 # mapped to the ten levels 0.1, 0.2, ..., 1.0 (plus 0 for no history).
 IMPORTANCE_LEVELS = 10
+# min(c, L) / L for c in 0..L, and each level's successor after one more record.
+_IMPORTANCE = [c / IMPORTANCE_LEVELS for c in range(IMPORTANCE_LEVELS + 1)]
+_NEXT_IMPORTANCE = dict(zip(_IMPORTANCE, _IMPORTANCE[1:] + _IMPORTANCE[-1:]))
 
 
 class _ScenarioFields(NamedTuple):
@@ -134,9 +137,9 @@ class Visibility(NamedTuple):
 class SealState:
     """Seal-time navigability of one run: pair history and this loop's live terms.
 
-    `counts[i][j]` is the number of sealed observations of pair (i, j) and
-    `alpha[i][j]` its importance; both are symmetric n x n lists that mirror
-    the chain. Read them, but change them only through `record`.
+    `alpha[i][j]` is pair (i, j)'s importance, min(c, 10) / 10 after c sealed
+    observations, one of the eleven levels in `_IMPORTANCE`. This symmetric
+    n x n list is the run's one record of pair history; change it only by `record`.
 
     A robot's row holds its live terms: the partners that share a landmark
     with it this loop and have a non-zero importance, as (j, pair quality
@@ -146,11 +149,8 @@ class SealState:
     """
 
     def __init__(self, n_robots: int):
-        self.counts = [[0] * n_robots for _ in range(n_robots)]
         self.alpha = [[0.0] * n_robots for _ in range(n_robots)]
         self._rows: list[list[tuple[int, float]]] = [[] for _ in range(n_robots)]
-        # (i, row) for every non-empty row, ascending by i.
-        self._live: list[tuple[int, list[tuple[int, float]]]] = []
         # (i, j) -> pair quality sum of cooperating pairs with no history.
         self._cold: dict[tuple[int, int], float] = {}
 
@@ -160,39 +160,30 @@ class SealState:
         The triples must have i < j and come ascending by (i, j). Row r then
         receives its partners below r before those above, each in order.
         """
-        counts = self.counts
-        rows: list[list[tuple[int, float]]] = [[] for _ in counts]
+        alpha = self.alpha
+        rows: list[list[tuple[int, float]]] = [[] for _ in alpha]
         cold = {}
         for i, j, total in pair_sums:
-            if counts[i][j]:
+            if alpha[i][j]:
                 rows[i].append((j, total))
                 rows[j].append((i, total))
             else:
                 cold[(i, j)] = total
         self._rows = rows
-        self._live = [(i, row) for i, row in enumerate(rows) if row]
         self._cold = cold
 
     def record(self, pairs: Iterable[tuple[int, int]]) -> None:
         """Count one sealed observation for each (i, j) pair, i < j."""
-        counts = self.counts
         alpha = self.alpha
         cold = self._cold
         for pair in pairs:
             i, j = pair
-            count = counts[i][j] + 1
-            counts[i][j] = counts[j][i] = count
-            alpha[i][j] = alpha[j][i] = min(count, IMPORTANCE_LEVELS) / IMPORTANCE_LEVELS
-            if count == 1 and pair in cold:
+            level = alpha[i][j]
+            alpha[i][j] = alpha[j][i] = _NEXT_IMPORTANCE[level]
+            if not level and pair in cold:
                 total = cold.pop(pair)
-                self._insert(i, j, total)
-                self._insert(j, i, total)
-
-    def _insert(self, i: int, j: int, total: float) -> None:
-        row = self._rows[i]
-        if not row:
-            insort(self._live, (i, row))  # i is unique, so rows are never compared
-        insort(row, (j, total))
+                insort(self._rows[i], (j, total))  # j is unique in the row, so
+                insort(self._rows[j], (i, total))  # totals are never compared
 
     def weights(self, stakes: list[float], total_stake: float) -> tuple[list[float], float]:
         """Per-robot navigability and its off-diagonal average.
@@ -203,21 +194,22 @@ class SealState:
         `NavigabilityMatrix.row_sum` and `average_navigability` do (see
         `stakenav.reference`), so the results match them bit for bit.
         Every term left out has a zero importance or a zero pair sum, so it is
-        0.0 * finite >= 0 == +0.0, and acc + 0.0 == acc for any acc >= 0; a
-        row with no live term is +0.0 and adds nothing to the total.
+        0.0 * finite >= 0 == +0.0, and acc + 0.0 == acc for any acc >= 0; an
+        empty row is skipped: its weight stays +0.0 and adds nothing.
         """
         n = len(stakes)
         alpha = self.alpha
         weights = [0.0] * n
         total = 0.0
-        for i, row in self._live:
-            w_i = stakes[i] / total_stake
-            alpha_row = alpha[i]
-            acc = 0.0
-            for j, pair_sum in row:
-                acc += alpha_row[j] * (w_i * pair_sum)
-            weights[i] = acc
-            total += acc
+        for i, row in enumerate(self._rows):
+            if row:
+                w_i = stakes[i] / total_stake
+                alpha_row = alpha[i]
+                acc = 0.0
+                for j, pair_sum in row:
+                    acc += alpha_row[j] * (w_i * pair_sum)
+                weights[i] = acc
+                total += acc
         return weights, total / (n * (n - 1))
 
 
@@ -287,14 +279,18 @@ def step_movement(state: ExperimentState) -> list[tuple[float, float]]:
     return positions
 
 
+_Cells = dict[tuple[float, float], list[tuple[int, float, float]]]
+
+
 def _landmark_grid(
     config: WorldConfig, landmarks: list[tuple[float, float]]
-) -> tuple[float, dict[tuple[float, float], list[tuple[int, float, float]]]]:
-    """Cell size, and the landmarks in each cell's 3x3 neighbourhood.
+) -> tuple[float, _Cells, _Cells]:
+    """Cell size, the landmarks in each cell, and an empty neighbourhood map.
 
-    A cell is (x // size, y // size). For every cell next to a landmark, the
-    map lists (id, x, y) of the landmarks in that cell and its eight
-    neighbours, ascending by id; a cell missing from the map has none.
+    A cell is (x // size, y // size). The first map lists (id, x, y) of each
+    landmark once, in its cell, ascending by id. For each cell a robot visits
+    whose 3x3 neighbourhood holds a landmark, `compute_visibility` keeps in
+    the second map the nine cells' lists merged by id, from the first visit.
 
     The prune is conservative: the distance test alone decides, and no
     landmark it would accept lies outside the robot's neighbourhood. The test
@@ -311,16 +307,11 @@ def _landmark_grid(
     radius_sq = config.sensing_radius * config.sensing_radius
     reach = max(math.sqrt(radius_sq), 2.0**-511) * 1.0001
     size = max(reach, max(config.width, config.height) / 2**40)
-    near: dict[tuple[float, float], list[tuple[int, float, float]]] = {}
+    cells: _Cells = {}
     for k, (x, y) in enumerate(landmarks):
-        cx = x // size
-        cy = y // size
-        entry = (k, x, y)
-        for nx in (cx - 1.0, cx, cx + 1.0):
-            for ny in (cy - 1.0, cy, cy + 1.0):
-                near.setdefault((nx, ny), []).append(entry)
+        cells.setdefault((x // size, y // size), []).append((k, x, y))
     # Landmarks are visited in id order, so every list is already ascending.
-    return size, near
+    return size, cells, {}
 
 
 def compute_visibility(state: ExperimentState) -> Visibility:
@@ -328,29 +319,38 @@ def compute_visibility(state: ExperimentState) -> Visibility:
 
     A robot recognizes a landmark iff their Euclidean distance is within the
     sensing radius; only the landmarks of the robot's 3x3 grid neighbourhood
-    are measured (see `_landmark_grid`). Each sighting sets the robot's bit
-    in the landmark's mask of seers; robot i's partners are the bits above i
-    in the OR of its landmarks' masks, so work grows with sightings and
-    cooperating pairs, never with all pairs or all landmarks. Qualities are
-    drawn uniformly in [0, 1) per (pair, common landmark), in ascending
-    pair-then-landmark order, then scaled by an active degradation scenario;
-    pairs that share nothing draw nothing, exactly as in a full pass. Each
-    cooperating pair's (landmark id, quality) tuples, ascending by id, go
-    into the `cooperating` list as they are drawn; emission uses those
-    tuples, and no (i, j, k) map is built. Also starts the seal
-    state's loop with every pair's quality sum and refreshes the common-count
-    extremes.
+    are measured, read from the grid's map of visited neighbourhoods, which a
+    first visit fills from the nine cells (see `_landmark_grid`). Each sighting
+    sets the robot's bit in the landmark's mask of seers; robot i's partners
+    are the bits above i in the OR of its landmarks' masks, so work grows with
+    sightings and cooperating pairs, never with all pairs or all landmarks.
+    Qualities are drawn uniformly in [0, 1) per (pair, common landmark), in
+    ascending pair-then-landmark order, then scaled by an active degradation
+    scenario; pairs that share nothing draw nothing, exactly as in a full pass.
+    Each cooperating pair's (landmark id, quality) tuples, ascending by id, go
+    into the `cooperating` list as they are drawn; emission uses those tuples;
+    no (i, j, k) map is built. Also starts the seal state's loop with every
+    pair's quality sum and refreshes the common-count extremes.
     """
     config = state.config
     radius_sq = config.sensing_radius * config.sensing_radius
-    size, near = state._grid
+    size, cells, near = state._grid
     recognized: list[set[int]] = []
     # Seen landmark id -> mask of the robots that see it.
     seers: defaultdict[int, int] = defaultdict(int)
     for i, (rx, ry) in enumerate(state.trajectory[-1]):
+        cell = (rx // size, ry // size)
+        nearby = near.get(cell)
+        if nearby is None:
+            cx, cy = cell
+            nearby = sorted(entry for nx in (cx - 1.0, cx, cx + 1.0)
+                            for ny in (cy - 1.0, cy, cy + 1.0)
+                            for entry in cells.get((nx, ny), ()))
+            if nearby:
+                near[cell] = nearby
         seen = set()
         bit = 1 << i
-        for k, lx, ly in near.get((rx // size, ry // size), ()):
+        for k, lx, ly in nearby:
             dx = rx - lx
             dy = ry - ly
             if dx * dx + dy * dy <= radius_sq:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -177,10 +178,6 @@ def test_seal_state_weights_match_matrix_row_sums_bit_for_bit(seed):
         assert [w.hex() for w in weights] == [matrix.row_sum(i).hex() for i in range(n)]
         assert average.hex() == average_navigability(matrix).hex()
         assert seal.alpha == alpha.values
-        assert seal.counts == [
-            [counts.get((min(i, j), max(i, j)), 0) if i != j else 0 for j in range(n)]
-            for i in range(n)
-        ]
 
     for _ in range(4):  # loops
         snap = random_snapshot(rng, n, m)
@@ -196,3 +193,29 @@ def test_seal_state_weights_match_matrix_row_sums_bit_for_bit(seed):
             for pair in batch:
                 counts[pair] = counts.get(pair, 0) + 1
             check(snap)
+
+
+def test_seal_state_alpha_steps_through_eleven_shared_levels():
+    seal = SealState(3)
+    for k in range(13):
+        expected = min(k, 10) / 10
+        assert seal.alpha[0][2].hex() == seal.alpha[2][0].hex() == expected.hex()
+        assert seal.alpha[0][2] is seal.alpha[1][2]  # one float per level
+        assert seal.alpha[0][1] == 0.0
+        seal.record([(0, 2), (1, 2)])
+
+
+def test_seal_state_holds_one_list_of_pair_history():
+    # Every pair recorded once: one n x n list of pointers to shared floats,
+    # where a second list of counts and a float per pair took 7.4 MB.
+    n = 512
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    tracemalloc.start()
+    try:
+        seal = SealState(n)
+        seal.record(pairs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * n * n * 8
+    assert seal.alpha[0][1] == seal.alpha[n - 1][n - 2] == 0.1
