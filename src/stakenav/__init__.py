@@ -7,8 +7,9 @@ a robot's navigability aggregates those agreements over all partners,
 weighted by how often each pair has cooperated on the ledger. Block
 generators are elected by navigability and earn stake, closing the loop.
 
-`sim` is the engine a run executes; `reference` holds the paper's formulas
-one pair at a time, as the oracle the engine is tested against.
+`sim` is the engine a run executes. `stakenav.reference` holds the paper's
+formulas one pair at a time, as the oracle the engine is tested against; it
+is imported from there, and nothing here loads it.
 """
 from __future__ import annotations
 
@@ -48,11 +49,9 @@ from .sim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaMatrix",
     "Block",
     "Chain",
     "ConfigError",
-    "DegenerateStakesError",
     "DegradationScenario",
     "ExperimentState",
     "GENESIS_PREV_HASH",
@@ -62,41 +61,19 @@ __all__ = [
     "KIND_REWARD",
     "LedgerError",
     "LedgerFormatError",
-    "NavigabilityMatrix",
     "RandomStreams",
-    "ScanCounter",
     "SealState",
-    "StakeTable",
-    "UndefinedAverageError",
-    "VisibilitySnapshot",
     "WorldConfig",
-    "alpha_importance",
-    "average_navigability",
     "canonical_encode",
     "compute_visibility",
-    "consensus_score",
-    "consensus_score_matrix",
     "derive_stream",
     "elect_generator",
     "emit_transactions",
-    "indicator",
     "init_world",
     "maybe_seal_blocks",
-    "navigability",
-    "navigability_matrix",
     "normalize_pair",
     "run_experiment",
-    "stake_weight",
     "step_movement",
     "verify_dump_bytes",
 ]
 
-
-def __getattr__(name: str):
-    """Load an oracle name from `reference` on first access (PEP 562): every
-    other name in `__all__` is imported above, so no run loads the oracle."""
-    if name not in __all__:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import reference
-    value = globals()[name] = getattr(reference, name)
-    return value

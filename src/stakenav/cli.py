@@ -163,7 +163,7 @@ def summarize(state: ExperimentState) -> dict:
     """The run totals `summary.json` holds, recounted from the chain."""
     chain = state.chain
     observations = sum(block.observation_count for block in chain.blocks)
-    total = chain.transaction_count()
+    total = chain.next_tx_id
     return {
         "blocks": len(chain.blocks),
         "transactions": total,
@@ -250,9 +250,8 @@ def run_and_export(request: RunRequest, stream=None) -> dict:
     return summary
 
 
-def verify_dump(path: str, stream=None) -> int:
+def verify_dump(path: str) -> int:
     """Check a ledger dump file; report the first bad block and its rule if any."""
-    stream = stream if stream is not None else sys.stdout
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -260,13 +259,13 @@ def verify_dump(path: str, stream=None) -> int:
         return 2
     bad_index = ledger.verify_dump_bytes(data)
     if bad_index is None:
-        print(f"{path}: valid", file=stream)
+        print(f"{path}: valid")
         return 0
     # Only a failure reads the dump again, for the reader's "block K: <rule>".
     try:
         ledger.Chain.loads(data)
     except ledger.LedgerFormatError as exc:
-        print(f"{path}: invalid at {exc}", file=stream)
+        print(f"{path}: invalid at {exc}")
     return 3
 
 

@@ -309,9 +309,6 @@ class Chain:
         last = self.blocks[-1]
         return last.first_tx_id + last.transaction_count
 
-    def transaction_count(self) -> int:
-        return sum(block.transaction_count for block in self.blocks)
-
     def append_block(
         self, transactions: list[Observation | Reward], generator: int, avg_navigability: float
     ) -> Block:

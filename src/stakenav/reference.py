@@ -7,7 +7,9 @@ through `sim.elect_generator`. The acceptance tests c03, c05 and c06 check
 these functions against brute force, symmetry and exact cost counts, and the
 replay tests re-seal whole runs through `navigability_matrix` to show that
 the engine matches it bit for bit. Their input, a `VisibilitySnapshot`, is
-built by hand or from a loop's `sim.Visibility` with `VisibilitySnapshot.of`.
+built by hand, or with `VisibilitySnapshot.of` from one loop's observation
+records: the list `sim.compute_visibility` returns, or the records of that
+loop read back from a chain's blocks.
 
 A robot's weight is its stake normalized by the team total. The consensus
 score of an ordered pair (i, j) is robot i's weight times the summed match
@@ -25,11 +27,12 @@ linear-in-landmarks cost of the full pass.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from .domain import InvalidPairError, normalize_pair, ordered_sum
-from .sim import IMPORTANCE_LEVELS, Visibility
+from .ledger import Observation
+from .sim import IMPORTANCE_LEVELS
 
 
 class DegenerateStakesError(ValueError):
@@ -86,12 +89,26 @@ class VisibilitySnapshot:
         return len(self.recognized)
 
     @classmethod
-    def of(cls, n_landmarks: int, visibility: Visibility) -> "VisibilitySnapshot":
-        """The snapshot of one engine loop's `sim.Visibility`."""
-        qualities = {
-            (i, j, k): q for i, j, matches in visibility.cooperating for k, q in matches
-        }
-        return cls(n_landmarks, visibility.recognized, qualities)
+    def of(
+        cls, n_robots: int, n_landmarks: int, observations: Iterable[Observation]
+    ) -> "VisibilitySnapshot":
+        """The snapshot of one loop's observation records.
+
+        Each record gives its `pair` and the pair's `matches`, (landmark id,
+        quality) tuples. Robot i's recognized set is the union of its pairs'
+        common landmarks: a landmark only one robot sees is left out, so the
+        sets can be smaller than the robots' own, but every pairwise
+        intersection, and with it every indicator, is the same.
+        """
+        recognized: list[set[int]] = [set() for _ in range(n_robots)]
+        qualities = {}
+        for tx in observations:
+            i, j = tx.pair
+            for k, q in tx.matches:
+                recognized[i].add(k)
+                recognized[j].add(k)
+                qualities[(i, j, k)] = q
+        return cls(n_landmarks, recognized, qualities)
 
 
 @dataclass

@@ -9,10 +9,9 @@ generator by navigability (stake weights as cold-start fallback, then
 uniform; `elect_generator`), appends a reward transaction, and credits the
 generator's stake. This module owns the loop's state (`ExperimentState`,
 which holds the robots' positions in its trajectory and their stakes in one
-list, both indexed by robot id), each loop's `Visibility`, the seal-time
-navigability (`SealState`) and the election. The paper's formulas, one pair
-at a time, are in `stakenav.reference`, which only tests call; nothing here
-imports it.
+list, both indexed by robot id), the seal-time navigability (`SealState`)
+and the election. The paper's formulas, one pair at a time, are in
+`stakenav.reference`, which only tests call; nothing here imports it.
 
 The loop does work in proportion to the pairs that cooperate, not to all n^2
 pairs. Each landmark is bucketed once per run into its cell of a grid of
@@ -26,10 +25,11 @@ this loop and has sealed observations with (see `SealState`). A skipped
 distance test could only have failed, and a skipped pair or term could only
 have added an exact zero, so the bytes are those of the full quadratic pass.
 
-Each drawn quality is handled once. Visibility stores it in its pair's list
-of (landmark id, quality) tuples; emission copies that list, tuples shared,
-into the pair's frozen observation record, unchecked; sealing encodes the
-tuples straight into the block body, and the block keeps only those bytes.
+Each drawn quality is handled once. `compute_visibility` appends it to its
+pair's list of (landmark id, quality) tuples and builds the pair's
+observation record around that list; emission queues the loop's records as
+they are, and sealing encodes the tuples straight into the block body, which
+the block keeps instead of the records.
 
 `Chain.append_block` numbers transactions as it seals them, in pending
 order, so ids across the chain are gapless even though reward transactions
@@ -118,20 +118,6 @@ class DegradationScenario(_ScenarioFields):
             raise ConfigError(
                 f"pair {self.pair} out of range for {config.n_robots} robots"
             )
-
-
-class Visibility(NamedTuple):
-    """Which landmarks each robot recognizes in one loop, and what pairs drew.
-
-    `recognized[i]` is the set of landmark ids robot i recognizes.
-    `cooperating` lists (i, j, matches) for every pair with i < j that shares
-    a landmark, ascending by pair; `matches` holds the pair's (landmark id,
-    quality) tuples ascending by id. Emission copies each `matches` list into
-    its observation.
-    """
-
-    recognized: list[set[int]]
-    cooperating: list[tuple[int, int, list[tuple[int, float]]]]
 
 
 class SealState:
@@ -314,8 +300,8 @@ def _landmark_grid(
     return size, cells, {}
 
 
-def compute_visibility(state: ExperimentState) -> Visibility:
-    """Recognition sets and fresh pairwise match qualities for this loop.
+def compute_visibility(state: ExperimentState) -> list[Observation]:
+    """This loop's observation records: one per pair sharing a landmark.
 
     A robot recognizes a landmark iff their Euclidean distance is within the
     sensing radius; only the landmarks of the robot's 3x3 grid neighbourhood
@@ -327,10 +313,11 @@ def compute_visibility(state: ExperimentState) -> Visibility:
     Qualities are drawn uniformly in [0, 1) per (pair, common landmark), in
     ascending pair-then-landmark order, then scaled by an active degradation
     scenario; pairs that share nothing draw nothing, exactly as in a full pass.
-    Each cooperating pair's (landmark id, quality) tuples, ascending by id, go
-    into the `cooperating` list as they are drawn; emission uses those tuples;
-    no (i, j, k) map is built. Also starts the seal state's loop with every
-    pair's quality sum and refreshes the common-count extremes.
+    Each cooperating pair's record is built once, around its (landmark id,
+    quality) tuples as they are drawn, ascending by id; the records come
+    ascending by pair and carry the loop index, and no (i, j, k) map is
+    built. Also starts the seal state's loop with every pair's quality sum
+    and refreshes the common-count extremes.
     """
     config = state.config
     radius_sq = config.sensing_radius * config.sensing_radius
@@ -358,12 +345,13 @@ def compute_visibility(state: ExperimentState) -> Visibility:
                 seers[k] |= bit
         recognized.append(seen)
 
+    loop = state.loop_index
     scenario = state.scenario
     degraded_pair = None
-    if scenario is not None and scenario.active(state.loop_index):
+    if scenario is not None and scenario.active(loop):
         degraded_pair = scenario.pair
     random = state.streams.quality.random
-    cooperating: list[tuple[int, int, list[tuple[int, float]]]] = []
+    observations: list[Observation] = []
     pair_sums: list[tuple[int, int, float]] = []
     n = len(recognized)
     least = None
@@ -394,40 +382,33 @@ def compute_visibility(state: ExperimentState) -> Visibility:
                 matches.append((k, q))
                 total += q
             pair_sums.append((i, j, total))
-            cooperating.append((i, j, matches))
+            observations.append(Observation((i, j), matches, loop))
     state.seal.start_loop(pair_sums)
-    if len(cooperating) < n * (n - 1) // 2:
+    if len(observations) < n * (n - 1) // 2:
         least = 0  # some pair shares no landmark
     if least is not None and (state.min_common is None or least < state.min_common):
         state.min_common = least
-    return Visibility(recognized, cooperating)
+    return observations
 
 
-def emit_transactions(state: ExperimentState, visibility: Visibility) -> list[Observation]:
-    """One pending observation per pair sharing >= 1 landmark.
+def emit_transactions(
+    state: ExperimentState, observations: list[Observation]
+) -> list[Observation]:
+    """Queue one loop's observations, as `compute_visibility` returned them.
 
-    Walks the loop's cooperating pairs, so pairs come out ascending and
-    each pair's matches ascending by landmark id. Each observation gets a
-    copy of the pair's drawn match list; nothing is re-checked.
+    The records go to the pending list as they are, neither copied nor
+    re-checked, and the same list is returned.
     """
-    loop = state.loop_index
-    added = [
-        Observation((i, j), list(matches), loop) for i, j, matches in visibility.cooperating
-    ]
-    state.pending.extend(added)
-    return added
+    state.pending.extend(observations)
+    return observations
 
 
-def elect_generator(
-    weights: list[float],
-    rng: Random,
-    stakes: list[float] | None = None,
-) -> int:
+def elect_generator(weights: list[float], rng: Random, stakes: list[float]) -> int:
     """Pick a robot index with probability proportional to its weight.
 
     Sampling is inverse-CDF over the cumulative weight vector with a single
     uniform draw. Degenerate cascade: if all weights are zero, fall back to
-    `stakes`; if those are also all zero (or absent), pick uniformly.
+    `stakes`; if those are also all zero, pick uniformly.
     """
     n = len(weights)
     if n == 0:
@@ -438,12 +419,11 @@ def elect_generator(
     total = ordered_sum(weights)
     if total > 0.0:
         return _sample_index(weights, total, rng)
-    if stakes is not None:
-        if len(stakes) != n:
-            raise ValueError(f"{len(stakes)} stakes for {n} weights")
-        stake_total = ordered_sum(stakes)
-        if stake_total > 0.0:
-            return _sample_index(stakes, stake_total, rng)
+    if len(stakes) != n:
+        raise ValueError(f"{len(stakes)} stakes for {n} weights")
+    stake_total = ordered_sum(stakes)
+    if stake_total > 0.0:
+        return _sample_index(stakes, stake_total, rng)
     return rng.randrange(n)
 
 
@@ -512,8 +492,7 @@ def run_experiment(
     for loop in range(config.loops):
         state.loop_index = loop
         step_movement(state)
-        visibility = compute_visibility(state)
-        emit_transactions(state, visibility)
+        emit_transactions(state, compute_visibility(state))
         maybe_seal_blocks(state)
     state.loop_index = config.loops
     maybe_seal_blocks(state, finalize=True)

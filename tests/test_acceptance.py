@@ -12,22 +12,24 @@ import time
 import pytest
 
 from stakenav import (
-    AlphaMatrix,
     Chain,
-    DegenerateStakesError,
     DegradationScenario,
-    StakeTable,
     WorldConfig,
-    consensus_score,
-    consensus_score_matrix,
     elect_generator,
-    navigability,
-    navigability_matrix,
     run_experiment,
-    stake_weight,
     verify_dump_bytes,
 )
 from stakenav.cli import LEDGER_FILE, SUMMARY_FILE, TIMESERIES_FILE, TRAJECTORIES_FILE, main
+from stakenav.reference import (
+    AlphaMatrix,
+    DegenerateStakesError,
+    StakeTable,
+    consensus_score,
+    consensus_score_matrix,
+    navigability,
+    navigability_matrix,
+    stake_weight,
+)
 from tests.test_consensus import random_snapshot
 from tests.test_ledger import build_chain
 
@@ -68,7 +70,7 @@ def default_runs():
         runs.append({
             "seed": seed,
             "seconds": seconds,
-            "transactions": state.chain.transaction_count(),
+            "transactions": state.chain.next_tx_id,
             "blocks": len(state.chain.blocks),
             "series": [b.avg_navigability for b in state.chain.blocks],
             "splits": window_splits(state),
@@ -310,4 +312,4 @@ def test_c12_scale_smoke_under_30s_with_invariants():
     alpha = AlphaMatrix.from_pair_counts(chain.all_pair_tx_counts(), 50)
     assert state.seal.alpha == alpha.values
     pairs_cap = 50 * 49 // 2 * cfg.loops
-    assert chain.transaction_count() <= pairs_cap + len(chain.blocks)
+    assert chain.next_tx_id <= pairs_cap + len(chain.blocks)

@@ -307,7 +307,7 @@ def test_run_writes_all_exports(tmp_path, capsys):
     assert chain.verify() is None
     summary = json.loads((out / SUMMARY_FILE).read_text())
     assert summary["blocks"] == len(chain.blocks)
-    assert summary["transactions"] == chain.transaction_count()
+    assert summary["transactions"] == chain.next_tx_id
     obs = sum(1 for b in chain.blocks for tx in b.transactions if tx.kind == KIND_OBSERVATION)
     assert summary["observation_transactions"] == obs
     assert summary["reward_transactions"] == len(chain.blocks)

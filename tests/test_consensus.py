@@ -3,15 +3,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from stakenav import (
+from stakenav import InvalidPairError, elect_generator
+from stakenav.reference import (
     DegenerateStakesError,
-    InvalidPairError,
     ScanCounter,
     StakeTable,
     VisibilitySnapshot,
     consensus_score,
     consensus_score_matrix,
-    elect_generator,
     indicator,
     stake_weight,
 )
@@ -150,14 +149,14 @@ def test_election_prefers_heavier_weights():
     rng = random.Random(0)
     wins = [0, 0]
     for _ in range(2000):
-        wins[elect_generator([1.0, 9.0], rng)] += 1
+        wins[elect_generator([1.0, 9.0], rng, [1.0, 1.0])] += 1
     assert wins[1] > wins[0] * 3
 
 
 def test_election_single_positive_weight_always_wins():
     rng = random.Random(1)
     for _ in range(50):
-        assert elect_generator([0.0, 0.0, 2.5, 0.0], rng) == 2
+        assert elect_generator([0.0, 0.0, 2.5, 0.0], rng, [1.0] * 4) == 2
 
 
 def test_election_falls_back_to_stakes_then_uniform():
@@ -168,15 +167,12 @@ def test_election_falls_back_to_stakes_then_uniform():
     # zero stakes too -> uniform over all robots
     seen = {elect_generator([0.0, 0.0, 0.0], rng, stakes=[0.0, 0.0, 0.0]) for _ in range(500)}
     assert seen == {0, 1, 2}
-    # no stakes provided behaves like the uniform fallback
-    seen = {elect_generator([0.0, 0.0], rng) for _ in range(200)}
-    assert seen == {0, 1}
 
 
 def test_election_consumes_exactly_one_draw():
     a = random.Random(9)
     b = random.Random(9)
-    elect_generator([1.0, 2.0, 3.0], a)
+    elect_generator([1.0, 2.0, 3.0], a, [1.0, 1.0, 1.0])
     b.random()
     assert a.random() == b.random()
 
@@ -184,6 +180,6 @@ def test_election_consumes_exactly_one_draw():
 def test_election_rejects_bad_input():
     rng = random.Random(0)
     with pytest.raises(ValueError):
-        elect_generator([], rng)
+        elect_generator([], rng, [])
     with pytest.raises(ValueError):
-        elect_generator([1.0, -0.5], rng)
+        elect_generator([1.0, -0.5], rng, [1.0, 1.0])

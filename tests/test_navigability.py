@@ -4,9 +4,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from stakenav import (
+from stakenav import SealState
+from stakenav.reference import (
     AlphaMatrix,
-    SealState,
     StakeTable,
     UndefinedAverageError,
     VisibilitySnapshot,

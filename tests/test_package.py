@@ -26,13 +26,15 @@ def test_old_submodules_are_gone(name):
         importlib.import_module(name)
 
 
-def test_navigability_is_the_reference_function():
-    assert stakenav.navigability is stakenav.reference.navigability
-
-
-def test_visibility_snapshot_belongs_to_the_oracle():
-    assert stakenav.VisibilitySnapshot is stakenav.reference.VisibilitySnapshot
-    assert not hasattr(stakenav.sim, "VisibilitySnapshot")
+def test_the_package_does_not_reach_the_oracle():
+    oracle = [
+        name for name, value in vars(stakenav.reference).items()
+        if not name.startswith("_") and getattr(value, "__module__", None) == "stakenav.reference"
+    ]
+    assert "navigability" in oracle and "VisibilitySnapshot" in oracle
+    assert "__getattr__" not in vars(stakenav)
+    assert [name for name in oracle if hasattr(stakenav, name)] == []
+    assert [name for name in oracle if hasattr(stakenav.sim, name)] == []
 
 
 def test_package_holds_the_six_modules():

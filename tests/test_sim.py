@@ -7,26 +7,29 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stakenav import (
-    AlphaMatrix,
     ConfigError,
     DegradationScenario,
     ExperimentState,
     KIND_OBSERVATION,
     KIND_REWARD,
-    StakeTable,
-    VisibilitySnapshot,
     WorldConfig,
-    average_navigability,
     compute_visibility,
     elect_generator,
     emit_transactions,
     init_world,
     maybe_seal_blocks,
-    navigability_matrix,
     run_experiment,
+    sim,
     step_movement,
 )
-from stakenav.ledger import Reward
+from stakenav.ledger import Observation, Reward
+from stakenav.reference import (
+    AlphaMatrix,
+    StakeTable,
+    VisibilitySnapshot,
+    average_navigability,
+    navigability_matrix,
+)
 
 SMALL = WorldConfig(
     n_robots=4, n_landmarks=8, width=120.0, height=120.0,
@@ -105,11 +108,26 @@ def test_step_movement_stays_in_bounds_and_logs_trajectory():
     assert len(state.trajectory) == 51
 
 
-def assert_distance_rule(state, snap):
-    for position, seen in zip(state.trajectory[-1], snap.recognized):
-        for k, landmark in enumerate(state.landmarks):
-            visible = math.dist(position, landmark) <= state.config.sensing_radius
-            assert (k in seen) == visible
+def brute_common(state):
+    """(i, j) -> ascending landmarks both robots recognize, for every pair
+    sharing one, by the engine's distance predicate over all landmarks."""
+    radius = state.config.sensing_radius
+    seen = [
+        {k for k, (lx, ly) in enumerate(state.landmarks)
+         if (rx - lx) * (rx - lx) + (ry - ly) * (ry - ly) <= radius * radius}
+        for rx, ry in state.trajectory[-1]
+    ]
+    n = len(seen)
+    common = {(i, j): sorted(seen[i] & seen[j]) for i in range(n) for j in range(i + 1, n)}
+    return {pair: ks for pair, ks in common.items() if ks}
+
+
+def assert_distance_rule(state, observations):
+    expected = brute_common(state)
+    assert [tx.pair for tx in observations] == list(expected)
+    for tx in observations:
+        assert [k for k, _ in tx.matches] == expected[tx.pair]
+    return expected
 
 
 def hand_placed_state(config, robots_xy, landmarks_xy):
@@ -120,56 +138,53 @@ def hand_placed_state(config, robots_xy, landmarks_xy):
 def test_compute_visibility_matches_distance_rule():
     state = fresh_state()
     step_movement(state)
-    snap = compute_visibility(state)
-    VisibilitySnapshot.of(state.config.n_landmarks, snap)  # checks the intersections
-    assert_distance_rule(state, snap)
+    observations = compute_visibility(state)
+    assert observations
+    # Building the snapshot checks its pairwise intersections.
+    VisibilitySnapshot.of(state.config.n_robots, state.config.n_landmarks, observations)
+    assert_distance_rule(state, observations)
 
 
 def test_compute_visibility_grid_boundaries():
-    # Grid cells are just over 5 wide. Robot 0 sits in cell (0, 0); landmark
-    # 0 is exactly 5 away (a 3-4-5 triangle) in the diagonal cell (1, 1),
+    # Grid cells are just over 5 wide. Robots 0 and 1 sit together in cell
+    # (0, 0), so their common set is what each recognizes; landmark 0 is
+    # exactly 5 away (a 3-4-5 triangle) in the diagonal cell (1, 1),
     # landmark 1 a hair beyond 5, landmark 2 exactly 5 away straight across
-    # one boundary, landmark 3 two cells over. Robot 1 sees nothing.
-    cfg = WorldConfig(n_robots=2, n_landmarks=4, width=50.0, height=50.0,
+    # one boundary, landmark 3 two cells over. Robot 2 sees nothing.
+    cfg = WorldConfig(n_robots=3, n_landmarks=4, width=50.0, height=50.0,
                       sensing_radius=5.0, seed=1)
     state = hand_placed_state(
         cfg,
-        [(5.0, 5.0), (40.0, 40.0)],
+        [(5.0, 5.0), (5.0, 5.0), (40.0, 40.0)],
         [(8.0, 9.0), (8.0, 9.0 + 2**-20), (10.0, 5.0), (11.0, 5.0)],
     )
-    snap = compute_visibility(state)
-    assert snap.recognized == [{0, 2}, set()]
-    assert_distance_rule(state, snap)
-    assert snap.cooperating == []
-    assert state.min_common == 0 and state.max_common == 0
+    observations = compute_visibility(state)
+    assert [(tx.pair, [k for k, _ in tx.matches]) for tx in observations] == [((0, 1), [0, 2])]
+    assert_distance_rule(state, observations)
+    assert state.min_common == 0 and state.max_common == 2
 
 
 def test_compute_visibility_grid_in_a_huge_world():
     # Cell indices near 2**52 are where float floor division stops being
-    # exact; here cells of radius width would put the pair two cells apart.
+    # exact; here cells of radius width would put robot and landmark two
+    # cells apart. The two robots share a spot, so they share what each sees.
     x = 4904401271609417.0
-    cfg = WorldConfig(n_robots=1, n_landmarks=1, width=5e15, height=5e15,
+    cfg = WorldConfig(n_robots=2, n_landmarks=1, width=5e15, height=5e15,
                       sensing_radius=1.5, seed=1)
-    state = hand_placed_state(cfg, [(x, 7.0)], [(x + 1.0, 7.0)])
-    assert compute_visibility(state).recognized == [{0}]
+    state = hand_placed_state(cfg, [(x, 7.0), (x, 7.0)], [(x + 1.0, 7.0)])
+    observations = compute_visibility(state)
+    assert [(tx.pair, [k for k, _ in tx.matches]) for tx in observations] == [((0, 1), [0])]
 
 
 def test_compute_visibility_in_a_sparse_world():
     state = fresh_state(SPARSE)
     for _ in range(SPARSE.loops):
         step_movement(state)
-        snap = compute_visibility(state)
-        VisibilitySnapshot.of(SPARSE.n_landmarks, snap)  # checks the intersections
-        assert_distance_rule(state, snap)
+        observations = compute_visibility(state)
+        # Building the snapshot checks its pairwise intersections.
+        VisibilitySnapshot.of(SPARSE.n_robots, SPARSE.n_landmarks, observations)
+        expected = assert_distance_rule(state, observations)
         n = SPARSE.n_robots
-        expected = [
-            (i, j, sorted(snap.recognized[i] & snap.recognized[j]))
-            for i in range(n)
-            for j in range(i + 1, n)
-            if snap.recognized[i] & snap.recognized[j]
-        ]
-        assert [(i, j, [k for k, _ in matches])
-                for i, j, matches in snap.cooperating] == expected
         assert 0 < len(expected) < n * (n - 1) // 2 // 10
     assert state.min_common == 0
 
@@ -212,15 +227,16 @@ def test_cooperating_pairs_equal_an_all_pairs_intersection(world):
     state = hand_placed_state(config, robots, landmarks)
     replay = random.Random()
     replay.setstate(state.streams.quality.getstate())
-    snap = compute_visibility(state)
-    rec = snap.recognized
-    n = len(robots)
-    common = {(i, j): sorted(rec[i] & rec[j]) for i in range(n) for j in range(i + 1, n)}
+    observations = compute_visibility(state)
+    common = brute_common(state)
     expected = [
-        (i, j, [(k, replay.random()) for k in ks]) for (i, j), ks in common.items() if ks
+        Observation(pair, [(k, replay.random()) for k in ks], 0) for pair, ks in common.items()
     ]
-    assert snap.cooperating == expected
+    assert observations == expected
+    n = len(robots)
     counts = [len(ks) for ks in common.values()]
+    if len(common) < n * (n - 1) // 2:
+        counts.append(0)  # some pair shares no landmark
     assert state.max_common == max(counts, default=0)
     assert state.min_common == min(counts, default=None)
 
@@ -270,11 +286,13 @@ def test_landmark_grid_lists_each_landmark_once():
 def test_qualities_drawn_only_for_common_landmarks():
     state = fresh_state()
     step_movement(state)
-    snap = compute_visibility(state)
-    for i, j, matches in snap.cooperating:
+    observations = compute_visibility(state)
+    common = assert_distance_rule(state, observations)
+    for tx in observations:
+        i, j = tx.pair
         assert i < j
-        for k, q in matches:
-            assert k in snap.recognized[i] and k in snap.recognized[j]
+        for k, q in tx.matches:
+            assert k in common[tx.pair]
             assert 0.0 <= q < 1.0
 
 
@@ -284,57 +302,45 @@ def test_snapshot_qualities_are_the_drawn_qualities():
     step_movement(state)
     replay = random.Random()
     replay.setstate(state.streams.quality.getstate())
-    snap = compute_visibility(state)
-    assert (1, 3) in [(i, j) for i, j, _ in snap.cooperating]
+    observations = compute_visibility(state)
+    assert (1, 3) in [tx.pair for tx in observations]
     expected = {}
-    n = SMALL.n_robots
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in sorted(snap.recognized[i] & snap.recognized[j]):
-                q = replay.random()
-                if (i, j) == scenario.pair:
-                    q *= scenario.multiplier
-                expected[(i, j, k)] = q
-    assert VisibilitySnapshot.of(SMALL.n_landmarks, snap).qualities == expected
+    for (i, j), ks in brute_common(state).items():
+        for k in ks:
+            q = replay.random()
+            if (i, j) == scenario.pair:
+                q *= scenario.multiplier
+            expected[(i, j, k)] = q
+    snapshot = VisibilitySnapshot.of(SMALL.n_robots, SMALL.n_landmarks, observations)
+    assert snapshot.qualities == expected
 
 
 def test_emit_one_transaction_per_cooperating_pair():
     state = fresh_state()
     state.loop_index = 2
     step_movement(state)
-    snap = compute_visibility(state)
-    added = emit_transactions(state, snap)
-    qualities = VisibilitySnapshot.of(SMALL.n_landmarks, snap).qualities
-    expected_pairs = [
-        (i, j)
-        for i in range(4)
-        for j in range(i + 1, 4)
-        if snap.recognized[i] & snap.recognized[j]
-    ]
-    assert expected_pairs
-    assert [tx.pair for tx in added] == expected_pairs
+    observations = compute_visibility(state)
+    records = list(observations)
+    added = emit_transactions(state, observations)
+    # The records are queued as they are: the same list, unchanged.
+    assert added is observations and added == records
+    assert all(a is b for a, b in zip(added, records))
+    assert added
+    assert_distance_rule(state, added)
     for tx in added:
         i, j = tx.pair
         assert i < j
         assert tx.kind == KIND_OBSERVATION
         assert tx.tx_id is None  # ids only exist once sealed
         assert tx.loop_index == 2
-        ks = [k for k, _ in tx.matches]
-        assert ks == sorted(snap.recognized[i] & snap.recognized[j])
-        for k, q in tx.matches:
-            assert q == qualities[(i, j, k)]
-    # Each transaction keeps its own list of the drawn tuples.
-    for tx, (_, _, matches) in zip(added, snap.cooperating):
-        assert tx.matches == matches and tx.matches is not matches
-        assert all(a is b for a, b in zip(tx.matches, matches))
     assert state.pending == added
+    assert all(a is b for a, b in zip(state.pending, added))
 
 
 def test_sealing_assigns_contiguous_ids_and_credits_generator():
     state = fresh_state()
     step_movement(state)
-    snap = compute_visibility(state)
-    emit_transactions(state, snap)
+    emit_transactions(state, compute_visibility(state))
     assert len(state.pending) >= 3  # sanity for this seed
     stakes_before = list(state.stakes)
     blocks = maybe_seal_blocks(state)
@@ -386,7 +392,7 @@ def test_run_invariants_default_config():
     assert len(state.trajectory) == cfg.loops + 1
     n_pairs = cfg.n_robots * (cfg.n_robots - 1) // 2
     blocks = len(chain.blocks)
-    assert chain.transaction_count() <= n_pairs * cfg.loops + blocks
+    assert chain.next_tx_id <= n_pairs * cfg.loops + blocks
     expected_stake = cfg.n_robots * cfg.initial_stake + cfg.generator_reward * blocks
     assert abs(state.total_stake() - expected_stake) <= 1e-12
     assert state.min_common == 0 and state.max_common >= 2
@@ -456,9 +462,9 @@ def run_from_scratch(config, scenario=None):
     for loop in range(config.loops):
         state.loop_index = loop
         step_movement(state)
-        visibility = compute_visibility(state)
-        snapshot = VisibilitySnapshot.of(config.n_landmarks, visibility)
-        emit_transactions(state, visibility)
+        observations = compute_visibility(state)
+        snapshot = VisibilitySnapshot.of(config.n_robots, config.n_landmarks, observations)
+        emit_transactions(state, observations)
         while len(state.pending) >= config.block_size:
             batch = state.pending[: config.block_size]
             del state.pending[: config.block_size]
@@ -487,11 +493,14 @@ def test_replay_equivalence_holds_under_scenario():
     assert fast.chain.dumps() == scratch.chain.dumps()
 
 
+# Every pair starts with no history, and 7 does not divide a loop's pairs, so
+# transactions left pending from loop 0 are sealed in loop 1 and give pairs
+# that cooperate there their first importance mid-loop.
+COLD_START = dict(n_robots=30, n_landmarks=60, loops=2, block_size=7)
+
+
 def test_replay_equivalence_holds_from_a_cold_start():
-    # Every pair starts with no history, and 7 does not divide a loop's
-    # pairs, so transactions left pending from loop 0 are sealed in loop 1
-    # and give pairs that cooperate there their first importance mid-loop.
-    cfg = WorldConfig(n_robots=30, n_landmarks=60, loops=2, block_size=7, seed=0)
+    cfg = WorldConfig(**COLD_START, seed=0)
     fast = run_experiment(cfg)
     scratch = run_from_scratch(cfg)
     assert fast.chain.dumps() == scratch.chain.dumps()
@@ -513,3 +522,31 @@ def test_replay_equivalence_holds_in_a_sparse_world(scenario):
             if tx.kind == KIND_OBSERVATION and tx.pair == (2, 10) and 1 <= tx.loop_index <= 3
         ]
         assert zeroed and all(q == 0.0 for matches in zeroed for _, q in matches)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("world", [COLD_START, {}], ids=["cold_start", "default"])
+def test_loop_snapshots_read_back_from_the_ledger(monkeypatch, world, seed):
+    config = WorldConfig(**world, seed=seed)
+    n, m = config.n_robots, config.n_landmarks
+    returned = []
+
+    def recording(state):
+        observations = compute_visibility(state)
+        returned.append(VisibilitySnapshot.of(n, m, observations))
+        return observations
+
+    monkeypatch.setattr(sim, "compute_visibility", recording)
+    chain = run_experiment(config).chain
+    read_back = [[] for _ in range(config.loops)]
+    sealed_in = [set() for _ in range(config.loops)]
+    for block in chain.blocks:
+        for tx in block.transactions:
+            if tx.kind == KIND_OBSERVATION:
+                read_back[tx.loop_index].append(tx)
+                sealed_in[tx.loop_index].add(block.index)
+    assert len(returned) == config.loops
+    assert [VisibilitySnapshot.of(n, m, records) for records in read_back] == returned
+    # Some loop's records span blocks, and the last block seals a remainder.
+    assert any(len(blocks) > 1 for blocks in sealed_in)
+    assert len(chain.blocks[-1].transactions) <= config.block_size
