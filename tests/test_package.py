@@ -26,15 +26,25 @@ def test_old_submodules_are_gone(name):
         importlib.import_module(name)
 
 
-def test_the_package_does_not_reach_the_oracle():
-    oracle = [
+def _oracle_names():
+    return [
         name for name, value in vars(stakenav.reference).items()
         if not name.startswith("_") and getattr(value, "__module__", None) == "stakenav.reference"
     ]
-    assert "navigability" in oracle and "VisibilitySnapshot" in oracle
+
+
+def test_navigability_is_the_reference_function():
+    assert stakenav.reference.navigability.__module__ == "stakenav.reference"
+    assert "navigability" in _oracle_names()
     assert "__getattr__" not in vars(stakenav)
-    assert [name for name in oracle if hasattr(stakenav, name)] == []
-    assert [name for name in oracle if hasattr(stakenav.sim, name)] == []
+    assert [name for name in _oracle_names() if hasattr(stakenav, name)] == []
+
+
+def test_visibility_snapshot_belongs_to_the_oracle():
+    assert stakenav.reference.VisibilitySnapshot.__module__ == "stakenav.reference"
+    assert "VisibilitySnapshot" in _oracle_names()
+    assert not hasattr(stakenav, "VisibilitySnapshot")
+    assert [name for name in _oracle_names() if hasattr(stakenav.sim, name)] == []
 
 
 def test_package_holds_the_six_modules():
