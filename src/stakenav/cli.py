@@ -160,15 +160,16 @@ def parse_config(args: argparse.Namespace) -> RunRequest:
 
 
 def summarize(state: ExperimentState) -> dict:
-    """The run totals `summary.json` holds, recounted from the chain."""
+    """The run totals `summary.json` holds, recounted from the chain; a run
+    seals exactly one reward per block, so the rewards are the blocks."""
     chain = state.chain
-    observations = sum(block.observation_count for block in chain.blocks)
+    blocks = len(chain.blocks)
     total = chain.next_tx_id
     return {
-        "blocks": len(chain.blocks),
+        "blocks": blocks,
         "transactions": total,
-        "observation_transactions": observations,
-        "reward_transactions": total - observations,
+        "observation_transactions": total - blocks,
+        "reward_transactions": blocks,
         "max_common_landmarks": state.max_common,
         "min_common_landmarks": state.min_common if state.min_common is not None else 0,
         "generator_histogram": chain.generator_histogram(),

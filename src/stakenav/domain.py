@@ -19,9 +19,9 @@ from typing import NamedTuple
 MAX_SEED = 2**64 - 1
 # Largest step size whose draw span, 2 * step_size, is still finite.
 MAX_STEP = sys.float_info.max / 2
-# Team and landmark bounds that keep a run's memory finite: the seal state is
-# one n x n list of shared floats, about 134 MB at 4096 robots, and the landmark
-# grid one entry per landmark, plus the neighbourhoods of visited cells.
+# Team and landmark bounds that keep a run's memory finite: the seal state holds
+# a row of n shared floats per robot with sealed history, at most about 134 MB
+# at 4096 robots, and the landmark grid one entry per landmark.
 MAX_ROBOTS = 4096
 MAX_LANDMARKS = 2**20
 # A run's trajectory holds n_robots * (loops + 1) positions, which take about

@@ -38,8 +38,6 @@ import hashlib
 import io
 import json
 import math
-import re
-from collections import Counter
 from typing import Any, NamedTuple
 
 GENESIS_PREV_HASH = "0" * 64
@@ -60,7 +58,6 @@ _REWARD_FIELDS = frozenset(("generator", "kind", "loop_index", "reward", "tx_id"
 _HASH_KEY = b'"hash":"'
 _HASH_FIELD_LEN = len(_HASH_KEY) + 64 + len(b'",')
 _INDEX_KEY = b'"index":'
-_PAIR = re.compile(rb'"pair":\[(\d+),(\d+)\]')
 
 
 class LedgerError(ValueError):
@@ -239,9 +236,8 @@ class Block(NamedTuple):
     written once by `Chain.append_block` or read from a verified dump by
     `Chain.loads`; `hash` is its SHA-256. The transactions live only in
     `body`: their ids run from `first_tx_id` for `transaction_count` records,
-    of which `observation_count` are observations, and `transactions` builds
-    them on every read, unchecked: every body was encoded by `append_block`
-    or passed the dump reader.
+    and `transactions` builds them on every read, unchecked: every body was
+    encoded by `append_block` or passed the dump reader.
     """
 
     index: int
@@ -252,7 +248,6 @@ class Block(NamedTuple):
     body: bytes
     first_tx_id: int
     transaction_count: int
-    observation_count: int
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self) if k != "body")
@@ -281,7 +276,6 @@ def _sealed_block(record: dict, body: bytes, hash: str) -> Block:
     return Block(
         record["index"], record["prev_hash"], record["generator"], record["avg_navigability"],
         hash, body, transactions[0]["tx_id"], len(transactions),
-        sum(tx["kind"] == KIND_OBSERVATION for tx in transactions),
     )
 
 
@@ -340,15 +334,6 @@ class Chain:
         """`verify_dump_bytes` of this chain's dump: None when intact,
         otherwise the index of the first invalid block."""
         return verify_dump_bytes(self.dumps())
-
-    def all_pair_tx_counts(self) -> dict[tuple[int, int], int]:
-        """Observation transaction counts for every pair seen in the chain.
-
-        Scanned from the body bytes, not decoded: every body is canonical
-        (`append_block` encoded it or the dump reader verified it), so each
-        observation holds `"pair":[i,j]` once, written so, and nothing else does."""
-        found = Counter(pair for block in self.blocks for pair in _PAIR.findall(block.body))
-        return {(int(i), int(j)): count for (i, j), count in found.items()}
 
     def generator_histogram(self) -> list[int]:
         """Blocks sealed per robot; entries sum to the chain length."""

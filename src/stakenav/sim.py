@@ -16,14 +16,14 @@ and the election. The paper's formulas, one pair at a time, are in
 The loop does work in proportion to the pairs that cooperate, not to all n^2
 pairs. Each landmark is bucketed once per run into its cell of a grid of
 cells wider than the sensing radius, so a robot measures distances only to
-the landmarks of its cell's 3x3 neighbourhood, listed on its first visit.
-Each sighting also sets the robot's bit in the landmark's mask of seers, and
-a robot's partners are the OR of the masks of the landmarks it sees, so a
-pair that shares nothing is never visited. A seal sums each robot's
-navigability over its live terms only: the partners it shares a landmark with
-this loop and has sealed observations with (see `SealState`). A skipped
-distance test could only have failed, and a skipped pair or term could only
-have added an exact zero, so the bytes are those of the full quadratic pass.
+the landmarks of its own cell and the eight around it. Each sighting also
+sets the robot's bit in the landmark's mask of seers, and a robot's partners
+are the OR of the masks of the landmarks it sees, so a pair that shares
+nothing is never visited. A seal sums each robot's navigability over its
+live terms only: the partners it shares a landmark with this loop and has
+sealed observations with (see `SealState`). A skipped distance test could
+only have failed, and a skipped pair or term could only have added an exact
+zero, so the bytes are those of the full quadratic pass.
 
 Each drawn quality is handled once. `compute_visibility` appends it to its
 pair's list of (landmark id, quality) tuples and builds the pair's
@@ -125,7 +125,10 @@ class SealState:
 
     `alpha[i][j]` is pair (i, j)'s importance, min(c, 10) / 10 after c sealed
     observations, one of the eleven levels in `_IMPORTANCE`. This symmetric
-    n x n list is the run's one record of pair history; change it only by `record`.
+    n x n list is the run's one record of pair history, and its rows are
+    written only by `record`. Robots with no history share one row of zeros,
+    which is never written; `record` gives a robot its own copy at its first
+    sealed observation, so only robots with history cost a row of n entries.
 
     A robot's row holds its live terms: the partners that share a landmark
     with it this loop and have a non-zero importance, as (j, pair quality
@@ -135,7 +138,8 @@ class SealState:
     """
 
     def __init__(self, n_robots: int):
-        self.alpha = [[0.0] * n_robots for _ in range(n_robots)]
+        self._zeros = [0.0] * n_robots
+        self.alpha = [self._zeros] * n_robots
         self._rows: list[list[tuple[int, float]]] = [[] for _ in range(n_robots)]
         # (i, j) -> pair quality sum of cooperating pairs with no history.
         self._cold: dict[tuple[int, int], float] = {}
@@ -161,15 +165,21 @@ class SealState:
     def record(self, pairs: Iterable[tuple[int, int]]) -> None:
         """Count one sealed observation for each (i, j) pair, i < j."""
         alpha = self.alpha
+        zeros = self._zeros
         cold = self._cold
         for pair in pairs:
             i, j = pair
             level = alpha[i][j]
+            if not level:  # a first record; a pair with history owns both rows
+                if alpha[i] is zeros:
+                    alpha[i] = zeros[:]
+                if alpha[j] is zeros:
+                    alpha[j] = zeros[:]
+                if pair in cold:
+                    total = cold.pop(pair)
+                    insort(self._rows[i], (j, total))  # j is unique in the row, so
+                    insort(self._rows[j], (i, total))  # totals are never compared
             alpha[i][j] = alpha[j][i] = _NEXT_IMPORTANCE[level]
-            if not level and pair in cold:
-                total = cold.pop(pair)
-                insort(self._rows[i], (j, total))  # j is unique in the row, so
-                insort(self._rows[j], (i, total))  # totals are never compared
 
     def weights(self, stakes: list[float], total_stake: float) -> tuple[list[float], float]:
         """Per-robot navigability and its off-diagonal average.
@@ -204,8 +214,8 @@ class ExperimentState:
 
     `stakes[i]` is robot i's stake, and `trajectory[t][i]` its (x, y)
     position after t movement steps: `trajectory[0]` is the placement and
-    `trajectory[-1]` where the robots are now. `landmarks[k]` is landmark
-    k's (x, y) position.
+    `trajectory[-1]` where the robots are now. Landmark k's (x, y) position
+    is held only in the landmark grid (see `_landmark_grid`).
     """
 
     def __init__(
@@ -219,7 +229,6 @@ class ExperimentState:
         self.config = config
         self.scenario = scenario
         self.stakes = [config.initial_stake] * config.n_robots
-        self.landmarks = landmarks
         self.streams = streams
         self.chain = Chain(n_robots=config.n_robots)
         self.pending: list[Observation] = []
@@ -270,13 +279,13 @@ _Cells = dict[tuple[float, float], list[tuple[int, float, float]]]
 
 def _landmark_grid(
     config: WorldConfig, landmarks: list[tuple[float, float]]
-) -> tuple[float, _Cells, _Cells]:
-    """Cell size, the landmarks in each cell, and an empty neighbourhood map.
+) -> tuple[float, _Cells]:
+    """Cell size and the landmarks in each cell.
 
-    A cell is (x // size, y // size). The first map lists (id, x, y) of each
-    landmark once, in its cell, ascending by id. For each cell a robot visits
-    whose 3x3 neighbourhood holds a landmark, `compute_visibility` keeps in
-    the second map the nine cells' lists merged by id, from the first visit.
+    A cell is (x // size, y // size). The map lists (id, x, y) of each
+    landmark once, in its cell, ascending by id, and only non-empty cells.
+    `compute_visibility` reads a robot's nine cells, its own and the eight
+    around it, straight from the map on every visit.
 
     The prune is conservative: the distance test alone decides, and no
     landmark it would accept lies outside the robot's neighbourhood. The test
@@ -297,19 +306,19 @@ def _landmark_grid(
     for k, (x, y) in enumerate(landmarks):
         cells.setdefault((x // size, y // size), []).append((k, x, y))
     # Landmarks are visited in id order, so every list is already ascending.
-    return size, cells, {}
+    return size, cells
 
 
 def compute_visibility(state: ExperimentState) -> list[Observation]:
     """This loop's observation records: one per pair sharing a landmark.
 
     A robot recognizes a landmark iff their Euclidean distance is within the
-    sensing radius; only the landmarks of the robot's 3x3 grid neighbourhood
-    are measured, read from the grid's map of visited neighbourhoods, which a
-    first visit fills from the nine cells (see `_landmark_grid`). Each sighting
-    sets the robot's bit in the landmark's mask of seers; robot i's partners
-    are the bits above i in the OR of its landmarks' masks, so work grows with
-    sightings and cooperating pairs, never with all pairs or all landmarks.
+    sensing radius; only the landmarks of the robot's grid cell and the eight
+    around it are measured, in no particular order, since sightings land in
+    sets and masks (see `_landmark_grid`). Each sighting sets the robot's bit
+    in the landmark's mask of seers; robot i's partners are the bits above i
+    in the OR of its landmarks' masks, so work grows with sightings and
+    cooperating pairs, never with all pairs or all landmarks.
     Qualities are drawn uniformly in [0, 1) per (pair, common landmark), in
     ascending pair-then-landmark order, then scaled by an active degradation
     scenario; pairs that share nothing draw nothing, exactly as in a full pass.
@@ -321,28 +330,23 @@ def compute_visibility(state: ExperimentState) -> list[Observation]:
     """
     config = state.config
     radius_sq = config.sensing_radius * config.sensing_radius
-    size, cells, near = state._grid
+    size, cells = state._grid
     recognized: list[set[int]] = []
     # Seen landmark id -> mask of the robots that see it.
     seers: defaultdict[int, int] = defaultdict(int)
     for i, (rx, ry) in enumerate(state.trajectory[-1]):
-        cell = (rx // size, ry // size)
-        nearby = near.get(cell)
-        if nearby is None:
-            cx, cy = cell
-            nearby = sorted(entry for nx in (cx - 1.0, cx, cx + 1.0)
-                            for ny in (cy - 1.0, cy, cy + 1.0)
-                            for entry in cells.get((nx, ny), ()))
-            if nearby:
-                near[cell] = nearby
+        cx = rx // size
+        cy = ry // size
         seen = set()
         bit = 1 << i
-        for k, lx, ly in nearby:
-            dx = rx - lx
-            dy = ry - ly
-            if dx * dx + dy * dy <= radius_sq:
-                seen.add(k)
-                seers[k] |= bit
+        for nx in (cx - 1.0, cx, cx + 1.0):
+            for ny in (cy - 1.0, cy, cy + 1.0):
+                for k, lx, ly in cells.get((nx, ny), ()):
+                    dx = rx - lx
+                    dy = ry - ly
+                    if dx * dx + dy * dy <= radius_sq:
+                        seen.add(k)
+                        seers[k] |= bit
         recognized.append(seen)
 
     loop = state.loop_index

@@ -31,7 +31,7 @@ from stakenav.reference import (
     stake_weight,
 )
 from tests.test_consensus import random_snapshot
-from tests.test_ledger import build_chain
+from tests.test_ledger import build_chain, pair_tx_counts
 
 N_SEEDS = 100
 WINDOW = (4, 6)  # inclusive, 0-based loops
@@ -41,7 +41,7 @@ GOLDEN_SEED0_LEDGER = "8580c9a0fe7ef7871a91a2fb798d64764f415eb45c0954abfb5391dcd
 
 
 def busiest_pair(chain):
-    counts = chain.all_pair_tx_counts()
+    counts = pair_tx_counts(chain.blocks)
     return max(sorted(counts), key=lambda p: counts[p])
 
 
@@ -309,7 +309,7 @@ def test_c12_scale_smoke_under_30s_with_invariants():
     assert len(state.trajectory) == cfg.loops + 1
     expected_stake = 50 * 1.0 + 0.1 * len(chain.blocks)
     assert abs(state.total_stake() - expected_stake) <= 1e-12
-    alpha = AlphaMatrix.from_pair_counts(chain.all_pair_tx_counts(), 50)
+    alpha = AlphaMatrix.from_pair_counts(pair_tx_counts(chain.blocks), 50)
     assert state.seal.alpha == alpha.values
     pairs_cap = 50 * 49 // 2 * cfg.loops
     assert chain.next_tx_id <= pairs_cap + len(chain.blocks)

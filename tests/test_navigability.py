@@ -205,6 +205,13 @@ def test_seal_state_alpha_steps_through_eleven_shared_levels():
         seal.record([(0, 2), (1, 2)])
 
 
+def test_seal_state_writes_only_the_rows_of_robots_with_history():
+    seal = SealState(4)
+    seal.record([(0, 1)])
+    assert seal.alpha[2] == seal.alpha[3] == [0.0] * 4
+    assert seal.alpha == AlphaMatrix.from_pair_counts({(0, 1): 1}, 4).values
+
+
 def test_seal_state_holds_one_list_of_pair_history():
     # Every pair recorded once: one n x n list of pointers to shared floats,
     # where a second list of counts and a float per pair took 7.4 MB.

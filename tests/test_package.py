@@ -125,10 +125,10 @@ def test_check_determinism_reports_a_dump_that_does_not_load(monkeypatch, capsys
     monkeypatch.setattr(tool, "run_experiment", lambda config, scenario: garbled)
     assert tool.main() == 1
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 6
-    for line in lines[:5]:
+    assert len(lines) == 7
+    for line, seed in zip(lines[:6], [0] * 5 + [tool.CROSS_CELL_SEED]):
         assert ": MISMATCH " in line
-        assert line.endswith("; seed 0 does not load: block 0: Expecting value: "
+        assert line.endswith(f"; seed {seed} does not load: block 0: Expecting value: "
                              "line 1 column 1 (char 0)")
     # The exports come from the CLI's own run, which the patch leaves alone.
-    assert lines[5].endswith(": seed-0 exports: ok")
+    assert lines[6].endswith(": seed-0 exports: ok")

@@ -1,7 +1,12 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -30,6 +35,7 @@ from stakenav.reference import (
     average_navigability,
     navigability_matrix,
 )
+from tests.test_ledger import pair_tx_counts
 
 SMALL = WorldConfig(
     n_robots=4, n_landmarks=8, width=120.0, height=120.0,
@@ -108,12 +114,15 @@ def test_step_movement_stays_in_bounds_and_logs_trajectory():
     assert len(state.trajectory) == 51
 
 
-def brute_common(state):
+def brute_common(state, landmarks=None):
     """(i, j) -> ascending landmarks both robots recognize, for every pair
-    sharing one, by the engine's distance predicate over all landmarks."""
+    sharing one, by the engine's distance predicate over all landmarks:
+    `landmarks`, or else those `init_world` places for the state's config."""
+    if landmarks is None:
+        landmarks = init_world(state.config)[1]
     radius = state.config.sensing_radius
     seen = [
-        {k for k, (lx, ly) in enumerate(state.landmarks)
+        {k for k, (lx, ly) in enumerate(landmarks)
          if (rx - lx) * (rx - lx) + (ry - ly) * (ry - ly) <= radius * radius}
         for rx, ry in state.trajectory[-1]
     ]
@@ -122,8 +131,8 @@ def brute_common(state):
     return {pair: ks for pair, ks in common.items() if ks}
 
 
-def assert_distance_rule(state, observations):
-    expected = brute_common(state)
+def assert_distance_rule(state, observations, landmarks=None):
+    expected = brute_common(state, landmarks)
     assert [tx.pair for tx in observations] == list(expected)
     for tx in observations:
         assert [k for k, _ in tx.matches] == expected[tx.pair]
@@ -153,14 +162,11 @@ def test_compute_visibility_grid_boundaries():
     # one boundary, landmark 3 two cells over. Robot 2 sees nothing.
     cfg = WorldConfig(n_robots=3, n_landmarks=4, width=50.0, height=50.0,
                       sensing_radius=5.0, seed=1)
-    state = hand_placed_state(
-        cfg,
-        [(5.0, 5.0), (5.0, 5.0), (40.0, 40.0)],
-        [(8.0, 9.0), (8.0, 9.0 + 2**-20), (10.0, 5.0), (11.0, 5.0)],
-    )
+    landmarks = [(8.0, 9.0), (8.0, 9.0 + 2**-20), (10.0, 5.0), (11.0, 5.0)]
+    state = hand_placed_state(cfg, [(5.0, 5.0), (5.0, 5.0), (40.0, 40.0)], landmarks)
     observations = compute_visibility(state)
     assert [(tx.pair, [k for k, _ in tx.matches]) for tx in observations] == [((0, 1), [0, 2])]
-    assert_distance_rule(state, observations)
+    assert_distance_rule(state, observations, landmarks)
     assert state.min_common == 0 and state.max_common == 2
 
 
@@ -228,7 +234,7 @@ def test_cooperating_pairs_equal_an_all_pairs_intersection(world):
     replay = random.Random()
     replay.setstate(state.streams.quality.getstate())
     observations = compute_visibility(state)
-    common = brute_common(state)
+    common = brute_common(state, landmarks)
     expected = [
         Observation(pair, [(k, replay.random()) for k in ks], 0) for pair, ks in common.items()
     ]
@@ -257,11 +263,10 @@ def test_cross_cell_world_ledger_is_pinned():
     state = run_experiment(config)
     digest = hashlib.sha256(state.chain.dumps()).hexdigest()
     assert digest == "2a521c93e1c6ba231d286fd14425389be299fc20677b345dc6e42f14ae7a4fcd"
-    size, _, near = state._grid
+    size, _ = state._grid
     visits = [[(x // size, y // size) for x, y in positions] for positions in state.trajectory]
     stays = sum(a == b for before, after in zip(visits, visits[1:]) for a, b in zip(before, after))
     assert stays < 50  # of 800 robot steps
-    assert {cell for loop in visits[1:] for cell in loop} - near.keys()  # empty neighbourhoods
 
 
 def test_landmark_grid_lists_each_landmark_once():
@@ -279,8 +284,34 @@ def test_landmark_grid_lists_each_landmark_once():
     finally:
         tracemalloc.stop()
     assert peak < 40e6
-    _, cells, _ = state._grid
+    _, cells = state._grid
     assert sum(map(len, cells.values())) == config.n_landmarks
+
+
+# Prints the peak resident set of a run of the largest team in which no pair
+# ever cooperates. It reads the process's own high-water mark, VmHWM: on Linux
+# getrusage's ru_maxrss carries the parent's peak over into a spawned child.
+NO_COOPERATION_PROBE = """
+from stakenav import WorldConfig, run_experiment
+state = run_experiment(WorldConfig(n_robots=4096, n_landmarks=100, width=1e5, height=1e5,
+                                   loops=1, seed=0))
+assert not state.chain.blocks
+with open("/proc/self/status") as status:
+    print(next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")))
+"""
+
+
+def test_a_team_without_history_holds_no_row_of_pair_history():
+    # An n x n list of pair history made this run peak at 149 MB.
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs Linux's /proc/self/status")
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", NO_COOPERATION_PROBE], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) <= 25 * 1024  # KiB
 
 
 def test_qualities_drawn_only_for_common_landmarks():
@@ -403,7 +434,7 @@ def test_run_invariants_default_config():
 
 def test_alpha_mirrors_chain_history():
     state = run_experiment(WorldConfig(seed=9))
-    counts = state.chain.all_pair_tx_counts()
+    counts = pair_tx_counts(state.chain.blocks)
     alpha = AlphaMatrix.from_pair_counts(counts, state.config.n_robots)
     assert state.seal.alpha == alpha.values
 
@@ -437,7 +468,8 @@ def run_from_scratch(config, scenario=None):
     """Mirror of run_experiment that seals via the uncached matrix path.
 
     Movement, visibility, and emission reuse the library ops (identical RNG
-    consumption); sealing recomputes navigability from the chain state alone.
+    consumption); sealing recomputes navigability from the chain state alone,
+    its pair counts read from each newly sealed block once.
     Used to prove the driver's cached sealing is bit-identical.
     """
     if scenario is not None:
@@ -445,18 +477,18 @@ def run_from_scratch(config, scenario=None):
     positions, landmarks, streams = init_world(config)
     state = ExperimentState(config, scenario, positions, landmarks, streams)
     snapshot = None
+    counts = Counter()
 
     def seal(batch):
-        alpha = AlphaMatrix.from_pair_counts(
-            state.chain.all_pair_tx_counts(), config.n_robots
-        )
+        alpha = AlphaMatrix.from_pair_counts(counts, config.n_robots)
         stakes = state.stakes
         matrix = navigability_matrix(StakeTable(stakes), snapshot, alpha)
         weights = [matrix.row_sum(i) for i in range(config.n_robots)]
         avg = average_navigability(matrix)
         generator = elect_generator(weights, state.streams.election, stakes=stakes)
         reward = Reward(generator, config.generator_reward, state.loop_index)
-        state.chain.append_block(batch + [reward], generator, avg)
+        block = state.chain.append_block(batch + [reward], generator, avg)
+        counts.update(pair_tx_counts([block]))
         stakes[generator] += config.generator_reward
 
     for loop in range(config.loops):

@@ -1,8 +1,9 @@
 """Check that stakenav writes the same bytes on this interpreter.
 
 Runs the default configuration for seed 0 and for seeds 0-19, two sparse
-worlds, a dense world and a cold-start world for seeds 0-4, and compares the SHA-256 of the
-ledger dumps with pinned values. Each dump must also load back with
+worlds, a dense world and a cold-start world for seeds 0-4, and one world
+whose robots change grid cell almost every loop. It compares the SHA-256 of
+the ledger dumps with pinned values. Each dump must also load back with
 `Chain.loads`, which verifies it, and dump to the same bytes. Then exports
 the default seed-0 run as `stakenav --out DIR` does, into a temporary
 directory, and compares the SHA-256 of each of its four files with pinned
@@ -58,6 +59,14 @@ DENSE_DIGEST = "542c04e828caff775adc85e06bca34d2942f8e491cecce018b7a09317e5824da
 COLD_SEEDS = range(5)
 COLD = dict(n_robots=30, n_landmarks=60, loops=2, block_size=7)
 COLD_DIGEST = "dd31b05be90f048d3c9ada5c7cfbe7d5f85c835cd6e0c7b34b72ce90d5ce360b"
+# Steps of up to 2.5 grid cells, so that almost every robot reads a new set of
+# nine cells every loop and a few read cells that hold no landmark: 100
+# robots, 2000 landmarks, 3000x3000, radius 60, steps of 150, 8 loops, seed 10.
+# Same value as in tests/test_sim.py's test_cross_cell_world_ledger_is_pinned.
+CROSS_CELL_SEED = 10
+CROSS_CELL = dict(n_robots=100, n_landmarks=2000, width=3000.0, height=3000.0,
+                  sensing_radius=60.0, step_size=150.0, loops=8)
+CROSS_CELL_DIGEST = "2a521c93e1c6ba231d286fd14425389be299fc20677b345dc6e42f14ae7a4fcd"
 # SHA-256 of each file that `stakenav --out DIR` writes: the default config, seed 0.
 SEED0_EXPORTS = {
     "ledger.jsonl": GOLDEN_SEED0_LEDGER,
@@ -117,6 +126,7 @@ def main() -> int:
         ),
         "dense seeds 0-4 ledgers": ([(seed, DENSE, None) for seed in DENSE_SEEDS], DENSE_DIGEST),
         "cold-start seeds 0-4 ledgers": ([(seed, COLD, None) for seed in COLD_SEEDS], COLD_DIGEST),
+        "cross-cell seed 10 ledger": ([(CROSS_CELL_SEED, CROSS_CELL, None)], CROSS_CELL_DIGEST),
     }
     version = sys.version.split()[0]
     failed = False
