@@ -12,14 +12,16 @@ block including its "hash" field. Keys are sorted, so that field always sits
 just before "index", and a line is its body with `"hash":"<hex>",` spliced
 in there.
 
-A sealed block is its bytes. `Chain.append_block` numbers the records it is
-given, encodes the body once through the module-level `canonical_encode` and
-keeps those bytes with a few header numbers; dumping splices the hash into
-them, and `Block.transactions` builds records from the body only when it
-is read. Records are named tuples, one class per kind (`Observation`,
-`Reward`), that check nothing: the simulator builds them from values that
-are already checked or drawn in range. A record's `tx_id` is None until it is
-sealed, and the records that `Block.transactions` builds carry their ids.
+A sealed block is its dump line. `Chain.append_block` numbers the records it
+is given, encodes the body once through the module-level `canonical_encode`,
+hashes it and splices the hash in; the block keeps that line with a few
+header numbers, `Chain.dumps()` writes the lines as they are, and
+`Block.transactions` builds records from the line only when it is read.
+Records are named tuples, one class per kind (`Observation`, `Reward`), that
+check nothing: the simulator builds them from values that are already
+checked or drawn in range. A record is what the run built; its id exists
+only in the line, so the records read back from a block equal the ones
+appended.
 
 There is one reader of dump bytes, `_read_dump`. Per line it decodes the
 line, checks it against the record schema, the index, the prev_hash link and
@@ -195,8 +197,6 @@ class Observation(NamedTuple):
     pair: tuple[int, int]
     matches: list[tuple[int, float]]
     loop_index: int
-    tx_id: int | None = None
-    kind = KIND_OBSERVATION
 
     def _record(self, tx_id: int) -> dict:
         """The body record; pair and matches encode as JSON arrays as they are."""
@@ -216,8 +216,6 @@ class Reward(NamedTuple):
     generator: int
     reward: float
     loop_index: int
-    tx_id: int | None = None
-    kind = KIND_REWARD
 
     def _record(self, tx_id: int) -> dict:
         return {
@@ -230,14 +228,15 @@ class Reward(NamedTuple):
 
 
 class Block(NamedTuple):
-    """One sealed block: its header numbers and its canonical body bytes.
+    """One sealed block: its header numbers and its canonical dump line.
 
-    `body` is the canonical encoding of the block without its hash field,
-    written once by `Chain.append_block` or read from a verified dump by
-    `Chain.loads`; `hash` is its SHA-256. The transactions live only in
-    `body`: their ids run from `first_tx_id` for `transaction_count` records,
-    and `transactions` builds them on every read, unchecked: every body was
-    encoded by `append_block` or passed the dump reader.
+    `line` is the block's dump line without the newline, hash field
+    included, written once by `Chain.append_block` or read from a verified
+    dump by `Chain.loads`; `hash` is the SHA-256 of the line with that field
+    cut out. The transactions live only in `line`: their ids run from
+    `first_tx_id` for `transaction_count` records, and `transactions` builds
+    them on every read, unchecked, equal to the records that were appended:
+    every line was written by `append_block` or passed the dump reader.
     """
 
     index: int
@@ -245,37 +244,30 @@ class Block(NamedTuple):
     generator: int
     avg_navigability: float
     hash: str
-    body: bytes
+    line: bytes
     first_tx_id: int
     transaction_count: int
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self) if k != "body")
+        shown = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self) if k != "line")
         return f"Block({shown})"
 
     @property
     def transactions(self) -> list[Observation | Reward]:
         return [
-            Observation(
-                tuple(tx["pair"]), [(k, q) for k, q in tx["matches"]], tx["loop_index"], tx["tx_id"]
-            )
+            Observation(tuple(tx["pair"]), [(k, q) for k, q in tx["matches"]], tx["loop_index"])
             if tx["kind"] == KIND_OBSERVATION
-            else Reward(tx["generator"], tx["reward"], tx["loop_index"], tx["tx_id"])
-            for tx in json.loads(self.body)["transactions"]
+            else Reward(tx["generator"], tx["reward"], tx["loop_index"])
+            for tx in json.loads(self.line)["transactions"]
         ]
 
-    def to_line(self) -> bytes:
-        """The dump line: the body with the hash field spliced in before "index"."""
-        at = self.body.index(_INDEX_KEY)
-        return b'%s"hash":"%s",%s' % (self.body[:at], self.hash.encode("ascii"), self.body[at:])
 
-
-def _sealed_block(record: dict, body: bytes, hash: str) -> Block:
-    """The Block for a block record (its hash field aside), its body bytes and hash."""
+def _sealed_block(record: dict, line: bytes, hash: str) -> Block:
+    """The Block for a block record (its hash field aside), its line and hash."""
     transactions = record["transactions"]
     return Block(
         record["index"], record["prev_hash"], record["generator"], record["avg_navigability"],
-        hash, body, transactions[0]["tx_id"], len(transactions),
+        hash, line, transactions[0]["tx_id"], len(transactions),
     )
 
 
@@ -308,9 +300,9 @@ class Chain:
     ) -> Block:
         """Seal `transactions` into a new block and link it to the chain tip.
 
-        The records are numbered from `next_tx_id` in list order, whatever
-        their own `tx_id`, and the body is encoded here, once; the block
-        keeps the bytes and no record.
+        The records are numbered from `next_tx_id` in list order, and the
+        body is encoded and hashed here, once; the block keeps the dump line,
+        the hash spliced in before "index", and no record.
         """
         if not transactions:
             raise LedgerError("cannot seal a block with no transactions")
@@ -326,7 +318,10 @@ class Chain:
         }
         _check_team(record, self.n_robots)
         body = canonical_encode(record)
-        block = _sealed_block(record, body, hashlib.sha256(body).hexdigest())
+        hash = hashlib.sha256(body).hexdigest()
+        at = body.index(_INDEX_KEY)
+        line = b'%s"hash":"%s",%s' % (body[:at], hash.encode("ascii"), body[at:])
+        block = _sealed_block(record, line, hash)
         self.blocks.append(block)
         return block
 
@@ -349,7 +344,7 @@ class Chain:
         # the result.
         out = io.BytesIO()
         for block in self.blocks:
-            out.write(block.to_line())
+            out.write(block.line)
             out.write(b"\n")
         return out.getvalue()
 
@@ -363,17 +358,19 @@ class Chain:
         that were read.
         """
         chain = cls(n_robots=n_robots)
-        for record, body in _read_dump(data, n_robots):
-            chain.blocks.append(_sealed_block(record, body, record["hash"]))
+        for record, line in _read_dump(data, n_robots):
+            chain.blocks.append(_sealed_block(record, line, record["hash"]))
         return chain
 
 
 def _read_dump(data: bytes, n_robots: int | None = None):
-    """Yield (record, body) for each line of a dump, in order, once the line
-    has passed every rule; raise `LedgerFormatError("block K: <rule>")` at the
-    first line K that does not. The team check runs only when `n_robots` is
-    given: the schema already rejects negative ids. Every line, the last
-    included, ends in a newline."""
+    """Yield (record, line) for each line of a dump, in order and without its
+    newline, once the line has passed every rule; raise
+    `LedgerFormatError("block K: <rule>")` at the first line K that does not.
+    The hash is checked over the line with its hash field cut out; that body
+    is not kept. The team check runs only when `n_robots` is given: the
+    schema already rejects negative ids. Every line, the last included, ends
+    in a newline."""
     prev_hash = GENESIS_PREV_HASH
     next_tx_id = 0
     lines = data.split(b"\n")
@@ -397,8 +394,7 @@ def _read_dump(data: bytes, n_robots: int | None = None):
                 next_tx_id += 1
             if canonical_encode(record) != line:
                 raise LedgerFormatError("line is not the canonical encoding of its record")
-            body = _cut_hash(line)
-            if hashlib.sha256(body).hexdigest() != record["hash"]:
+            if hashlib.sha256(_cut_hash(line)).hexdigest() != record["hash"]:
                 raise LedgerFormatError("hash does not match the block body")
         # ValueError covers bad ASCII, bad JSON, an integer too long to
         # convert and LedgerError; RecursionError comes from arrays nested
@@ -406,7 +402,7 @@ def _read_dump(data: bytes, n_robots: int | None = None):
         except (ValueError, RecursionError) as exc:
             raise LedgerFormatError(f"block {index}: {exc}") from exc
         prev_hash = record["hash"]
-        yield record, body
+        yield record, line
     if unterminated:
         raise LedgerFormatError(f"block {len(lines)}: line does not end with a newline")
 

@@ -28,8 +28,8 @@ zero, so the bytes are those of the full quadratic pass.
 Each drawn quality is handled once. `compute_visibility` appends it to its
 pair's list of (landmark id, quality) tuples and builds the pair's
 observation record around that list; emission queues the loop's records as
-they are, and sealing encodes the tuples straight into the block body, which
-the block keeps instead of the records.
+they are, and sealing encodes the tuples straight into the block's dump line,
+which the block keeps instead of the records.
 
 `Chain.append_block` numbers transactions as it seals them, in pending
 order, so ids across the chain are gapless even though reward transactions
@@ -242,19 +242,15 @@ class ExperimentState:
         self._grid = _landmark_grid(config, landmarks)
 
     def total_stake(self) -> float:
-        return _finite_total(self.stakes)
+        """Left-to-right total of the stakes; ValueError once it has overflowed.
 
-
-def _finite_total(stakes) -> float:
-    """Left-to-right total of the stakes; ValueError once it has overflowed.
-
-    Huge finite stakes and rewards can sum to inf, which would turn every
-    stake weight into 0 or nan and make the exports unencodable.
-    """
-    total = ordered_sum(stakes)
-    if not math.isfinite(total):
-        raise ValueError(f"total stake overflowed to {total}; initial stake or reward too large")
-    return total
+        Huge finite stakes and rewards can sum to inf, which would turn every
+        stake weight into 0 or nan and make the exports unencodable.
+        """
+        total = ordered_sum(self.stakes)
+        if not math.isfinite(total):
+            raise ValueError(f"total stake overflowed to {total}; initial stake or reward too large")
+        return total
 
 
 def step_movement(state: ExperimentState) -> list[tuple[float, float]]:
@@ -454,7 +450,7 @@ def _seal_batch(state: ExperimentState, batch: list[Observation]) -> Block:
     """
     config = state.config
     stakes = state.stakes
-    weights, avg_nav = state.seal.weights(stakes, _finite_total(stakes))
+    weights, avg_nav = state.seal.weights(stakes, state.total_stake())
     generator = elect_generator(weights, state.streams.election, stakes=stakes)
     reward = Reward(generator, config.generator_reward, state.loop_index)
     block = state.chain.append_block(batch + [reward], generator, avg_nav)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stakenav.ledger
-from stakenav import KIND_OBSERVATION, Chain, WorldConfig, verify_dump_bytes
+from stakenav import Chain, WorldConfig, verify_dump_bytes
 from stakenav.cli import (
     CONFIG_KEYS,
     LEDGER_FILE,
@@ -26,6 +26,7 @@ from stakenav.cli import (
     run_and_export,
 )
 from stakenav.domain import MAX_POSITIONS, MAX_ROBOTS
+from stakenav.ledger import Observation
 from tests.test_ledger import CHAIN_RULES, seed_records
 
 
@@ -308,7 +309,7 @@ def test_run_writes_all_exports(tmp_path, capsys):
     summary = json.loads((out / SUMMARY_FILE).read_text())
     assert summary["blocks"] == len(chain.blocks)
     assert summary["transactions"] == chain.next_tx_id
-    obs = sum(1 for b in chain.blocks for tx in b.transactions if tx.kind == KIND_OBSERVATION)
+    obs = sum(1 for b in chain.blocks for tx in b.transactions if isinstance(tx, Observation))
     assert summary["observation_transactions"] == obs
     assert summary["reward_transactions"] == len(chain.blocks)
     assert summary["generator_histogram"] == chain.generator_histogram()
@@ -322,8 +323,9 @@ def test_run_writes_all_exports(tmp_path, capsys):
     for block, line in zip(chain.blocks, ts_lines[1:]):
         idx, first, last, avg, gen = line.split(",")
         assert int(idx) == block.index
-        assert int(first) == block.transactions[0].tx_id
-        assert int(last) == block.transactions[-1].tx_id
+        ids = [tx["tx_id"] for tx in json.loads(block.line)["transactions"]]
+        assert int(first) == ids[0]
+        assert int(last) == ids[-1]
         assert float(avg) == block.avg_navigability
         assert int(gen) == block.generator
 

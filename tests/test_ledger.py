@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import given, strategies as st
 
 from stakenav import (
     GENESIS_PREV_HASH,
-    KIND_OBSERVATION,
     Chain,
     ConfigError,
     ExperimentState,
@@ -28,8 +28,8 @@ from stakenav import (
 from stakenav.ledger import Observation, Reward
 
 
-def obs(pair, loop, tx_id=None, matches=((0, 0.5),)):
-    return Observation(tuple(sorted(pair)), list(matches), loop, tx_id)
+def obs(pair, loop, matches=((0, 0.5),)):
+    return Observation(tuple(sorted(pair)), list(matches), loop)
 
 
 def build_chain(blocks=3, n_robots=4, block_size=3, seed=0):
@@ -51,7 +51,7 @@ def pair_tx_counts(blocks) -> Counter:
     """(i, j) -> how many observations of the pair `blocks` hold, read
     through `Block.transactions`."""
     return Counter(
-        tx.pair for block in blocks for tx in block.transactions if tx.kind == KIND_OBSERVATION
+        tx.pair for block in blocks for tx in block.transactions if isinstance(tx, Observation)
     )
 
 
@@ -87,11 +87,10 @@ def test_reward_and_avg_navigability_must_be_finite(value):
 def test_block_transactions_are_the_appended_records():
     chain = Chain(n_robots=4)
     chain.append_block([obs((0, 1), 0)], 0, 0.0)
-    appended = [obs((0, 2), 4, 7, [(1, 0.25), (3, 0.75)]), Reward(1, 0.1, 2)]
+    appended = [obs((0, 2), 4, [(1, 0.25), (3, 0.75)]), Reward(1, 0.1, 2)]
     chain.append_block(appended, 1, 0.5)
-    sealed = [tx._replace(tx_id=tx_id) for tx_id, tx in enumerate(appended, 1)]
-    assert chain.blocks[1].transactions == sealed  # tuples, not lists, for pair and matches
-    assert Chain.loads(chain.dumps()).blocks[1].transactions == sealed
+    assert chain.blocks[1].transactions == appended  # tuples, not lists, for pair and matches
+    assert Chain.loads(chain.dumps()).blocks[1].transactions == appended
 
 
 def test_reader_rejects_a_bad_transaction_record_at_its_block():
@@ -123,10 +122,10 @@ def test_block_hash_covers_body():
     chain = build_chain(blocks=1)
     block = chain.blocks[0]
     assert block.prev_hash == GENESIS_PREV_HASH
-    record = json.loads(block.to_line())
+    record = json.loads(block.line)
+    assert canonical_encode(record) == block.line
     assert record.pop("hash") == block.hash
-    assert canonical_encode(record) == block.body
-    assert block.hash == hashlib.sha256(block.body).hexdigest()
+    assert block.hash == hashlib.sha256(canonical_encode(record)).hexdigest()
 
 
 def test_append_block_validates_ids_and_indices():
@@ -134,13 +133,13 @@ def test_append_block_validates_ids_and_indices():
     with pytest.raises(LedgerError):
         chain.append_block([], 0, 0.0)  # empty block
     with pytest.raises(LedgerError):
-        chain.append_block([obs((0, 1), 0, 0)], 3, 0.0)  # generator out of range
+        chain.append_block([obs((0, 1), 0)], 3, 0.0)  # generator out of range
     with pytest.raises(LedgerError):
-        chain.append_block([obs((0, 7), 0, 0)], 0, 0.0)  # pair out of range
-    chain.append_block([obs((0, 1), 0, 0)], 2, 0.0)
+        chain.append_block([obs((0, 7), 0)], 0, 0.0)  # pair out of range
+    chain.append_block([obs((0, 1), 0)], 2, 0.0)
     assert chain.next_tx_id == 1
-    chain.append_block([obs((0, 1), 1, 5), obs((1, 2), 1)], 0, 0.0)  # ids numbered here
-    assert [tx.tx_id for tx in chain.blocks[1].transactions] == [1, 2]
+    chain.append_block([obs((0, 1), 1), obs((1, 2), 1)], 0, 0.0)  # ids numbered here
+    assert [tx["tx_id"] for tx in json.loads(chain.blocks[1].line)["transactions"]] == [1, 2]
 
 
 def test_verify_accepts_untampered_chain():
@@ -184,8 +183,8 @@ def test_verify_reports_first_tampered_block():
 
 def test_pair_tx_count_and_histogram():
     chain = Chain(n_robots=3)
-    chain.append_block([obs((0, 1), 0, 0), obs((1, 0), 0, 1)], 0, 0.0)
-    chain.append_block([obs((1, 2), 1, 2)], 2, 0.0)
+    chain.append_block([obs((0, 1), 0), obs((1, 0), 0)], 0, 0.0)
+    chain.append_block([obs((1, 2), 1)], 2, 0.0)
     assert pair_tx_counts(chain.blocks) == {(0, 1): 2, (1, 2): 1}
     assert chain.generator_histogram() == [1, 0, 1]
 
@@ -197,6 +196,24 @@ def test_dump_round_trip_is_byte_identical():
     assert again.dumps() == data
     assert again.verify() is None
     assert verify_dump_bytes(data) is None
+
+
+def test_loaded_blocks_keep_the_lines_read_and_nothing_beside_them():
+    # 106 dense blocks (50 robots, 100 landmarks, 1 loop). A loaded block
+    # keeps the line the reader split off and no second copy of its bytes,
+    # so loading holds about one copy of the dump beside the input.
+    chain = run_experiment(WorldConfig(n_robots=50, n_landmarks=100, loops=1, seed=0)).chain
+    data = chain.dumps()
+    assert (len(chain.blocks), len(data)) == (106, 644_207)
+    tracemalloc.start()
+    try:
+        loaded = Chain.loads(data, n_robots=50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * len(data)
+    assert [b.line for b in loaded.blocks] == [b.line for b in chain.blocks]
+    assert [b.transactions for b in loaded.blocks] == [b.transactions for b in chain.blocks]
 
 
 def test_verify_dump_rejects_garbage_line():
@@ -276,8 +293,8 @@ def test_sealed_lines_match_a_fresh_encoding():
     for seed in range(5):
         chain = run_experiment(WorldConfig(seed=seed)).chain
         for block in chain.blocks:
-            assert canonical_encode(json.loads(block.to_line())) == block.to_line()
-            assert rehash(block.to_line()) == block.to_line()
+            assert canonical_encode(json.loads(block.line)) == block.line
+            assert rehash(block.line) == block.line
         data = chain.dumps()
         assert Chain.loads(data).dumps() == data
         assert verify_dump_bytes(data) is None

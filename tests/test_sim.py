@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import random
@@ -15,8 +16,6 @@ from stakenav import (
     ConfigError,
     DegradationScenario,
     ExperimentState,
-    KIND_OBSERVATION,
-    KIND_REWARD,
     WorldConfig,
     compute_visibility,
     elect_generator,
@@ -361,8 +360,7 @@ def test_emit_one_transaction_per_cooperating_pair():
     for tx in added:
         i, j = tx.pair
         assert i < j
-        assert tx.kind == KIND_OBSERVATION
-        assert tx.tx_id is None  # ids only exist once sealed
+        assert isinstance(tx, Observation)
         assert tx.loop_index == 2
     assert state.pending == added
     assert all(a is b for a, b in zip(state.pending, added))
@@ -378,9 +376,9 @@ def test_sealing_assigns_contiguous_ids_and_credits_generator():
     assert blocks and len(state.pending) < state.config.block_size
     for block in blocks:
         assert len(block.transactions) == state.config.block_size + 1
-        assert block.transactions[-1].kind == KIND_REWARD
+        assert isinstance(block.transactions[-1], Reward)
         assert block.transactions[-1].generator == block.generator
-    ids = [tx.tx_id for b in blocks for tx in b.transactions]
+    ids = [tx["tx_id"] for b in blocks for tx in json.loads(b.line)["transactions"]]
     assert ids == list(range(len(ids)))
     reward_total = sum(state.stakes) - sum(stakes_before)
     assert reward_total == pytest.approx(len(blocks) * state.config.generator_reward)
@@ -428,7 +426,7 @@ def test_run_invariants_default_config():
     assert abs(state.total_stake() - expected_stake) <= 1e-12
     assert state.min_common == 0 and state.max_common >= 2
     # reward count equals block count; observation count fills the rest
-    rewards = sum(1 for b in chain.blocks for tx in b.transactions if tx.kind == KIND_REWARD)
+    rewards = sum(1 for b in chain.blocks for tx in b.transactions if isinstance(tx, Reward))
     assert rewards == blocks
 
 
@@ -448,12 +446,12 @@ def test_degradation_scales_only_target_pair_in_window():
     base_txs = {
         (tx.pair, tx.loop_index): tx.matches
         for b in base.chain.blocks for tx in b.transactions
-        if tx.kind == KIND_OBSERVATION
+        if isinstance(tx, Observation)
     }
     deg_txs = {
         (tx.pair, tx.loop_index): tx.matches
         for b in deg.chain.blocks for tx in b.transactions
-        if tx.kind == KIND_OBSERVATION
+        if isinstance(tx, Observation)
     }
     assert base_txs.keys() == deg_txs.keys()  # emission ignores quality
     for (pair, loop), matches in deg_txs.items():
@@ -551,7 +549,7 @@ def test_replay_equivalence_holds_in_a_sparse_world(scenario):
         zeroed = [
             tx.matches
             for b in fast.chain.blocks for tx in b.transactions
-            if tx.kind == KIND_OBSERVATION and tx.pair == (2, 10) and 1 <= tx.loop_index <= 3
+            if isinstance(tx, Observation) and tx.pair == (2, 10) and 1 <= tx.loop_index <= 3
         ]
         assert zeroed and all(q == 0.0 for matches in zeroed for _, q in matches)
 
@@ -574,7 +572,7 @@ def test_loop_snapshots_read_back_from_the_ledger(monkeypatch, world, seed):
     sealed_in = [set() for _ in range(config.loops)]
     for block in chain.blocks:
         for tx in block.transactions:
-            if tx.kind == KIND_OBSERVATION:
+            if isinstance(tx, Observation):
                 read_back[tx.loop_index].append(tx)
                 sealed_in[tx.loop_index].add(block.index)
     assert len(returned) == config.loops
