@@ -9,41 +9,20 @@ generators are elected by navigability and earn stake, closing the loop.
 
 `sim` is the engine a run executes. `stakenav.reference` holds the paper's
 formulas one pair at a time, as the oracle the engine is tested against; it
-is imported from there, and nothing here loads it.
+is imported from there, and nothing here loads it. This package exports the
+names a library user needs to run, inspect and verify an experiment; every
+other name is imported from its module.
 """
 from __future__ import annotations
 
-from .domain import (
-    ConfigError,
-    InvalidPairError,
-    RandomStreams,
-    WorldConfig,
-    derive_stream,
-    init_world,
-    normalize_pair,
-)
-from .ledger import (
-    GENESIS_PREV_HASH,
-    KIND_OBSERVATION,
-    KIND_REWARD,
-    Block,
-    Chain,
-    LedgerError,
-    LedgerFormatError,
-    canonical_encode,
-    verify_dump_bytes,
-)
+from .domain import ConfigError, WorldConfig, init_world
+from .ledger import Block, Chain, LedgerError, LedgerFormatError, verify_dump_bytes
 from .sim import (
-    IMPORTANCE_LEVELS,
     DegradationScenario,
     ExperimentState,
-    SealState,
     compute_visibility,
-    elect_generator,
     emit_transactions,
-    maybe_seal_blocks,
     run_experiment,
-    step_movement,
 )
 
 __version__ = "0.1.0"
@@ -54,26 +33,12 @@ __all__ = [
     "ConfigError",
     "DegradationScenario",
     "ExperimentState",
-    "GENESIS_PREV_HASH",
-    "IMPORTANCE_LEVELS",
-    "InvalidPairError",
-    "KIND_OBSERVATION",
-    "KIND_REWARD",
     "LedgerError",
     "LedgerFormatError",
-    "RandomStreams",
-    "SealState",
     "WorldConfig",
-    "canonical_encode",
     "compute_visibility",
-    "derive_stream",
-    "elect_generator",
     "emit_transactions",
     "init_world",
-    "maybe_seal_blocks",
-    "normalize_pair",
     "run_experiment",
-    "step_movement",
     "verify_dump_bytes",
 ]
-

@@ -23,16 +23,19 @@ checked or drawn in range. A record is what the run built; its id exists
 only in the line, so the records read back from a block equal the ones
 appended.
 
-There is one reader of dump bytes, `_read_dump`. Per line it decodes the
-line, checks it against the record schema, the index, the prev_hash link and
-the tx_id sequence, re-encodes it once and requires that to equal the stored
-bytes (so the file carries exactly the canonical form), then hashes the line
-with the hash field cut out and compares the stored hash; given a team size,
-it also checks robot ids. The first line that fails raises
-`LedgerFormatError("block K: <rule>")`. `verify_dump_bytes` returns that K,
-and `Chain.loads` raises it, so a loaded chain is valid by construction.
-`Chain.verify()` runs `verify_dump_bytes` on the chain's own dump. Any
-single-bit change to the stored bytes is therefore detected.
+There is one reader of dump bytes, `_read_dump`, and it walks a stream of
+lines, holding one at a time. Per line it requires the final newline,
+decodes the line, checks it against the record schema, the index, the
+prev_hash link and the tx_id sequence, re-encodes it once and requires that
+to equal the stored bytes (so the file carries exactly the canonical form),
+then hashes the line with the hash field cut out and compares the stored
+hash; given a team size, it also checks robot ids. The first line that fails
+raises `LedgerFormatError("block K: <rule>")`. `verify_dump_bytes` returns
+that K, and `Chain.loads` raises it, so a loaded chain is valid by
+construction. Both read their bytes through an `io.BytesIO`, which shares
+the buffer, so neither holds a second copy of the dump. `Chain.verify()`
+runs `verify_dump_bytes` on the chain's own dump. Any single-bit change to
+the stored bytes is therefore detected.
 """
 from __future__ import annotations
 
@@ -240,7 +243,6 @@ class Block(NamedTuple):
     """
 
     index: int
-    prev_hash: str
     generator: int
     avg_navigability: float
     hash: str
@@ -266,8 +268,8 @@ def _sealed_block(record: dict, line: bytes, hash: str) -> Block:
     """The Block for a block record (its hash field aside), its line and hash."""
     transactions = record["transactions"]
     return Block(
-        record["index"], record["prev_hash"], record["generator"], record["avg_navigability"],
-        hash, line, transactions[0]["tx_id"], len(transactions),
+        record["index"], record["generator"], record["avg_navigability"], hash, line,
+        transactions[0]["tx_id"], len(transactions),
     )
 
 
@@ -358,25 +360,28 @@ class Chain:
         that were read.
         """
         chain = cls(n_robots=n_robots)
-        for record, line in _read_dump(data, n_robots):
+        for record, line in _read_dump(io.BytesIO(data), n_robots):
             chain.blocks.append(_sealed_block(record, line, record["hash"]))
         return chain
 
 
-def _read_dump(data: bytes, n_robots: int | None = None):
-    """Yield (record, line) for each line of a dump, in order and without its
-    newline, once the line has passed every rule; raise
+def _read_dump(lines, n_robots: int | None = None):
+    """Yield (record, line) for each line of `lines` in order, the line
+    without its newline, once it has passed every rule; raise
     `LedgerFormatError("block K: <rule>")` at the first line K that does not.
-    The hash is checked over the line with its hash field cut out; that body
-    is not kept. The team check runs only when `n_robots` is given: the
-    schema already rejects negative ids. Every line, the last included, ends
-    in a newline."""
+    `lines` is any iterable of byte lines, such as a binary file or an
+    `io.BytesIO`, and only the line being read is held. Every line, the last
+    included, must end in a newline, and that rule is checked first. The
+    hash is checked over the line with its hash field cut out; that body is
+    not kept. The team check runs only when `n_robots` is given: the schema
+    already rejects negative ids."""
     prev_hash = GENESIS_PREV_HASH
     next_tx_id = 0
-    lines = data.split(b"\n")
-    unterminated = lines.pop()  # b"" unless the last line lacks its newline
     for index, line in enumerate(lines):
         try:
+            if line[-1:] != b"\n":
+                raise LedgerFormatError("line does not end with a newline")
+            line = line[:-1]
             record = json.loads(line.decode("ascii"))
             _check_block_fields(record)
             transactions = record["transactions"]
@@ -403,22 +408,21 @@ def _read_dump(data: bytes, n_robots: int | None = None):
             raise LedgerFormatError(f"block {index}: {exc}") from exc
         prev_hash = record["hash"]
         yield record, line
-    if unterminated:
-        raise LedgerFormatError(f"block {len(lines)}: line does not end with a newline")
 
 
 def verify_dump_bytes(data: bytes) -> int | None:
     """Verify a dumped chain directly from its bytes.
 
-    Runs the dump reader, which checks each line's schema, index, prev_hash
-    link, tx_ids, canonical form and hash, and builds no Block or
+    Runs the dump reader over the lines of `data`, read in place through an
+    `io.BytesIO`. It checks each line's final newline, schema, index,
+    prev_hash link, tx_ids, canonical form and hash, and builds no Block or
     record. Stops at the first bad line, so any byte-level change is
     reported no later than the block it lands in. Returns None when valid,
     otherwise the index of the first invalid block.
     """
     verified = 0
     try:
-        for _ in _read_dump(data):
+        for _ in _read_dump(io.BytesIO(data)):
             verified += 1
     except LedgerFormatError:
         return verified

@@ -15,7 +15,6 @@ from stakenav import (
     Chain,
     DegradationScenario,
     WorldConfig,
-    elect_generator,
     run_experiment,
     verify_dump_bytes,
 )
@@ -30,6 +29,7 @@ from stakenav.reference import (
     navigability_matrix,
     stake_weight,
 )
+from stakenav.sim import elect_generator
 from tests.test_consensus import random_snapshot
 from tests.test_ledger import build_chain, pair_tx_counts
 

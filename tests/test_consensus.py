@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from stakenav import InvalidPairError, elect_generator
+from stakenav.domain import InvalidPairError
 from stakenav.reference import (
     DegenerateStakesError,
     ScanCounter,
@@ -14,6 +14,7 @@ from stakenav.reference import (
     indicator,
     stake_weight,
 )
+from stakenav.sim import elect_generator
 
 
 def snapshot_fixture():

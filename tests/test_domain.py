@@ -4,18 +4,16 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stakenav import (
-    ConfigError,
-    DegradationScenario,
-    ExperimentState,
+from stakenav import ConfigError, DegradationScenario, ExperimentState, WorldConfig, init_world
+from stakenav.domain import (
+    MAX_LANDMARKS,
+    MAX_POSITIONS,
+    MAX_ROBOTS,
     InvalidPairError,
     RandomStreams,
-    WorldConfig,
     derive_stream,
-    init_world,
     normalize_pair,
 )
-from stakenav.domain import MAX_LANDMARKS, MAX_POSITIONS, MAX_ROBOTS
 from tests.test_cli import CONFIG_VALUES
 
 

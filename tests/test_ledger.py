@@ -10,22 +10,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stakenav import (
-    GENESIS_PREV_HASH,
     Chain,
     ConfigError,
     ExperimentState,
     LedgerError,
     LedgerFormatError,
     WorldConfig,
-    canonical_encode,
     compute_visibility,
     emit_transactions,
     init_world,
     run_experiment,
-    step_movement,
     verify_dump_bytes,
 )
-from stakenav.ledger import Observation, Reward
+from stakenav.ledger import GENESIS_PREV_HASH, Observation, Reward, canonical_encode
+from stakenav.sim import step_movement
 
 
 def obs(pair, loop, matches=((0, 0.5),)):
@@ -121,8 +119,8 @@ def test_reader_rejects_a_bad_transaction_record_at_its_block():
 def test_block_hash_covers_body():
     chain = build_chain(blocks=1)
     block = chain.blocks[0]
-    assert block.prev_hash == GENESIS_PREV_HASH
     record = json.loads(block.line)
+    assert record["prev_hash"] == GENESIS_PREV_HASH
     assert canonical_encode(record) == block.line
     assert record.pop("hash") == block.hash
     assert block.hash == hashlib.sha256(canonical_encode(record)).hexdigest()
@@ -155,7 +153,7 @@ def test_verify_reports_first_tampered_block():
     for record, name in (
         (emitted, "loop_index"),
         (chain.blocks[2].transactions[0], "loop_index"),
-        (chain.blocks[3], "prev_hash"),
+        (chain.blocks[3], "hash"),
     ):
         before = getattr(record, name)
         with pytest.raises(AttributeError):
@@ -198,22 +196,79 @@ def test_dump_round_trip_is_byte_identical():
     assert verify_dump_bytes(data) is None
 
 
-def test_loaded_blocks_keep_the_lines_read_and_nothing_beside_them():
-    # 106 dense blocks (50 robots, 100 landmarks, 1 loop). A loaded block
-    # keeps the line the reader split off and no second copy of its bytes,
-    # so loading holds about one copy of the dump beside the input.
+def dense_chain():
+    """106 dense blocks: 50 robots, 100 landmarks, 1 loop, seed 0."""
     chain = run_experiment(WorldConfig(n_robots=50, n_landmarks=100, loops=1, seed=0)).chain
-    data = chain.dumps()
-    assert (len(chain.blocks), len(data)) == (106, 644_207)
+    assert (len(chain.blocks), len(chain.dumps())) == (106, 644_207)
+    return chain
+
+
+def traced_peak(call):
+    """`call()`'s result and the peak of the memory it allocated."""
     tracemalloc.start()
     try:
-        loaded = Chain.loads(data, n_robots=50)
-        _, peak = tracemalloc.get_traced_memory()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_loaded_blocks_keep_the_lines_read_and_nothing_beside_them():
+    # A loaded block keeps the line the reader read and no second copy of
+    # its bytes, so loading holds about one copy of the dump beside the input.
+    chain = dense_chain()
+    data = chain.dumps()
+    loaded, peak = traced_peak(lambda: Chain.loads(data, n_robots=50))
     assert peak <= 1.6 * len(data)
     assert [b.line for b in loaded.blocks] == [b.line for b in chain.blocks]
     assert [b.transactions for b in loaded.blocks] == [b.transactions for b in chain.blocks]
+
+
+@pytest.mark.parametrize("verifier, bound", [("verify_dump_bytes", 0.5), ("Chain.verify", 1.6)])
+def test_verify_holds_no_second_copy_of_the_dump(verifier, bound):
+    # The reader walks the lines of the bytes it is given in place, one at a
+    # time: verifying a dump holds no copy of it, and `Chain.verify()` holds
+    # only the dump it writes.
+    chain = dense_chain()
+    data = chain.dumps()
+    call = (lambda: verify_dump_bytes(data)) if verifier == "verify_dump_bytes" else chain.verify
+    result, peak = traced_peak(call)
+    assert result is None
+    assert peak <= bound * len(data)
+
+
+# Byte shapes at the edges of splitting a dump into lines, each with the
+# index `verify_dump_bytes` returns and the message `Chain.loads` raises.
+NO_VALUE = "Expecting value: line 1 column 1 (char 0)"
+LINE_SHAPES = {
+    "empty line between blocks": (
+        lambda lines: lines[0] + b"\n" + b"".join(lines[1:]), 1, f"block 1: {NO_VALUE}"
+    ),
+    "blank line after the last block": (
+        lambda lines: b"".join(lines) + b"\n", 3, f"block 3: {NO_VALUE}"
+    ),
+    "only a newline": (lambda lines: b"\n", 0, f"block 0: {NO_VALUE}"),
+    "CRLF line endings": (
+        lambda lines: b"".join(lines).replace(b"\n", b"\r\n"),
+        0,
+        "block 0: line is not the canonical encoding of its record",
+    ),
+    "unterminated last line that is not JSON": (
+        lambda lines: b"".join(lines) + b"not json",
+        3,
+        "block 3: line does not end with a newline",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", list(LINE_SHAPES))
+def test_reader_splits_lines_only_at_newlines(shape):
+    build, index, message = LINE_SHAPES[shape]
+    data = build(build_chain(blocks=3).dumps().splitlines(keepends=True))
+    assert verify_dump_bytes(data) == index
+    with pytest.raises(LedgerFormatError) as raised:
+        Chain.loads(data)
+    assert str(raised.value) == message
 
 
 def test_verify_dump_rejects_garbage_line():

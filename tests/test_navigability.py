@@ -4,7 +4,6 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from stakenav import SealState
 from stakenav.reference import (
     AlphaMatrix,
     StakeTable,
@@ -16,6 +15,7 @@ from stakenav.reference import (
     navigability_matrix,
 )
 from stakenav.domain import ordered_sum
+from stakenav.sim import SealState
 from tests.test_consensus import random_snapshot
 
 

@@ -3,6 +3,7 @@ same ledger bytes on every supported interpreter."""
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 import types
@@ -45,6 +46,17 @@ def test_visibility_snapshot_belongs_to_the_oracle():
     assert "VisibilitySnapshot" in _oracle_names()
     assert not hasattr(stakenav, "VisibilitySnapshot")
     assert [name for name in _oracle_names() if hasattr(stakenav.sim, name)] == []
+
+
+def test_package_exports_only_what_its_users_name():
+    # The names README's library section uses without a module prefix, the
+    # ones tools/check_determinism.py imports, and the error `append_block`
+    # raises. Everything else is imported from its module.
+    assert sorted(stakenav.__all__) == [
+        "Block", "Chain", "ConfigError", "DegradationScenario", "ExperimentState",
+        "LedgerError", "LedgerFormatError", "WorldConfig", "compute_visibility",
+        "emit_transactions", "init_world", "run_experiment", "verify_dump_bytes",
+    ]
 
 
 def test_package_holds_the_six_modules():
@@ -114,13 +126,18 @@ def test_check_determinism_passes_under(version):
     assert result.returncode == 0, result.stdout + result.stderr
 
 
-def test_check_determinism_reports_a_dump_that_does_not_load(monkeypatch, capsys):
+def _load_tool(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src/
     spec = importlib.util.spec_from_file_location(
         "check_determinism", ROOT / "tools" / "check_determinism.py"
     )
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_check_determinism_reports_a_dump_that_does_not_load(monkeypatch, capsys):
+    tool = _load_tool(monkeypatch)
     garbled = types.SimpleNamespace(chain=types.SimpleNamespace(dumps=lambda: b"not json\n"))
     monkeypatch.setattr(tool, "run_experiment", lambda config, scenario: garbled)
     assert tool.main() == 1
@@ -132,3 +149,22 @@ def test_check_determinism_reports_a_dump_that_does_not_load(monkeypatch, capsys
                              "line 1 column 1 (char 0)")
     # The exports come from the CLI's own run, which the patch leaves alone.
     assert lines[6].endswith(": seed-0 exports: ok")
+
+
+def test_check_determinism_runs_the_cli_verify_on_its_ledger_export(monkeypatch, capsys):
+    tool = _load_tool(monkeypatch)
+    run_and_export = tool.run_and_export
+
+    def run_and_cut_the_last_newline(request, stream):
+        run_and_export(request, stream)
+        ledger = Path(request.out_dir) / "ledger.jsonl"
+        ledger.write_bytes(ledger.read_bytes()[:-1])
+
+    monkeypatch.setattr(tool, "run_and_export", run_and_cut_the_last_newline)
+    assert tool.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7
+    assert all(line.endswith(": ok") for line in lines[:6])
+    assert ": seed-0 exports: MISMATCH ledger.jsonl " in lines[6]
+    assert re.search(r"; --verify exits 3: \S+ledger\.jsonl: invalid at block 30: "
+                     r"line does not end with a newline$", lines[6]), lines[6]

@@ -18,13 +18,10 @@ from stakenav import (
     ExperimentState,
     WorldConfig,
     compute_visibility,
-    elect_generator,
     emit_transactions,
     init_world,
-    maybe_seal_blocks,
     run_experiment,
     sim,
-    step_movement,
 )
 from stakenav.ledger import Observation, Reward
 from stakenav.reference import (
@@ -34,6 +31,7 @@ from stakenav.reference import (
     average_navigability,
     navigability_matrix,
 )
+from stakenav.sim import elect_generator, maybe_seal_blocks, step_movement
 from tests.test_ledger import pair_tx_counts
 
 SMALL = WorldConfig(

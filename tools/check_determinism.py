@@ -6,17 +6,19 @@ whose robots change grid cell almost every loop. It compares the SHA-256 of
 the ledger dumps with pinned values. Each dump must also load back with
 `Chain.loads`, which verifies it, and dump to the same bytes. Then exports
 the default seed-0 run as `stakenav --out DIR` does, into a temporary
-directory, and compares the SHA-256 of each of its four files with pinned
-values. Needs only the standard library, so it runs on interpreters that
-have no pytest:
+directory, compares the SHA-256 of each of its four files with pinned
+values, and runs `stakenav --verify` on its ledger. Needs only the standard
+library, so it runs on interpreters that have no pytest:
 
     python3 tools/check_determinism.py
 
-Exits 0 when every digest matches and every dump round-trips, 1 otherwise;
-a dump that does not load is reported by the loader's message.
+Exits 0 when every digest matches, every dump round-trips and the verify
+exits 0, 1 otherwise; a dump that does not load is reported by the loader's
+message, and a failed verify by its exit code and output.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import sys
@@ -32,7 +34,7 @@ from stakenav import (  # noqa: E402
     WorldConfig,
     run_experiment,
 )
-from stakenav.cli import build_parser, parse_config, run_and_export  # noqa: E402
+from stakenav.cli import build_parser, main as cli_main, parse_config, run_and_export  # noqa: E402
 
 # Same value as GOLDEN_SEED0_LEDGER in tests/test_acceptance.py.
 GOLDEN_SEED0_LEDGER = "8580c9a0fe7ef7871a91a2fb798d64764f415eb45c0954abfb5391dcd5cdc7b6"
@@ -99,17 +101,23 @@ def world_digest(runs) -> tuple[str, str | None]:
 
 
 def export_result() -> str:
-    """Whether the default seed-0 run's four exports match: "ok", or which differ."""
+    """Whether the default seed-0 run's four exports match and its ledger
+    passes `stakenav --verify`: "ok", or what failed."""
     with tempfile.TemporaryDirectory() as out:
         run_and_export(parse_config(build_parser().parse_args(["--out", out])), io.StringIO())
         got = {
             name: hashlib.sha256((Path(out) / name).read_bytes()).hexdigest()
             for name in SEED0_EXPORTS
         }
+        with contextlib.redirect_stdout(io.StringIO()) as said:
+            code = cli_main(["--verify", str(Path(out) / "ledger.jsonl")])
     mismatches = [
         f"{name} {got[name]} != {want}" for name, want in SEED0_EXPORTS.items() if got[name] != want
     ]
-    return f"MISMATCH {'; '.join(mismatches)}" if mismatches else "ok"
+    problems = [f"MISMATCH {'; '.join(mismatches)}"] if mismatches else []
+    if code != 0:
+        problems.append(f"--verify exits {code}: {said.getvalue().strip()}")
+    return "; ".join(problems) or "ok"
 
 
 def main() -> int:
