@@ -82,19 +82,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_pair(text, key: str) -> tuple[int, int]:
-    if isinstance(text, (list, tuple)) and len(text) == 2:
-        # As for integer config keys: no bool, no float, no string.
-        if type(text[0]) is not int or type(text[1]) is not int:
-            raise UsageError(f"config key '{key}' must be two integers, got {text!r}")
-        return text[0], text[1]
-    if not isinstance(text, str):
-        raise UsageError(f"{key} must be two comma-separated integers, got {text!r}")
-    try:
-        a, b = (int(p) for p in text.split(","))
-    except ValueError:
-        raise UsageError(f"{key} must be two comma-separated integers, got {text!r}") from None
-    return a, b
+def _parse_pair(value, key: str) -> tuple[int, int]:
+    """A pair given as an `I,J` string, or as a config file's two-integer list."""
+    if isinstance(value, str):
+        try:
+            a, b = (int(p) for p in value.split(","))
+        except ValueError:
+            raise UsageError(f"{key} must be two comma-separated integers, got {value!r}") from None
+        return a, b
+    # As for integer config keys: no bool, no float, no string.
+    if isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value):
+        return value[0], value[1]
+    raise UsageError(f"config key '{key}' must be two integers, got {value!r}")
 
 
 def load_config_file(path: str) -> dict:
@@ -197,7 +196,7 @@ def _timeseries_csv(state: ExperimentState) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_and_export(request: RunRequest, stream=None) -> dict:
+def run_and_export(request: RunRequest) -> dict:
     """Run the experiment, write the four export files and return the
     summary that `summary.json` holds.
 
@@ -206,7 +205,6 @@ def run_and_export(request: RunRequest, stream=None) -> dict:
     renamed into place only once every one is written, so a failed write
     leaves the files of an earlier run as they were.
     """
-    stream = stream if stream is not None else sys.stdout
     started = time.perf_counter()
     state = run_experiment(request.config, request.scenario)
     duration = time.perf_counter() - started
@@ -233,21 +231,20 @@ def run_and_export(request: RunRequest, stream=None) -> dict:
         for temporary in temporaries.values():
             temporary.unlink(missing_ok=True)
 
-    print(f"blocks sealed: {summary['blocks']}", file=stream)
+    print(f"blocks sealed: {summary['blocks']}")
     print(
         f"transactions: {summary['transactions']} "
         f"({summary['observation_transactions']} observations, "
-        f"{summary['reward_transactions']} rewards)",
-        file=stream,
+        f"{summary['reward_transactions']} rewards)"
     )
     print(f"common landmarks per pair: max {summary['max_common_landmarks']}, "
-          f"min {summary['min_common_landmarks']}", file=stream)
-    print(f"generator histogram: {summary['generator_histogram']}", file=stream)
+          f"min {summary['min_common_landmarks']}")
+    print(f"generator histogram: {summary['generator_histogram']}")
     stakes = ", ".join(format(s, ".3f") for s in summary["final_stakes"])
-    print(f"final stakes: [{stakes}] (total {summary['total_stake']:.3f})", file=stream)
-    print(f"elapsed: {duration:.3f}s", file=stream)
+    print(f"final stakes: [{stakes}] (total {summary['total_stake']:.3f})")
+    print(f"elapsed: {duration:.3f}s")
     print(f"wrote {out / LEDGER_FILE}, {out / TRAJECTORIES_FILE}, "
-          f"{out / TIMESERIES_FILE}, {out / SUMMARY_FILE}", file=stream)
+          f"{out / TIMESERIES_FILE}, {out / SUMMARY_FILE}")
     return summary
 
 

@@ -8,28 +8,29 @@ of the canonical encoding of the block without its "hash" field (its body).
 The genesis block's prev_hash is 64 zero hex digits.
 
 Dump format: one block per line, each line the canonical encoding of the
-block including its "hash" field. Keys are sorted, so that field always sits
-just before "index", and a line is its body with `"hash":"<hex>",` spliced
-in there.
+block including its "hash" field, then a newline. Keys are sorted, so that
+field always sits just before "index": `_splice`, the one function that
+makes a line, puts `"hash":"<hex>",` there in the body and a newline after.
 
-A sealed block is its dump line. `Chain.append_block` numbers the records it
-is given, encodes the body once through the module-level `canonical_encode`,
-hashes it and splices the hash in; the block keeps that line with a few
-header numbers, `Chain.dumps()` writes the lines as they are, and
-`Block.transactions` builds records from the line only when it is read.
-Records are named tuples, one class per kind (`Observation`, `Reward`), that
-check nothing: the simulator builds them from values that are already
-checked or drawn in range. A record is what the run built; its id exists
-only in the line, so the records read back from a block equal the ones
-appended.
+A sealed block is its dump line, newline included. `Chain.append_block`
+numbers the records it is given, encodes the body once through the
+module-level `canonical_encode`, hashes it and splices the line; the block
+keeps that line with a few header numbers, `Chain.dumps()` joins the lines
+as they are, and `Block.transactions` builds records from the line only
+when it is read. Records are named tuples, one class per kind
+(`Observation`, `Reward`), that check nothing: the simulator builds them
+from values that are already checked or drawn in range. A record is what
+the run built; its id exists only in the line, so the records read back
+from a block equal the ones appended.
 
 There is one reader of dump bytes, `_read_dump`, and it walks a stream of
 lines, holding one at a time. Per line it requires the final newline,
 decodes the line, checks it against the record schema, the index, the
-prev_hash link and the tx_id sequence, re-encodes it once and requires that
-to equal the stored bytes (so the file carries exactly the canonical form),
-then hashes the line with the hash field cut out and compares the stored
-hash; given a team size, it also checks robot ids. The first line that fails
+prev_hash link and the tx_id sequence, takes the stored hash out of the
+record, encodes the body once and requires `_splice` of that body and the
+stored hash to equal the line read (so the file carries exactly the
+canonical form), then hashes that same body and compares the stored hash;
+given a team size, it also checks robot ids. The first line that fails
 raises `LedgerFormatError("block K: <rule>")`. `verify_dump_bytes` returns
 that K, and `Chain.loads` raises it, so a loaded chain is valid by
 construction. Both read their bytes through an `io.BytesIO`, which shares
@@ -58,10 +59,6 @@ _BLOCK_FIELDS = frozenset(
 _OBSERVATION_FIELDS = frozenset(("kind", "loop_index", "matches", "pair", "tx_id"))
 _REWARD_FIELDS = frozenset(("generator", "kind", "loop_index", "reward", "tx_id"))
 
-# In a canonical line the hash field, `"hash":"<64 hex>",`, comes right after
-# the avg_navigability and generator numbers and right before "index".
-_HASH_KEY = b'"hash":"'
-_HASH_FIELD_LEN = len(_HASH_KEY) + 64 + len(b'",')
 _INDEX_KEY = b'"index":'
 
 
@@ -233,13 +230,14 @@ class Reward(NamedTuple):
 class Block(NamedTuple):
     """One sealed block: its header numbers and its canonical dump line.
 
-    `line` is the block's dump line without the newline, hash field
-    included, written once by `Chain.append_block` or read from a verified
-    dump by `Chain.loads`; `hash` is the SHA-256 of the line with that field
-    cut out. The transactions live only in `line`: their ids run from
-    `first_tx_id` for `transaction_count` records, and `transactions` builds
-    them on every read, unchecked, equal to the records that were appended:
-    every line was written by `append_block` or passed the dump reader.
+    `line` is the block's exact bytes in the dump, hash field and newline
+    included, made once by `_splice` in `Chain.append_block` or read from a
+    verified dump by `Chain.loads`; `hash` is the SHA-256 of the body, the
+    line without that field and newline. The transactions live only in
+    `line`: their ids run from `first_tx_id` for `transaction_count`
+    records, and `transactions` builds them on every read, unchecked, equal
+    to the records that were appended: every line was written by
+    `append_block` or passed the dump reader.
     """
 
     index: int
@@ -264,19 +262,20 @@ class Block(NamedTuple):
         ]
 
 
+def _splice(body: bytes, hash: str) -> bytes:
+    """The dump line of a block: its canonical body with `"hash":"<hash>",`
+    in before "index", where sorted keys put it, and a newline after."""
+    at = body.index(_INDEX_KEY)
+    return b"".join((body[:at], b'"hash":"', hash.encode("ascii"), b'",', body[at:], b"\n"))
+
+
 def _sealed_block(record: dict, line: bytes, hash: str) -> Block:
-    """The Block for a block record (its hash field aside), its line and hash."""
+    """The Block for a block record without its hash field, its line and hash."""
     transactions = record["transactions"]
     return Block(
         record["index"], record["generator"], record["avg_navigability"], hash, line,
         transactions[0]["tx_id"], len(transactions),
     )
-
-
-def _cut_hash(line: bytes) -> bytes:
-    """A canonical dump line without its hash field: the block's body."""
-    at = line.index(_HASH_KEY)
-    return line[:at] + line[at + _HASH_FIELD_LEN:]
 
 
 class Chain:
@@ -304,7 +303,7 @@ class Chain:
 
         The records are numbered from `next_tx_id` in list order, and the
         body is encoded and hashed here, once; the block keeps the dump line,
-        the hash spliced in before "index", and no record.
+        made by `_splice`, and no record.
         """
         if not transactions:
             raise LedgerError("cannot seal a block with no transactions")
@@ -321,9 +320,7 @@ class Chain:
         _check_team(record, self.n_robots)
         body = canonical_encode(record)
         hash = hashlib.sha256(body).hexdigest()
-        at = body.index(_INDEX_KEY)
-        line = b'%s"hash":"%s",%s' % (body[:at], hash.encode("ascii"), body[at:])
-        block = _sealed_block(record, line, hash)
+        block = _sealed_block(record, _splice(body, hash), hash)
         self.blocks.append(block)
         return block
 
@@ -342,13 +339,9 @@ class Chain:
         return counts
 
     def dumps(self) -> bytes:
-        # Written into one growing buffer, so no list of lines sits beside
-        # the result.
-        out = io.BytesIO()
-        for block in self.blocks:
-            out.write(block.line)
-            out.write(b"\n")
-        return out.getvalue()
+        """The dump: the blocks' lines, each already ending in its newline,
+        joined as they are."""
+        return b"".join(block.line for block in self.blocks)
 
     @classmethod
     def loads(cls, data: bytes, n_robots: int | None = None) -> "Chain":
@@ -356,33 +349,33 @@ class Chain:
         check robot ids as `append_block` does.
 
         Raises `LedgerFormatError("block K: <rule>")` at the first line that
-        fails, so a loaded chain is valid, and `dumps()` gives back the bytes
-        that were read.
+        fails, so a loaded chain is valid. Each block keeps its line exactly
+        as read, so `dumps()` gives back the bytes that were read.
         """
         chain = cls(n_robots=n_robots)
-        for record, line in _read_dump(io.BytesIO(data), n_robots):
-            chain.blocks.append(_sealed_block(record, line, record["hash"]))
+        for sealed in _read_dump(io.BytesIO(data), n_robots):
+            chain.blocks.append(_sealed_block(*sealed))
         return chain
 
 
 def _read_dump(lines, n_robots: int | None = None):
-    """Yield (record, line) for each line of `lines` in order, the line
-    without its newline, once it has passed every rule; raise
+    """Yield (record, line, hash) for each line of `lines` in order, once it
+    has passed every rule: the block record without its hash field, the line
+    as read, newline included, and the stored hash. Raise
     `LedgerFormatError("block K: <rule>")` at the first line K that does not.
     `lines` is any iterable of byte lines, such as a binary file or an
     `io.BytesIO`, and only the line being read is held. Every line, the last
-    included, must end in a newline, and that rule is checked first. The
-    hash is checked over the line with its hash field cut out; that body is
-    not kept. The team check runs only when `n_robots` is given: the schema
-    already rejects negative ids."""
+    included, must end in a newline, and that rule is checked first. The body
+    is encoded once: `_splice` of it and the stored hash must give back the
+    line, and its SHA-256 must be the stored hash. The team check runs only
+    when `n_robots` is given: the schema already rejects negative ids."""
     prev_hash = GENESIS_PREV_HASH
     next_tx_id = 0
     for index, line in enumerate(lines):
         try:
             if line[-1:] != b"\n":
                 raise LedgerFormatError("line does not end with a newline")
-            line = line[:-1]
-            record = json.loads(line.decode("ascii"))
+            record = json.loads(line[:-1].decode("ascii"))
             _check_block_fields(record)
             transactions = record["transactions"]
             for tx in transactions:
@@ -397,17 +390,21 @@ def _read_dump(lines, n_robots: int | None = None):
                 if tx["tx_id"] != next_tx_id:
                     raise LedgerFormatError(f"tx_id is {tx['tx_id']}, expected {next_tx_id}")
                 next_tx_id += 1
-            if canonical_encode(record) != line:
+            # The schema makes the stored hash 64 lowercase hex digits, so
+            # this is the canonical encoding of the whole record.
+            hash = record.pop("hash")
+            body = canonical_encode(record)
+            if _splice(body, hash) != line:
                 raise LedgerFormatError("line is not the canonical encoding of its record")
-            if hashlib.sha256(_cut_hash(line)).hexdigest() != record["hash"]:
+            if hashlib.sha256(body).hexdigest() != hash:
                 raise LedgerFormatError("hash does not match the block body")
         # ValueError covers bad ASCII, bad JSON, an integer too long to
         # convert and LedgerError; RecursionError comes from arrays nested
         # too deeply.
         except (ValueError, RecursionError) as exc:
             raise LedgerFormatError(f"block {index}: {exc}") from exc
-        prev_hash = record["hash"]
-        yield record, line
+        prev_hash = hash
+        yield record, line, hash
 
 
 def verify_dump_bytes(data: bytes) -> int | None:

@@ -465,14 +465,11 @@ def maybe_seal_blocks(state: ExperimentState, finalize: bool = False) -> list[Bl
     With `finalize`, also seal any non-empty remainder (end of experiment).
     """
     sealed = []
+    pending = state.pending
     block_size = state.config.block_size
-    while len(state.pending) >= block_size:
-        batch = state.pending[:block_size]
-        del state.pending[:block_size]
-        sealed.append(_seal_batch(state, batch))
-    if finalize and state.pending:
-        batch = state.pending
-        state.pending = []
+    while len(pending) >= block_size or (finalize and pending):
+        batch = pending[:block_size]
+        del pending[:block_size]
         sealed.append(_seal_batch(state, batch))
     return sealed
 

@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import os
@@ -195,6 +194,10 @@ def test_non_integer_pair_in_config_file_exits_one(tmp_path, capsys, key, value)
         ({"width": "200"}, "width must be a number, got '200'"),
         ({"degrade_pair": [2, 7], "degrade_loops": [4, 6], "degrade_factor": "0.1"},
          "multiplier must be a number, got '0.1'"),
+        ({"degrade_pair": [2], "degrade_loops": [4, 6], "degrade_factor": 0.1},
+         "config key 'degrade_pair' must be two integers, got [2]"),
+        ({"degrade_pair": [2, 7], "degrade_loops": [4, 5, 6], "degrade_factor": 0.1},
+         "config key 'degrade_loops' must be two integers, got [4, 5, 6]"),
     ],
 )
 def test_wrong_type_in_config_file_exits_one_naming_the_field(tmp_path, capsys, values, message):
@@ -331,7 +334,7 @@ def test_run_writes_all_exports(tmp_path, capsys):
 
 
 def test_run_and_export_returns_the_summary_it_wrote(tmp_path):
-    summary = run_and_export(parse(["--seed", "3", "--out", str(tmp_path)]), io.StringIO())
+    summary = run_and_export(parse(["--seed", "3", "--out", str(tmp_path)]))
     assert summary == json.loads((tmp_path / SUMMARY_FILE).read_text())
 
 
@@ -351,7 +354,7 @@ def test_export_encodes_each_block_once_and_decodes_none(tmp_path, monkeypatch):
     # goes through its `json.loads`.
     monkeypatch.setattr(stakenav.ledger, "canonical_encode", counting_encode)
     monkeypatch.setattr(stakenav.ledger, "json", types.SimpleNamespace(loads=counting_loads))
-    summary = run_and_export(parse(["--seed", "0", "--out", str(tmp_path)]), io.StringIO())
+    summary = run_and_export(parse(["--seed", "0", "--out", str(tmp_path)]))
     assert summary["blocks"] > 0
     assert len(encoded) == summary["blocks"]
     assert decoded == []
@@ -410,7 +413,7 @@ def test_equal_configs_write_identical_exports(tmp_path):
     exports = []
     for n, config in enumerate((whole, floats, from_file)):
         out = tmp_path / str(n)
-        run_and_export(RunRequest(config, None, str(out)), io.StringIO())
+        run_and_export(RunRequest(config, None, str(out)))
         exports.append({name: (out / name).read_bytes() for name in EXPORTS})
     assert exports[0] == exports[1] == exports[2]
     assert verify_dump_bytes(exports[0][LEDGER_FILE]) is None
@@ -429,7 +432,7 @@ def test_negative_zero_settings_write_the_bytes_of_zero(tmp_path, flags, stored)
         out = tmp_path / value
         request = parse(["--loops", "6", *flags, value, "--out", str(out)])
         assert math.copysign(1.0, stored(request)) == 1.0
-        run_and_export(request, io.StringIO())
+        run_and_export(request)
         exports.append({name: (out / name).read_bytes() for name in EXPORTS})
     assert exports[0] == exports[1]
 

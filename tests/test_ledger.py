@@ -121,7 +121,7 @@ def test_block_hash_covers_body():
     block = chain.blocks[0]
     record = json.loads(block.line)
     assert record["prev_hash"] == GENESIS_PREV_HASH
-    assert canonical_encode(record) == block.line
+    assert canonical_encode(record) + b"\n" == block.line
     assert record.pop("hash") == block.hash
     assert block.hash == hashlib.sha256(canonical_encode(record)).hexdigest()
 
@@ -348,10 +348,14 @@ def test_sealed_lines_match_a_fresh_encoding():
     for seed in range(5):
         chain = run_experiment(WorldConfig(seed=seed)).chain
         for block in chain.blocks:
-            assert canonical_encode(json.loads(block.line)) == block.line
-            assert rehash(block.line) == block.line
+            assert block.line.endswith(b"\n")
+            assert canonical_encode(json.loads(block.line)) + b"\n" == block.line
+            assert rehash(block.line[:-1]) + b"\n" == block.line
         data = chain.dumps()
-        assert Chain.loads(data).dumps() == data
+        assert data == b"".join(block.line for block in chain.blocks)
+        loaded = Chain.loads(data)
+        assert [b.line for b in loaded.blocks] == data.splitlines(keepends=True)
+        assert loaded.dumps() == data
         assert verify_dump_bytes(data) is None
 
 
@@ -371,6 +375,7 @@ MUTATIONS = {
     "spaced separators": (rb',"', b', "'),
     "NaN avg_navigability": (rb'"avg_navigability":[0-9.e-]+', b'"avg_navigability":NaN'),
     "infinite reward": (rb'"reward":[0-9.e-]+', b'"reward":Infinity'),
+    "hash field after index": (rb'("hash":"[0-9a-f]{64}",)("index":\d+,)', rb"\2\1"),
 }
 
 

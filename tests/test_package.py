@@ -155,8 +155,8 @@ def test_check_determinism_runs_the_cli_verify_on_its_ledger_export(monkeypatch,
     tool = _load_tool(monkeypatch)
     run_and_export = tool.run_and_export
 
-    def run_and_cut_the_last_newline(request, stream):
-        run_and_export(request, stream)
+    def run_and_cut_the_last_newline(request):
+        run_and_export(request)
         ledger = Path(request.out_dir) / "ledger.jsonl"
         ledger.write_bytes(ledger.read_bytes()[:-1])
 

@@ -104,7 +104,8 @@ def export_result() -> str:
     """Whether the default seed-0 run's four exports match and its ledger
     passes `stakenav --verify`: "ok", or what failed."""
     with tempfile.TemporaryDirectory() as out:
-        run_and_export(parse_config(build_parser().parse_args(["--out", out])), io.StringIO())
+        with contextlib.redirect_stdout(io.StringIO()):
+            run_and_export(parse_config(build_parser().parse_args(["--out", out])))
         got = {
             name: hashlib.sha256((Path(out) / name).read_bytes()).hexdigest()
             for name in SEED0_EXPORTS
