@@ -19,11 +19,11 @@ cells wider than the sensing radius, so a robot measures distances only to
 the landmarks of its own cell and the eight around it. Each sighting also
 sets the robot's bit in the landmark's mask of seers, and a robot's partners
 are the OR of the masks of the landmarks it sees, so a pair that shares
-nothing is never visited. A seal sums each robot's navigability over its
-live terms only: the partners it shares a landmark with this loop and has
-sealed observations with (see `SealState`). A skipped distance test could
-only have failed, and a skipped pair or term could only have added an exact
-zero, so the bytes are those of the full quadratic pass.
+nothing is never visited. A seal sums navigability over live terms only:
+pairs that share a landmark this loop and have sealed history (see
+`SealState`). The election sees only robots with a live term. A skipped
+distance test could only have failed, and a skipped pair, term or robot
+could only have added an exact zero: the bytes are the full quadratic pass's.
 
 Each drawn quality is handled once. `compute_visibility` appends it to its
 pair's list of (landmark id, quality) tuples and builds the pair's
@@ -38,9 +38,10 @@ are interleaved.
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_right, insort
 from collections import defaultdict
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+from itertools import accumulate
 from random import Random
 from typing import NamedTuple
 
@@ -130,17 +131,17 @@ class SealState:
     which is never written; `record` gives a robot its own copy at its first
     sealed observation, so only robots with history cost a row of n entries.
 
-    A robot's row holds its live terms: the partners that share a landmark
-    with it this loop and have a non-zero importance, as (j, pair quality
-    sum) ascending by j. A cooperating pair with no sealed history is held
-    apart until a seal gives it one; then it joins both rows at its sorted
-    place. Pending transactions from earlier loops can do that mid-loop.
+    `_rows` maps each robot with live terms to them: the partners that share
+    a landmark with it this loop and have a non-zero importance, as (j, pair
+    quality sum) ascending by j. A cooperating pair with no sealed history is
+    held apart until a seal gives it one; then it joins both rows at its
+    sorted place. Pending transactions from earlier loops can do that mid-loop.
     """
 
     def __init__(self, n_robots: int):
         self._zeros = [0.0] * n_robots
         self.alpha = [self._zeros] * n_robots
-        self._rows: list[list[tuple[int, float]]] = [[] for _ in range(n_robots)]
+        self._rows: defaultdict[int, list[tuple[int, float]]] = defaultdict(list)
         # (i, j) -> pair quality sum of cooperating pairs with no history.
         self._cold: dict[tuple[int, int], float] = {}
 
@@ -151,7 +152,7 @@ class SealState:
         receives its partners below r before those above, each in order.
         """
         alpha = self.alpha
-        rows: list[list[tuple[int, float]]] = [[] for _ in alpha]
+        rows: defaultdict[int, list[tuple[int, float]]] = defaultdict(list)
         cold = {}
         for i, j, total in pair_sums:
             if alpha[i][j]:
@@ -181,32 +182,30 @@ class SealState:
                     insort(self._rows[j], (i, total))  # totals are never compared
             alpha[i][j] = alpha[j][i] = _NEXT_IMPORTANCE[level]
 
-    def weights(self, stakes: list[float], total_stake: float) -> tuple[list[float], float]:
-        """Per-robot navigability and its off-diagonal average.
+    def weights(self, stakes: list[float], total_stake: float) -> tuple[list[int], list[float], float]:
+        """The robots with live terms, ascending; their navigability; its average.
 
-        `total_stake` is the left-to-right sum of `stakes`. Each row sums
+        `robots[k]` owns `weights[k]`. `stakes` is indexed by robot id, and
+        `total_stake` is its left-to-right sum. Each row sums
         alpha_ij * (w_i * pair sum) in ascending j, and the average sums rows
         in ascending i, as the oracle's `navigability_matrix`,
         `NavigabilityMatrix.row_sum` and `average_navigability` do (see
-        `stakenav.reference`), so the results match them bit for bit.
-        Every term left out has a zero importance or a zero pair sum, so it is
-        0.0 * finite >= 0 == +0.0, and acc + 0.0 == acc for any acc >= 0; an
-        empty row is skipped: its weight stays +0.0 and adds nothing.
+        `stakenav.reference`), so the results match them bit for bit. Every
+        term or robot left out has a zero importance or a zero pair sum, so it
+        is 0.0 * finite >= 0 == +0.0, and acc + 0.0 == acc for any acc >= 0.
         """
         n = len(stakes)
         alpha = self.alpha
-        weights = [0.0] * n
-        total = 0.0
-        for i, row in enumerate(self._rows):
-            if row:
-                w_i = stakes[i] / total_stake
-                alpha_row = alpha[i]
-                acc = 0.0
-                for j, pair_sum in row:
-                    acc += alpha_row[j] * (w_i * pair_sum)
-                weights[i] = acc
-                total += acc
-        return weights, total / (n * (n - 1))
+        robots = sorted(self._rows)
+        weights = []
+        for i in robots:
+            w_i = stakes[i] / total_stake
+            alpha_row = alpha[i]
+            acc = 0.0
+            for j, pair_sum in self._rows[i]:
+                acc += alpha_row[j] * (w_i * pair_sum)
+            weights.append(acc)
+        return robots, weights, ordered_sum(weights) / (n * (n - 1))
 
 
 class ExperimentState:
@@ -403,43 +402,43 @@ def emit_transactions(
     return observations
 
 
-def elect_generator(weights: list[float], rng: Random, stakes: list[float]) -> int:
-    """Pick a robot index with probability proportional to its weight.
+def elect_generator(
+    weights: list[float], rng: Random, stakes: list[float], robots: Sequence[int]
+) -> int:
+    """Elect a robot id with probability proportional to its weight.
 
-    Sampling is inverse-CDF over the cumulative weight vector with a single
-    uniform draw. Degenerate cascade: if all weights are zero, fall back to
-    `stakes`; if those are also all zero, pick uniformly.
+    `robots[k]` owns `weights[k]`, and robots left out weigh zero. One
+    uniform draw picks from the cumulative weights (see `_draw`). Degenerate
+    cascade: if no weight is positive, draw from `stakes`, which is indexed
+    by robot id and covers the whole team; if those are all zero too, pick
+    uniformly from the team.
     """
-    n = len(weights)
-    if n == 0:
-        raise ValueError("cannot elect from an empty weight vector")
+    if len(robots) != len(weights):
+        raise ValueError(f"{len(robots)} robots for {len(weights)} weights")
     for w in weights:
         if w < 0:
             raise ValueError(f"election weights must be >= 0, got {w}")
-    total = ordered_sum(weights)
-    if total > 0.0:
-        return _sample_index(weights, total, rng)
-    if len(stakes) != n:
-        raise ValueError(f"{len(stakes)} stakes for {n} weights")
-    stake_total = ordered_sum(stakes)
-    if stake_total > 0.0:
-        return _sample_index(stakes, stake_total, rng)
-    return rng.randrange(n)
+    k = _draw(weights, rng)
+    if k is not None:
+        return robots[k]
+    k = _draw(stakes, rng)
+    return rng.randrange(len(stakes)) if k is None else k
 
 
-def _sample_index(weights: list[float], total: float, rng: Random) -> int:
-    u = rng.random() * total
-    acc = 0.0
-    last_positive = 0
-    for idx, w in enumerate(weights):
-        if w > 0.0:
-            last_positive = idx
-        acc += w
-        if u < acc:
-            return idx
-    # Rounding can leave acc fractionally below total; land on the last
-    # index that carries any probability mass.
-    return last_positive
+def _draw(weights: list[float], rng: Random) -> int | None:
+    """Index k drawn with probability weights[k] / total; None unless total > 0.
+
+    The running sums are `ordered_sum`'s left-to-right adds. If rounding
+    leaves the draw at the total, k is the last index with positive weight.
+    """
+    cumulative = list(accumulate(weights, initial=0.0))
+    total = cumulative[-1]
+    if not total > 0.0:
+        return None
+    k = bisect_right(cumulative, rng.random() * total) - 1
+    if k == len(weights):
+        k = max(i for i, w in enumerate(weights) if w > 0.0)
+    return k
 
 
 def _seal_batch(state: ExperimentState, batch: list[Observation]) -> Block:
@@ -450,8 +449,8 @@ def _seal_batch(state: ExperimentState, batch: list[Observation]) -> Block:
     """
     config = state.config
     stakes = state.stakes
-    weights, avg_nav = state.seal.weights(stakes, state.total_stake())
-    generator = elect_generator(weights, state.streams.election, stakes=stakes)
+    robots, weights, avg_nav = state.seal.weights(stakes, state.total_stake())
+    generator = elect_generator(weights, state.streams.election, stakes, robots)
     reward = Reward(generator, config.generator_reward, state.loop_index)
     block = state.chain.append_block(batch + [reward], generator, avg_nav)
     state.seal.record([tx.pair for tx in batch])

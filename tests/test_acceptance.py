@@ -197,7 +197,7 @@ def test_c07_election_frequencies_and_fallback_cascade():
         n, draws = len(weights), 100_000
         counts = [0] * n
         for _ in range(draws):
-            counts[elect_generator(weights, rng, stakes=stakes)] += 1
+            counts[elect_generator(weights, rng, stakes, range(n))] += 1
         total = sum(probs)
         for i in range(n):
             p = probs[i] / total

@@ -150,30 +150,30 @@ def test_election_prefers_heavier_weights():
     rng = random.Random(0)
     wins = [0, 0]
     for _ in range(2000):
-        wins[elect_generator([1.0, 9.0], rng, [1.0, 1.0])] += 1
+        wins[elect_generator([1.0, 9.0], rng, [1.0, 1.0], range(2))] += 1
     assert wins[1] > wins[0] * 3
 
 
 def test_election_single_positive_weight_always_wins():
     rng = random.Random(1)
     for _ in range(50):
-        assert elect_generator([0.0, 0.0, 2.5, 0.0], rng, [1.0] * 4) == 2
+        assert elect_generator([0.0, 0.0, 2.5, 0.0], rng, [1.0] * 4, range(4)) == 2
 
 
 def test_election_falls_back_to_stakes_then_uniform():
     rng = random.Random(2)
     # zero navigability everywhere -> stakes decide
     for _ in range(50):
-        assert elect_generator([0.0, 0.0, 0.0], rng, stakes=[0.0, 4.0, 0.0]) == 1
+        assert elect_generator([0.0, 0.0, 0.0], rng, [0.0, 4.0, 0.0], range(3)) == 1
     # zero stakes too -> uniform over all robots
-    seen = {elect_generator([0.0, 0.0, 0.0], rng, stakes=[0.0, 0.0, 0.0]) for _ in range(500)}
+    seen = {elect_generator([0.0, 0.0, 0.0], rng, [0.0, 0.0, 0.0], range(3)) for _ in range(500)}
     assert seen == {0, 1, 2}
 
 
 def test_election_consumes_exactly_one_draw():
     a = random.Random(9)
     b = random.Random(9)
-    elect_generator([1.0, 2.0, 3.0], a, [1.0, 1.0, 1.0])
+    elect_generator([1.0, 2.0, 3.0], a, [1.0, 1.0, 1.0], range(3))
     b.random()
     assert a.random() == b.random()
 
@@ -181,6 +181,59 @@ def test_election_consumes_exactly_one_draw():
 def test_election_rejects_bad_input():
     rng = random.Random(0)
     with pytest.raises(ValueError):
-        elect_generator([], rng, [])
+        elect_generator([], rng, [], range(0))
+    with pytest.raises(ValueError, match="election weights must be >= 0, got -0.5"):
+        elect_generator([1.0, -0.5], rng, [1.0, 1.0], range(2))
     with pytest.raises(ValueError):
-        elect_generator([1.0, -0.5], rng, [1.0, 1.0])
+        elect_generator([1.0, 2.0], rng, [1.0, 1.0, 1.0], [0])
+
+
+@given(
+    st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e308)),
+        min_size=1,
+        max_size=12,
+    ),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_election_over_live_robots_matches_the_dense_vector(weights, zero_stakes, seed):
+    # Zero weights interleaved, sometimes all of them, and stakes that are
+    # sometimes all zero too, so every fallback level is reached.
+    n = len(weights)
+    stakes = [0.0 if zero_stakes else float(i % 3) for i in range(n)]
+    robots = [i for i, w in enumerate(weights) if w]
+    live = [weights[i] for i in robots]
+    dense_rng, live_rng = random.Random(seed), random.Random(seed)
+    dense = elect_generator(weights, dense_rng, stakes, range(n))
+    assert elect_generator(live, live_rng, stakes, robots) == dense
+    assert dense_rng.getstate() == live_rng.getstate()
+
+
+class _TopDraw(random.Random):
+    def random(self):
+        return 1 - 2**-53
+
+
+class _ZeroDraw(random.Random):
+    def random(self):
+        return 0.0
+
+
+def test_election_zero_draw_picks_the_first_positive_weight():
+    # A draw of 0.0 equals every leading running sum; none of them exceeds it.
+    assert elect_generator([0.0, 0.0, 2.0, 1.0], _ZeroDraw(), [1.0] * 4, range(4)) == 2
+    assert elect_generator([0.0, 3.0], _ZeroDraw(), [1.0] * 9, [4, 6]) == 6
+    assert elect_generator([0.0], _ZeroDraw(), [0.0, 0.0, 5.0], [1]) == 2
+
+
+def test_election_rounding_to_the_total_picks_the_last_positive_weight():
+    # A subnormal total has a fixed ulp, so (1 - 2**-53) * total rounds up to
+    # it and no running sum exceeds the draw; an overflowed total draws inf.
+    tiny = 5e-324
+    assert (1 - 2**-53) * (2 * tiny) == 2 * tiny
+    assert elect_generator([tiny, 0.0, tiny, 0.0, 0.0], _TopDraw(), [1.0] * 5, range(5)) == 2
+    assert elect_generator([1e308, 1e308, 0.0], _TopDraw(), [1.0] * 3, range(3)) == 1
+    assert elect_generator([tiny, tiny, 0.0], _TopDraw(), [1.0] * 9, [3, 5, 7]) == 5
+    # The stake fallback over the whole team rounds the same way.
+    assert elect_generator([], _TopDraw(), [tiny, tiny, 0.0], []) == 1

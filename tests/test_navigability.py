@@ -172,10 +172,15 @@ def test_seal_state_weights_match_matrix_row_sums_bit_for_bit(seed):
 
     def check(snap):
         stakes = [rng.uniform(0.1, 4.0) for _ in range(n)]
-        weights, average = seal.weights(stakes, ordered_sum(stakes))
+        robots, weights, average = seal.weights(stakes, ordered_sum(stakes))
         alpha = AlphaMatrix.from_pair_counts(counts, n)
         matrix = navigability_matrix(StakeTable(stakes), snap, alpha)
-        assert [w.hex() for w in weights] == [matrix.row_sum(i).hex() for i in range(n)]
+        # A live term: a pair cooperating this loop with sealed history.
+        live = {r for i, j, _ in pair_sums_of(snap) if counts.get((i, j)) for r in (i, j)}
+        assert robots == sorted(live)
+        assert [w.hex() for w in weights] == [matrix.row_sum(i).hex() for i in robots]
+        for i in set(range(n)) - live:
+            assert matrix.row_sum(i).hex() == (0.0).hex()
         assert average.hex() == average_navigability(matrix).hex()
         assert seal.alpha == alpha.values
 
@@ -226,3 +231,25 @@ def test_seal_state_holds_one_list_of_pair_history():
         tracemalloc.stop()
     assert peak < 1.1 * n * n * 8
     assert seal.alpha[0][1] == seal.alpha[n - 1][n - 2] == 0.1
+
+
+def test_seal_state_keeps_rows_only_for_robots_with_live_terms():
+    # One row per robot would cost n lists on every loop, however few
+    # robots cooperate: that peaked at 641 KiB here. Pair history alone,
+    # the shared zeros, alpha and two robots' own rows, takes 128 KiB.
+    n = 4096
+    pairs = [(0, 1, 0.5), (7, 4000, 0.25), (9, 10, 0.125)]
+    tracemalloc.start()
+    try:
+        seal = SealState(n)
+        seal.start_loop(pairs)
+        seal.record([(7, 4000)])  # joins the rows mid-loop
+        seal.start_loop(pairs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+    stakes = [1.0] * n
+    robots, weights, _ = seal.weights(stakes, ordered_sum(stakes))
+    assert robots == [7, 4000]
+    assert [w.hex() for w in weights] == [(0.1 * (1 / n * 0.25)).hex()] * 2

@@ -481,7 +481,8 @@ def run_from_scratch(config, scenario=None):
         matrix = navigability_matrix(StakeTable(stakes), snapshot, alpha)
         weights = [matrix.row_sum(i) for i in range(config.n_robots)]
         avg = average_navigability(matrix)
-        generator = elect_generator(weights, state.streams.election, stakes=stakes)
+        robots = range(config.n_robots)
+        generator = elect_generator(weights, state.streams.election, stakes, robots)
         reward = Reward(generator, config.generator_reward, state.loop_index)
         block = state.chain.append_block(batch + [reward], generator, avg)
         counts.update(pair_tx_counts([block]))
