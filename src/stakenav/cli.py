@@ -159,8 +159,8 @@ def parse_config(args: argparse.Namespace) -> RunRequest:
 
 
 def summarize(state: ExperimentState) -> dict:
-    """The run totals `summary.json` holds, recounted from the chain; a run
-    seals exactly one reward per block, so the rewards are the blocks."""
+    """The run totals `summary.json` holds, recounted from the chain; a
+    ledger block holds exactly one reward, so the rewards are the blocks."""
     chain = state.chain
     blocks = len(chain.blocks)
     total = chain.next_tx_id

@@ -26,7 +26,7 @@ from stakenav.cli import (
 )
 from stakenav.domain import MAX_POSITIONS, MAX_ROBOTS
 from stakenav.ledger import Observation
-from tests.test_ledger import CHAIN_RULES, seed_records
+from tests.test_ledger import CHAIN_RULES, FORGERIES, seed_records
 
 
 def parse(argv):
@@ -509,6 +509,15 @@ def test_verify_reports_non_finite_numbers_as_invalid(tmp_path, capsys):
 ])
 def test_verify_names_the_rule_that_failed(tmp_path, capsys, rule, message):
     breaker, _ = CHAIN_RULES[rule]
+    ledger = tmp_path / LEDGER_FILE
+    ledger.write_bytes(breaker(seed_records()))
+    assert main(["--verify", str(ledger)]) == 3
+    assert capsys.readouterr().out == f"{ledger}: invalid at block 3: {message}\n"
+
+
+@pytest.mark.parametrize("forgery", sorted(FORGERIES))
+def test_verify_names_the_block_rule_a_forgery_breaks(tmp_path, capsys, forgery):
+    breaker, message = FORGERIES[forgery]
     ledger = tmp_path / LEDGER_FILE
     ledger.write_bytes(breaker(seed_records()))
     assert main(["--verify", str(ledger)]) == 3

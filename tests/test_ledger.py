@@ -84,7 +84,7 @@ def test_reward_and_avg_navigability_must_be_finite(value):
 
 def test_block_transactions_are_the_appended_records():
     chain = Chain(n_robots=4)
-    chain.append_block([obs((0, 1), 0)], 0, 0.0)
+    chain.append_block([obs((0, 1), 0), Reward(0, 0.1, 0)], 0, 0.0)
     appended = [obs((0, 2), 4, [(1, 0.25), (3, 0.75)]), Reward(1, 0.1, 2)]
     chain.append_block(appended, 1, 0.5)
     assert chain.blocks[1].transactions == appended  # tuples, not lists, for pair and matches
@@ -128,16 +128,123 @@ def test_block_hash_covers_body():
 
 def test_append_block_validates_ids_and_indices():
     chain = Chain(n_robots=3)
-    with pytest.raises(LedgerError):
+    with pytest.raises(LedgerError, match="^a block must end in its generator's reward$"):
         chain.append_block([], 0, 0.0)  # empty block
-    with pytest.raises(LedgerError):
-        chain.append_block([obs((0, 1), 0)], 3, 0.0)  # generator out of range
-    with pytest.raises(LedgerError):
-        chain.append_block([obs((0, 7), 0)], 0, 0.0)  # pair out of range
-    chain.append_block([obs((0, 1), 0)], 2, 0.0)
-    assert chain.next_tx_id == 1
-    chain.append_block([obs((0, 1), 1), obs((1, 2), 1)], 0, 0.0)  # ids numbered here
-    assert [tx["tx_id"] for tx in json.loads(chain.blocks[1].line)["transactions"]] == [1, 2]
+    with pytest.raises(LedgerError, match="^generator index 3 out of range$"):
+        chain.append_block([obs((0, 1), 0), Reward(3, 0.1, 0)], 3, 0.0)
+    with pytest.raises(LedgerError, match="^pair index 7 out of range$"):
+        chain.append_block([obs((0, 7), 0), Reward(0, 0.1, 0)], 0, 0.0)
+    assert chain.blocks == []
+    chain.append_block([obs((0, 1), 0), Reward(2, 0.1, 0)], 2, 0.0)
+    assert chain.next_tx_id == 2
+    chain.append_block([obs((0, 1), 1), obs((1, 2), 1), Reward(0, 0.1, 1)], 0, 0.0)  # numbered here
+    assert [tx["tx_id"] for tx in json.loads(chain.blocks[1].line)["transactions"]] == [2, 3, 4]
+
+
+# Arguments `append_block` refuses, as the reader refuses their lines: each
+# is the block of robots 0 and 1 sealed by robot 0 with one value changed,
+# with the message it raises.
+VALID_OBSERVATION = Observation((0, 1), [(0, 0.5)], 0)
+VALID_REWARD = Reward(0, 0.1, 0)
+UNSEALABLE = {
+    "pair (1, 0)": (
+        [Observation((1, 0), [(0, 0.5)], 0), VALID_REWARD], 0, 0.5, "pair must be ascending"
+    ),
+    "pair (1, 1)": (
+        [Observation((1, 1), [(0, 0.5)], 0), VALID_REWARD], 0, 0.5, "pair must be ascending"
+    ),
+    "empty matches": (
+        [Observation((0, 1), [], 0), VALID_REWARD], 0, 0.5, "matches must be a non-empty list"
+    ),
+    "quality 1.5": (
+        [Observation((0, 1), [(0, 1.5)], 0), VALID_REWARD], 0, 0.5, "match entries must be"
+    ),
+    "integer quality 1": (
+        [Observation((0, 1), [(0, 1)], 0), VALID_REWARD], 0, 0.5, "match entries must be"
+    ),
+    "reward -1.0": (
+        [VALID_OBSERVATION, Reward(0, -1.0, 0)], 0, 0.5, "reward must be a finite float >= 0"
+    ),
+    "integer reward 1": (
+        [VALID_OBSERVATION, Reward(0, 1, 0)], 0, 0.5, "reward must be a finite float >= 0"
+    ),
+    "loop_index -1": (
+        [Observation((0, 1), [(0, 0.5)], -1), VALID_REWARD], 0, 0.5,
+        "loop_index must be an integer >= 0",
+    ),
+    "generator True": (
+        [VALID_OBSERVATION, Reward(True, 0.1, 0)], True, 0.5, "generator index True out of range"
+    ),
+    "integer avg_navigability": (
+        [VALID_OBSERVATION, VALID_REWARD], 0, 0, "avg_navigability must be finite"
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", list(UNSEALABLE))
+def test_append_block_refuses_what_its_reader_rejects(shape):
+    transactions, generator, avg_navigability, message = UNSEALABLE[shape]
+    chain = build_chain(blocks=1, n_robots=3)
+    before = list(chain.blocks)
+    with pytest.raises(LedgerError, match=f"^{re.escape(message)}"):
+        chain.append_block(transactions, generator, avg_navigability)
+    assert chain.blocks == before
+    assert chain.verify() is None
+
+
+def mostly(valid, bad):
+    """Draws from `valid`, and one time in ten from `bad`."""
+    return st.integers(0, 9).flatmap(lambda n: valid if n < 9 else bad)
+
+
+robots = st.integers(0, 2)
+bad_robots = st.sampled_from([-1, 3, True])
+observations = st.builds(
+    Observation,
+    mostly(
+        st.lists(robots, min_size=2, max_size=2, unique=True).map(lambda ij: tuple(sorted(ij))),
+        st.tuples(st.one_of(robots, bad_robots), st.one_of(robots, bad_robots)),
+    ),
+    mostly(
+        st.dictionaries(st.integers(0, 4), st.floats(0.0, 1.0), min_size=1, max_size=3).map(
+            lambda matches: sorted(matches.items())
+        ),
+        st.lists(
+            st.tuples(st.integers(-1, 4), st.sampled_from([1.5, 1, math.nan, 0.5])), max_size=3
+        ),
+    ),
+    mostly(st.integers(0, 2), st.just(-1)),
+)
+
+
+@st.composite
+def block_arguments(draw):
+    """`append_block` arguments: observations, then the generator's reward;
+    each value is sometimes made bad, and the records sometimes shuffled."""
+    generator = draw(mostly(robots, bad_robots))
+    paid = draw(mostly(st.just(generator), st.one_of(robots, bad_robots)))
+    amount = draw(mostly(st.floats(0.0, 2.0), st.sampled_from([-1.0, 1, math.inf, math.nan])))
+    records = draw(st.lists(observations, max_size=3))
+    records.append(Reward(paid, amount, draw(mostly(st.integers(0, 2), st.just(-1)))))
+    records = draw(mostly(st.just(records), st.permutations(records)))
+    average = draw(mostly(st.floats(-1.0, 2.0), st.sampled_from([0, math.nan, math.inf])))
+    return records, generator, average
+
+
+@given(st.lists(block_arguments(), max_size=4))
+def test_every_chain_append_block_accepts_reads_back_as_sealed(arguments):
+    chain = Chain(n_robots=3)
+    sealed = []
+    for transactions, generator, avg_navigability in arguments:
+        try:
+            chain.append_block(transactions, generator, avg_navigability)
+        except LedgerError:
+            continue
+        sealed.append(transactions)
+    data = chain.dumps()
+    loaded = Chain.loads(data, n_robots=3)
+    assert loaded.dumps() == data
+    assert [block.transactions for block in loaded.blocks] == sealed
 
 
 def test_verify_accepts_untampered_chain():
@@ -181,8 +288,8 @@ def test_verify_reports_first_tampered_block():
 
 def test_pair_tx_count_and_histogram():
     chain = Chain(n_robots=3)
-    chain.append_block([obs((0, 1), 0), obs((1, 0), 0)], 0, 0.0)
-    chain.append_block([obs((1, 2), 1)], 2, 0.0)
+    chain.append_block([obs((0, 1), 0), obs((1, 0), 0), Reward(0, 0.1, 0)], 0, 0.0)
+    chain.append_block([obs((1, 2), 1), Reward(2, 0.1, 1)], 2, 0.0)
     assert pair_tx_counts(chain.blocks) == {(0, 1): 2, (1, 2): 1}
     assert chain.generator_histogram() == [1, 0, 1]
 
@@ -330,7 +437,7 @@ def seed_dump(seed=0):
 
 def rehash(line):
     """The line with its stored hash replaced by the hash of its own body,
-    so that only the schema and canonical-form checks can reject it."""
+    so that only the block rules and the canonical form can reject it."""
     key = b'"hash":"'
     start = line.index(key) + len(key)  # the 64 hex digits, then '",'
     body = line[:start - len(key)] + line[start + 64 + 2:]
@@ -449,6 +556,63 @@ def test_reader_names_the_rule_a_block_breaks(rule):
     data = breaker(seed_records())
     assert verify_dump_bytes(data) == 3
     with pytest.raises(LedgerFormatError, match=rf"^block 3: {message}"):
+        Chain.loads(data)
+
+
+def _forge(edit):
+    """A breaker that applies `edit` to block 3's transactions, renumbers
+    every tx_id and re-hashes and relinks the chain: hashes, links and ids
+    all hold."""
+
+    def breaker(records):
+        edit(records[3]["transactions"])
+        tx_id = 0
+        for record in records:
+            for tx in record["transactions"]:
+                tx["tx_id"] = tx_id
+                tx_id += 1
+        return relinked_dump(records)
+
+    return breaker
+
+
+def _pay_another(transactions):
+    transactions[-1]["generator"] = (transactions[-1]["generator"] + 1) % 10
+
+
+def _swap_matches(transactions):
+    matches = next(tx["matches"] for tx in transactions if len(tx.get("matches", ())) > 1)
+    matches[0], matches[1] = matches[1], matches[0]
+
+
+# Forged blocks whose hashes, links and ids hold: each rewrites block 3 of a
+# seed-0 dump against a block rule, and the loader's message names the rule.
+FORGERIES = {
+    "reward first": (
+        _forge(lambda txs: txs.insert(0, txs.pop())), "a block must end in its generator's reward"
+    ),
+    "second reward": (
+        _forge(lambda txs: txs.insert(0, dict(txs[-1]))),
+        "records before the reward must be observations, "
+        "got Reward(generator=0, reward=0.1, loop_index=1)",
+    ),
+    "reward to another robot": (
+        _forge(_pay_another), "the reward pays robot 1, not the generator 0"
+    ),
+    "swapped match entries": (
+        _forge(_swap_matches),
+        "match entries must be (landmark id >= 0, float quality in [0, 1]) with ids strictly "
+        "ascending, got (3, 0.5922239872129136) after landmark 4",
+    ),
+}
+
+
+@pytest.mark.parametrize("forgery", sorted(FORGERIES))
+def test_reader_rejects_a_forged_block_by_its_rule(forgery):
+    breaker, message = FORGERIES[forgery]
+    data = breaker(seed_records())
+    assert verify_dump_bytes(data) == 3
+    with pytest.raises(LedgerFormatError, match=f"^block 3: {re.escape(message)}$"):
         Chain.loads(data)
 
 
