@@ -13,7 +13,8 @@ field always sits just before "index": `_splice`, the one function that
 makes a line, puts `"hash":"<hex>",` there in the body and a newline after.
 
 A block is defined once, by `_seal`: it runs `_check_block`, the one check
-of the block rules, numbers the records from the chain's next tx_id,
+of the block rules, takes the block's generator to be the robot its one
+trailing reward pays, numbers the records from the chain's next tx_id,
 encodes the body once through the module-level `canonical_encode`, hashes
 it and splices the line. The rules convert no value: an integer where a
 float belongs, a reversed pair or a `bool` id is rejected.
@@ -26,17 +27,18 @@ joins the lines as they are. Records are named tuples, one class per kind
 There is one reader of dump bytes, `_read_dump`, and it walks a stream of
 lines, holding one at a time. Per line it requires the final newline,
 decodes the line, turns its transactions into records through `_records`
-(the decoder `Block.transactions` uses too) and re-seals them at its own
-index, tip hash and next tx_id, with the team size when it is given. A line
-is valid when the writer would seal it: the re-sealed line must equal the
-line read. That one byte comparison covers the field sets, the index, the
-prev_hash link, the tx_id sequence, the canonical form and the hash; only
-on a mismatch does `_differs` name the rule. The first line that fails
-raises `LedgerFormatError("block K: <rule>")`: `verify_dump_bytes` returns
-that K, and `Chain.loads` raises it, so a loaded chain is valid. Both read
-their bytes through an `io.BytesIO`, which shares the buffer, so neither
-holds a second copy of the dump. Any single-bit change to the stored bytes
-is detected.
+(the decoder `Block.transactions` uses too) and re-seals them with the
+line's `avg_navigability`, the only other field it takes from the line, at
+its own index, tip hash and next tx_id, with the team size when it is
+given. A line is valid when the writer would seal it: the re-sealed line
+must equal the line read. That one byte comparison covers the field sets,
+the block's generator against its reward's robot, the index, the prev_hash
+link, the tx_id sequence, the canonical form and the hash; only on a
+mismatch does `_differs` name the rule. The first line that fails raises
+`LedgerFormatError("block K: <rule>")`: `verify_dump_bytes` returns that
+K, and `Chain.loads` raises it, so a loaded chain is valid. Both read their
+bytes through an `io.BytesIO`, which shares the buffer, so neither holds a
+second copy of the dump. Any single-bit change to the stored bytes is detected.
 """
 from __future__ import annotations
 
@@ -153,21 +155,16 @@ class Block(NamedTuple):
         return _records(json.loads(self.line)["transactions"])
 
 
-def _check_robot(value: Any, label: str, n_robots: int | None) -> None:
-    if type(value) is not int or value < 0 or (n_robots is not None and value >= n_robots):
-        raise LedgerError(f"{label} index {value!r} out of range")
-
-
-def _check_loop(value: Any) -> None:
+def _check_id(value: Any, label: str, limit: int | None = None) -> None:
     if type(value) is not int or value < 0:
-        raise LedgerError(f"loop_index must be an integer >= 0, got {value!r}")
+        raise LedgerError(f"{label} must be an integer >= 0, got {value!r}")
+    if limit is not None and value >= limit:
+        raise LedgerError(f"{label} {value} out of range")
 
 
-def _check_block(
-    transactions: list, generator: Any, avg_navigability: Any, n_robots: int | None
-) -> None:
-    """Raise LedgerError unless `transactions` make a block sealed by
-    `generator`, the only copy of the block rules:
+def _check_block(transactions: list, avg_navigability: Any, n_robots: int | None) -> None:
+    """Raise LedgerError unless `transactions` make a block, the only copy
+    of the block rules:
 
     - `avg_navigability` is a finite float;
     - every record but the last is an `Observation`, and the last is the
@@ -175,8 +172,8 @@ def _check_block(
     - a pair is a tuple of two robot ids i < j, and `matches` a non-empty
       list of (landmark id, float quality in [0, 1]) pairs, ids strictly
       ascending;
-    - ids and loop indices are integers >= 0, robot ids below `n_robots`
-      when it is given.
+    - ids and loop indices are integers >= 0 (`_check_id`), robot ids below
+      `n_robots` when it is given.
 
     Records are taken to have their class's shape, a match entry being an
     (id, quality) pair; every value is type-checked before it is compared,
@@ -184,15 +181,13 @@ def _check_block(
     """
     if type(avg_navigability) is not float or not math.isfinite(avg_navigability):
         raise LedgerError(f"avg_navigability must be finite and a float, got {avg_navigability!r}")
-    _check_robot(generator, "generator", n_robots)
     if not transactions or type(transactions[-1]) is not Reward:
         raise LedgerError("a block must end in its generator's reward")
-    paid, amount, loop_index = transactions[-1]
-    if type(paid) is not int or paid != generator:
-        raise LedgerError(f"the reward pays robot {paid!r}, not the generator {generator}")
+    generator, amount, loop_index = transactions[-1]
+    _check_id(generator, "generator index", n_robots)
     if type(amount) is not float or not 0.0 <= amount < math.inf:
         raise LedgerError(f"reward must be a finite float >= 0, got {amount!r}")
-    _check_loop(loop_index)
+    _check_id(loop_index, "loop_index")
     for tx in transactions[:-1]:
         if type(tx) is not Observation:
             raise LedgerError(f"records before the reward must be observations, got {tx!r}")
@@ -200,8 +195,8 @@ def _check_block(
         if type(pair) is not tuple or len(pair) != 2:
             raise LedgerError(f"pair must be a tuple of two robot ids, got {pair!r}")
         i, j = pair
-        _check_robot(i, "pair", n_robots)
-        _check_robot(j, "pair", n_robots)
+        _check_id(i, "pair index", n_robots)
+        _check_id(j, "pair index", n_robots)
         if i >= j:
             raise LedgerError(f"pair must be ascending, got {pair!r}")
         if type(matches) is not list or not matches:
@@ -215,7 +210,7 @@ def _check_block(
                     f"ids strictly ascending, got {(k, q)!r}{after}"
                 )
             previous = k
-        _check_loop(loop_index)
+        _check_id(loop_index, "loop_index")
 
 
 def _splice(body: bytes, hash: str) -> bytes:
@@ -226,13 +221,14 @@ def _splice(body: bytes, hash: str) -> bytes:
 
 
 def _seal(
-    transactions: list, generator: Any, avg_navigability: Any,
+    transactions: list, avg_navigability: Any,
     index: int, prev_hash: str, first_tx_id: int, n_robots: int | None,
 ) -> Block:
-    """The block `transactions` make at `index` after `prev_hash`: checked
-    by `_check_block`, numbered from `first_tx_id` in list order, its body
-    encoded and hashed once and its line made by `_splice`."""
-    _check_block(transactions, generator, avg_navigability, n_robots)
+    """The block `transactions` make at `index` after `prev_hash`, generated
+    by the robot its reward pays: checked by `_check_block`, numbered from
+    `first_tx_id`, its body encoded and hashed once, its line by `_splice`."""
+    _check_block(transactions, avg_navigability, n_robots)
+    generator = transactions[-1].generator
     body = canonical_encode({
         "avg_navigability": avg_navigability,
         "generator": generator,
@@ -264,16 +260,14 @@ class Chain:
         return last.first_tx_id + last.transaction_count
 
     def append_block(
-        self, transactions: list[Observation | Reward], generator: int, avg_navigability: float
+        self, transactions: list[Observation | Reward], avg_navigability: float
     ) -> Block:
-        """Seal `transactions` into a new block at the chain tip (`_seal`)
-        and append it; raise LedgerError, appending nothing, if they break a
-        block rule."""
+        """Seal `transactions` into a new block at the chain tip (`_seal`),
+        generated by the robot its trailing reward pays, and append it;
+        raise LedgerError, appending nothing, if they break a block rule."""
         prev_hash = self.blocks[-1].hash if self.blocks else GENESIS_PREV_HASH
-        block = _seal(
-            transactions, generator, avg_navigability,
-            len(self.blocks), prev_hash, self.next_tx_id, self.n_robots,
-        )
+        index, first_tx_id = len(self.blocks), self.next_tx_id
+        block = _seal(transactions, avg_navigability, index, prev_hash, first_tx_id, self.n_robots)
         self.blocks.append(block)
         return block
 
@@ -310,6 +304,10 @@ class Chain:
 def _differs(record: dict, block: Block) -> str:
     """The rule by which the decoded line `record` breaks, given `block`,
     the re-seal of its records whose line it does not match."""
+    if "generator" not in record:
+        return "missing field 'generator'"
+    if type(record["generator"]) is not int or record["generator"] != block.generator:
+        return f"the reward pays robot {block.generator}, not the generator {record['generator']!r}"
     sealed = json.loads(block.line)
     if record.get("index") != block.index:
         return f"index is {record.get('index')!r}, expected {block.index}"
@@ -341,14 +339,12 @@ def _read_dump(lines, n_robots: int | None = None):
             record = json.loads(line[:-1].decode("ascii"))
             try:
                 transactions = _records(record["transactions"])
-                generator, avg_navigability = record["generator"], record["avg_navigability"]
+                avg_navigability = record["avg_navigability"]
             except KeyError as exc:
                 raise LedgerFormatError(f"missing field {exc}") from exc
             except (TypeError, ValueError) as exc:
                 raise LedgerFormatError(f"malformed record: {exc}") from exc
-            block = _seal(
-                transactions, generator, avg_navigability, index, prev_hash, next_tx_id, n_robots
-            )
+            block = _seal(transactions, avg_navigability, index, prev_hash, next_tx_id, n_robots)
             if block.line != line:
                 raise LedgerFormatError(_differs(record, block))
         # ValueError covers bad ASCII, bad JSON, an integer too long to

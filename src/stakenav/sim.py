@@ -452,7 +452,7 @@ def _seal_batch(state: ExperimentState, batch: list[Observation]) -> Block:
     robots, weights, avg_nav = state.seal.weights(stakes, state.total_stake())
     generator = elect_generator(weights, state.streams.election, stakes, robots)
     reward = Reward(generator, config.generator_reward, state.loop_index)
-    block = state.chain.append_block(batch + [reward], generator, avg_nav)
+    block = state.chain.append_block(batch + [reward], avg_nav)
     state.seal.record([tx.pair for tx in batch])
     stakes[generator] += config.generator_reward
     return block

@@ -41,7 +41,7 @@ def build_chain(blocks=3, n_robots=4, block_size=3, seed=0):
             matches = [(k, rng.random()) for k in range(rng.randint(1, 3))]
             txs.append(obs((i, j), b, matches=matches))
         txs.append(Reward(rng.randrange(n_robots), 0.1, b))
-        chain.append_block(txs, txs[-1].generator, rng.random())
+        chain.append_block(txs, rng.random())
     return chain
 
 
@@ -78,15 +78,15 @@ def test_reward_and_avg_navigability_must_be_finite(value):
         WorldConfig(generator_reward=value)
     chain = Chain(n_robots=3)
     with pytest.raises(LedgerError, match="^avg_navigability must be finite"):
-        chain.append_block([obs((0, 1), 0), Reward(0, 0.1, 0)], 0, value)
+        chain.append_block([obs((0, 1), 0), Reward(0, 0.1, 0)], value)
     assert chain.blocks == []
 
 
 def test_block_transactions_are_the_appended_records():
     chain = Chain(n_robots=4)
-    chain.append_block([obs((0, 1), 0), Reward(0, 0.1, 0)], 0, 0.0)
+    chain.append_block([obs((0, 1), 0), Reward(0, 0.1, 0)], 0.0)
     appended = [obs((0, 2), 4, [(1, 0.25), (3, 0.75)]), Reward(1, 0.1, 2)]
-    chain.append_block(appended, 1, 0.5)
+    chain.append_block(appended, 0.5)
     assert chain.blocks[1].transactions == appended  # tuples, not lists, for pair and matches
     assert Chain.loads(chain.dumps()).blocks[1].transactions == appended
 
@@ -129,15 +129,15 @@ def test_block_hash_covers_body():
 def test_append_block_validates_ids_and_indices():
     chain = Chain(n_robots=3)
     with pytest.raises(LedgerError, match="^a block must end in its generator's reward$"):
-        chain.append_block([], 0, 0.0)  # empty block
+        chain.append_block([], 0.0)  # empty block
     with pytest.raises(LedgerError, match="^generator index 3 out of range$"):
-        chain.append_block([obs((0, 1), 0), Reward(3, 0.1, 0)], 3, 0.0)
+        chain.append_block([obs((0, 1), 0), Reward(3, 0.1, 0)], 0.0)
     with pytest.raises(LedgerError, match="^pair index 7 out of range$"):
-        chain.append_block([obs((0, 7), 0), Reward(0, 0.1, 0)], 0, 0.0)
+        chain.append_block([obs((0, 7), 0), Reward(0, 0.1, 0)], 0.0)
     assert chain.blocks == []
-    chain.append_block([obs((0, 1), 0), Reward(2, 0.1, 0)], 2, 0.0)
+    chain.append_block([obs((0, 1), 0), Reward(2, 0.1, 0)], 0.0)
     assert chain.next_tx_id == 2
-    chain.append_block([obs((0, 1), 1), obs((1, 2), 1), Reward(0, 0.1, 1)], 0, 0.0)  # numbered here
+    chain.append_block([obs((0, 1), 1), obs((1, 2), 1), Reward(0, 0.1, 1)], 0.0)  # numbered here
     assert [tx["tx_id"] for tx in json.loads(chain.blocks[1].line)["transactions"]] == [2, 3, 4]
 
 
@@ -148,48 +148,57 @@ VALID_OBSERVATION = Observation((0, 1), [(0, 0.5)], 0)
 VALID_REWARD = Reward(0, 0.1, 0)
 UNSEALABLE = {
     "pair (1, 0)": (
-        [Observation((1, 0), [(0, 0.5)], 0), VALID_REWARD], 0, 0.5, "pair must be ascending"
+        [Observation((1, 0), [(0, 0.5)], 0), VALID_REWARD], 0.5, "pair must be ascending"
     ),
     "pair (1, 1)": (
-        [Observation((1, 1), [(0, 0.5)], 0), VALID_REWARD], 0, 0.5, "pair must be ascending"
+        [Observation((1, 1), [(0, 0.5)], 0), VALID_REWARD], 0.5, "pair must be ascending"
     ),
     "empty matches": (
-        [Observation((0, 1), [], 0), VALID_REWARD], 0, 0.5, "matches must be a non-empty list"
+        [Observation((0, 1), [], 0), VALID_REWARD], 0.5, "matches must be a non-empty list"
     ),
     "quality 1.5": (
-        [Observation((0, 1), [(0, 1.5)], 0), VALID_REWARD], 0, 0.5, "match entries must be"
+        [Observation((0, 1), [(0, 1.5)], 0), VALID_REWARD], 0.5, "match entries must be"
     ),
     "integer quality 1": (
-        [Observation((0, 1), [(0, 1)], 0), VALID_REWARD], 0, 0.5, "match entries must be"
+        [Observation((0, 1), [(0, 1)], 0), VALID_REWARD], 0.5, "match entries must be"
     ),
     "reward -1.0": (
-        [VALID_OBSERVATION, Reward(0, -1.0, 0)], 0, 0.5, "reward must be a finite float >= 0"
+        [VALID_OBSERVATION, Reward(0, -1.0, 0)], 0.5, "reward must be a finite float >= 0"
     ),
     "integer reward 1": (
-        [VALID_OBSERVATION, Reward(0, 1, 0)], 0, 0.5, "reward must be a finite float >= 0"
+        [VALID_OBSERVATION, Reward(0, 1, 0)], 0.5, "reward must be a finite float >= 0"
     ),
     "loop_index -1": (
-        [Observation((0, 1), [(0, 0.5)], -1), VALID_REWARD], 0, 0.5,
+        [Observation((0, 1), [(0, 0.5)], -1), VALID_REWARD], 0.5,
         "loop_index must be an integer >= 0",
     ),
     "generator True": (
-        [VALID_OBSERVATION, Reward(True, 0.1, 0)], True, 0.5, "generator index True out of range"
+        [VALID_OBSERVATION, Reward(True, 0.1, 0)], 0.5,
+        "generator index must be an integer >= 0, got True",
     ),
     "integer avg_navigability": (
-        [VALID_OBSERVATION, VALID_REWARD], 0, 0, "avg_navigability must be finite"
+        [VALID_OBSERVATION, VALID_REWARD], 0, "avg_navigability must be finite"
     ),
 }
 
 
 @pytest.mark.parametrize("shape", list(UNSEALABLE))
 def test_append_block_refuses_what_its_reader_rejects(shape):
-    transactions, generator, avg_navigability, message = UNSEALABLE[shape]
+    transactions, avg_navigability, message = UNSEALABLE[shape]
     chain = build_chain(blocks=1, n_robots=3)
     before = list(chain.blocks)
     with pytest.raises(LedgerError, match=f"^{re.escape(message)}"):
-        chain.append_block(transactions, generator, avg_navigability)
+        chain.append_block(transactions, avg_navigability)
     assert chain.blocks == before
     assert chain.verify() is None
+
+
+def test_a_block_is_generated_by_the_robot_its_reward_pays():
+    chain = Chain(n_robots=3)
+    block = chain.append_block([Observation((0, 1), [(0, 0.5)], 0), Reward(2, 0.1, 0)], 0.5)
+    assert block.generator == 2
+    assert json.loads(block.line)["generator"] == 2
+    assert chain.generator_histogram() == [0, 0, 1]
 
 
 def mostly(valid, bad):
@@ -222,22 +231,21 @@ def block_arguments(draw):
     """`append_block` arguments: observations, then the generator's reward;
     each value is sometimes made bad, and the records sometimes shuffled."""
     generator = draw(mostly(robots, bad_robots))
-    paid = draw(mostly(st.just(generator), st.one_of(robots, bad_robots)))
     amount = draw(mostly(st.floats(0.0, 2.0), st.sampled_from([-1.0, 1, math.inf, math.nan])))
     records = draw(st.lists(observations, max_size=3))
-    records.append(Reward(paid, amount, draw(mostly(st.integers(0, 2), st.just(-1)))))
+    records.append(Reward(generator, amount, draw(mostly(st.integers(0, 2), st.just(-1)))))
     records = draw(mostly(st.just(records), st.permutations(records)))
     average = draw(mostly(st.floats(-1.0, 2.0), st.sampled_from([0, math.nan, math.inf])))
-    return records, generator, average
+    return records, average
 
 
 @given(st.lists(block_arguments(), max_size=4))
 def test_every_chain_append_block_accepts_reads_back_as_sealed(arguments):
     chain = Chain(n_robots=3)
     sealed = []
-    for transactions, generator, avg_navigability in arguments:
+    for transactions, avg_navigability in arguments:
         try:
-            chain.append_block(transactions, generator, avg_navigability)
+            chain.append_block(transactions, avg_navigability)
         except LedgerError:
             continue
         sealed.append(transactions)
@@ -288,8 +296,8 @@ def test_verify_reports_first_tampered_block():
 
 def test_pair_tx_count_and_histogram():
     chain = Chain(n_robots=3)
-    chain.append_block([obs((0, 1), 0), obs((1, 0), 0), Reward(0, 0.1, 0)], 0, 0.0)
-    chain.append_block([obs((1, 2), 1), Reward(2, 0.1, 1)], 2, 0.0)
+    chain.append_block([obs((0, 1), 0), obs((1, 0), 0), Reward(0, 0.1, 0)], 0.0)
+    chain.append_block([obs((1, 2), 1), Reward(2, 0.1, 1)], 0.0)
     assert pair_tx_counts(chain.blocks) == {(0, 1): 2, (1, 2): 1}
     assert chain.generator_histogram() == [1, 0, 1]
 
@@ -637,6 +645,76 @@ def test_loads_with_team_size_rejects_outsider_pair():
     with pytest.raises(LedgerFormatError, match=r"^block 3: pair index 10 out of range$"):
         Chain.loads(data, n_robots=10)
     assert Chain.loads(data, n_robots=11).dumps() == data
+
+
+def _bad_pair_id(record, value):
+    tx = record["transactions"][0]
+    tx["pair"] = [tx["pair"][0], value]
+
+
+def _bad_generator(record, value):
+    record["generator"] = record["transactions"][-1]["generator"] = value
+
+
+def _bad_loop_index(record, value):
+    record["transactions"][0]["loop_index"] = value
+
+
+# Where an id of the wrong type goes, on a line and in `append_block`'s
+# records, with the label its message names.
+BAD_ID_PLACES = {
+    "pair id": (
+        _bad_pair_id, lambda v: [Observation((0, v), [(0, 0.5)], 0), Reward(0, 0.1, 0)],
+        "pair index",
+    ),
+    "reward robot": (
+        _bad_generator, lambda v: [Observation((0, 1), [(0, 0.5)], 0), Reward(v, 0.1, 0)],
+        "generator index",
+    ),
+    "observation loop_index": (
+        _bad_loop_index, lambda v: [Observation((0, 1), [(0, 0.5)], v), Reward(0, 0.1, 0)],
+        "loop_index",
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [None, True, {}, 0.5], ids=repr)
+@pytest.mark.parametrize("place", list(BAD_ID_PLACES))
+def test_an_id_of_the_wrong_type_is_named_as_one(place, value):
+    breaker, records, label = BAD_ID_PLACES[place]
+    message = f"{label} must be an integer >= 0, got {value!r}"
+    data = seed_records()
+    breaker(data[0], value)
+    with pytest.raises(LedgerFormatError) as raised:
+        Chain.loads(relinked_dump(data), n_robots=10)
+    assert str(raised.value) == f"block 0: {message}"
+    chain = Chain(n_robots=10)
+    with pytest.raises(LedgerError) as raised:
+        chain.append_block(records(value), 0.5)
+    assert str(raised.value) == message
+    assert chain.blocks == []
+
+
+def _drop_generator(record):
+    del record["generator"]
+
+
+def _true_generator(record):
+    record["generator"] = True
+    record["transactions"][-1]["generator"] = 1
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop_generator, "missing field 'generator'"),
+    (_true_generator, "the reward pays robot 1, not the generator True"),
+])
+def test_a_line_must_name_its_rewards_robot_as_generator(edit, message):
+    records = seed_records()
+    edit(records[3])
+    data = relinked_dump(records)
+    assert verify_dump_bytes(data) == 3
+    with pytest.raises(LedgerFormatError, match=f"^block 3: {re.escape(message)}$"):
+        Chain.loads(data)
 
 
 def test_verify_dump_reports_non_finite_numbers_instead_of_raising():

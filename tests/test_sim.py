@@ -484,7 +484,7 @@ def run_from_scratch(config, scenario=None):
         robots = range(config.n_robots)
         generator = elect_generator(weights, state.streams.election, stakes, robots)
         reward = Reward(generator, config.generator_reward, state.loop_index)
-        block = state.chain.append_block(batch + [reward], generator, avg)
+        block = state.chain.append_block(batch + [reward], avg)
         counts.update(pair_tx_counts([block]))
         stakes[generator] += config.generator_reward
 
