@@ -248,20 +248,21 @@ def run_and_export(request: RunRequest) -> dict:
     return summary
 
 
-def verify_dump(path: str) -> int:
-    """Check a ledger dump file; report the first bad block and its rule if any."""
+def verify_dump(path: str, n_robots: int | None = None) -> int:
+    """Check a ledger dump file, with robot ids below `n_robots` when it is
+    given; report the first bad block and its rule if any."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         print(f"stakenav: cannot read {path}: {exc}", file=sys.stderr)
         return 2
-    bad_index = ledger.verify_dump_bytes(data)
+    bad_index = ledger.verify_dump_bytes(data, n_robots)
     if bad_index is None:
         print(f"{path}: valid")
         return 0
     # Only a failure reads the dump again, for the reader's "block K: <rule>".
     try:
-        ledger.Chain.loads(data)
+        ledger.Chain.loads(data, n_robots)
     except ledger.LedgerFormatError as exc:
         print(f"{path}: invalid at {exc}")
     return 3
@@ -273,15 +274,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
 
-    if args.verify is not None:
+    # A plain --verify knows no team size; with --robots or --config it
+    # checks robot ids against the team a run would resolve.
+    if args.verify is not None and args.robots is None and args.config is None:
         return verify_dump(args.verify)
-
     try:
         request = parse_config(args)
     except ValueError as exc:
         # UsageError, ConfigError, and bad pair values all land here.
         print(f"stakenav: error: {exc}", file=sys.stderr)
         return 1
+    if args.verify is not None:
+        return verify_dump(args.verify, request.config.n_robots)
     try:
         run_and_export(request)
     except OSError as exc:

@@ -170,14 +170,16 @@ def _check_block(transactions: list, avg_navigability: Any, n_robots: int | None
     - every record but the last is an `Observation`, and the last is the
       block's one `Reward`, paying its generator a finite float >= 0;
     - a pair is a tuple of two robot ids i < j, and `matches` a non-empty
-      list of (landmark id, float quality in [0, 1]) pairs, ids strictly
+      list of (landmark id, float quality in [0, 1]) tuples, ids strictly
       ascending;
     - ids and loop indices are integers >= 0 (`_check_id`), robot ids below
       `n_robots` when it is given.
 
-    Records are taken to have their class's shape, a match entry being an
-    (id, quality) pair; every value is type-checked before it is compared,
-    so a bad value raises LedgerError, never TypeError.
+    Records are taken to have their class's shape. A match entry's shape,
+    a tuple of two, is checked before it is unpacked, so a list entry,
+    which would read back as a tuple, is refused; every value is
+    type-checked before it is compared, so a bad value raises LedgerError,
+    never TypeError.
     """
     if type(avg_navigability) is not float or not math.isfinite(avg_navigability):
         raise LedgerError(f"avg_navigability must be finite and a float, got {avg_navigability!r}")
@@ -202,14 +204,17 @@ def _check_block(transactions: list, avg_navigability: Any, n_robots: int | None
         if type(matches) is not list or not matches:
             raise LedgerError(f"matches must be a non-empty list, got {matches!r}")
         previous = -1
-        for k, q in matches:
-            if type(k) is not int or k <= previous or type(q) is not float or not 0.0 <= q <= 1.0:
-                after = f" after landmark {previous}" if previous >= 0 else ""
-                raise LedgerError(
-                    f"match entries must be (landmark id >= 0, float quality in [0, 1]) with "
-                    f"ids strictly ascending, got {(k, q)!r}{after}"
-                )
-            previous = k
+        for entry in matches:
+            if type(entry) is tuple and len(entry) == 2:
+                k, q = entry
+                if type(k) is int and k > previous and type(q) is float and 0.0 <= q <= 1.0:
+                    previous = k
+                    continue
+            after = f" after landmark {previous}" if previous >= 0 else ""
+            raise LedgerError(
+                f"match entries must be (landmark id >= 0, float quality in [0, 1]) with "
+                f"ids strictly ascending, got {entry!r}{after}"
+            )
         _check_id(loop_index, "loop_index")
 
 
@@ -357,14 +362,15 @@ def _read_dump(lines, n_robots: int | None = None):
         yield block
 
 
-def verify_dump_bytes(data: bytes) -> int | None:
+def verify_dump_bytes(data: bytes, n_robots: int | None = None) -> int | None:
     """Run the dump reader over the lines of `data`, read in place through
-    an `io.BytesIO`, and build no chain. Returns None when valid, otherwise
-    the index of the first invalid block: any byte-level change is reported
-    no later than the block it lands in."""
+    an `io.BytesIO`, with robot ids checked against `n_robots` when it is
+    given, and build no chain. Returns None when valid, otherwise the index
+    of the first invalid block: any byte-level change is reported no later
+    than the block it lands in."""
     verified = 0
     try:
-        for _ in _read_dump(io.BytesIO(data)):
+        for _ in _read_dump(io.BytesIO(data), n_robots):
             verified += 1
     except LedgerFormatError:
         return verified

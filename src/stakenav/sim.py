@@ -25,11 +25,11 @@ pairs that share a landmark this loop and have sealed history (see
 distance test could only have failed, and a skipped pair, term or robot
 could only have added an exact zero: the bytes are the full quadratic pass's.
 
-Each drawn quality is handled once. `compute_visibility` appends it to its
-pair's list of (landmark id, quality) tuples and builds the pair's
-observation record around that list; emission queues the loop's records as
-they are, and sealing encodes the tuples straight into the block's dump line,
-which the block keeps instead of the records.
+A loop's observation records are all that `compute_visibility` hands on,
+each built once around its drawn (landmark id, quality) tuples. The seal
+state sums their qualities, emission queues them as they are, and sealing
+encodes the tuples straight into the block's dump line, which the block
+keeps instead of the records.
 
 `Chain.append_block` numbers transactions as it seals them, in pending
 order, so ids across the chain are gapless even though reward transactions
@@ -131,11 +131,12 @@ class SealState:
     which is never written; `record` gives a robot its own copy at its first
     sealed observation, so only robots with history cost a row of n entries.
 
-    `_rows` maps each robot with live terms to them: the partners that share
-    a landmark with it this loop and have a non-zero importance, as (j, pair
-    quality sum) ascending by j. A cooperating pair with no sealed history is
-    held apart until a seal gives it one; then it joins both rows at its
-    sorted place. Pending transactions from earlier loops can do that mid-loop.
+    `_rows`, built by `start_loop` from the loop's records, maps each robot
+    with live terms to them: the partners that share a landmark with it this
+    loop and have a non-zero importance, as (j, pair quality sum) ascending
+    by j. A cooperating pair with no sealed history is held apart until a
+    seal gives it one; then it joins both rows at its sorted place. Pending
+    transactions from earlier loops can do that mid-loop.
     """
 
     def __init__(self, n_robots: int):
@@ -145,21 +146,25 @@ class SealState:
         # (i, j) -> pair quality sum of cooperating pairs with no history.
         self._cold: dict[tuple[int, int], float] = {}
 
-    def start_loop(self, pair_sums: Iterable[tuple[int, int, float]]) -> None:
-        """Replace the rows with one loop's (i, j, pair quality sum) triples.
-
-        The triples must have i < j and come ascending by (i, j). Row r then
-        receives its partners below r before those above, each in order.
+    def start_loop(self, observations: Iterable[Observation]) -> None:
+        """Replace the rows with one loop's observation records, ascending by
+        pair as `compute_visibility` returns them; a pair's quality sum adds
+        its qualities left to right from 0.0, as `ordered_sum` does. Row r
+        then receives its partners below r before those above, each in order.
         """
         alpha = self.alpha
         rows: defaultdict[int, list[tuple[int, float]]] = defaultdict(list)
         cold = {}
-        for i, j, total in pair_sums:
+        for record in observations:
+            i, j = record.pair
+            total = 0.0
+            for _, q in record.matches:
+                total += q
             if alpha[i][j]:
                 rows[i].append((j, total))
                 rows[j].append((i, total))
             else:
-                cold[(i, j)] = total
+                cold[record.pair] = total
         self._rows = rows
         self._cold = cold
 
@@ -315,13 +320,12 @@ def compute_visibility(state: ExperimentState) -> list[Observation]:
     in the OR of its landmarks' masks, so work grows with sightings and
     cooperating pairs, never with all pairs or all landmarks.
     Qualities are drawn uniformly in [0, 1) per (pair, common landmark), in
-    ascending pair-then-landmark order, then scaled by an active degradation
-    scenario; pairs that share nothing draw nothing, exactly as in a full pass.
-    Each cooperating pair's record is built once, around its (landmark id,
-    quality) tuples as they are drawn, ascending by id; the records come
-    ascending by pair and carry the loop index, and no (i, j, k) map is
-    built. Also starts the seal state's loop with every pair's quality sum
-    and refreshes the common-count extremes.
+    ascending pair-then-landmark order; pairs that share nothing draw
+    nothing, exactly as in a full pass. Each record is built in one
+    expression around its ascending (landmark id, quality) tuples, and the
+    records ascend by pair. After the walk, an active degradation scenario
+    rescales its pair's record in place; the seal state then starts its loop
+    from the records, and the common-count extremes are refreshed.
     """
     config = state.config
     radius_sq = config.sensing_radius * config.sensing_radius
@@ -345,13 +349,8 @@ def compute_visibility(state: ExperimentState) -> list[Observation]:
         recognized.append(seen)
 
     loop = state.loop_index
-    scenario = state.scenario
-    degraded_pair = None
-    if scenario is not None and scenario.active(loop):
-        degraded_pair = scenario.pair
     random = state.streams.quality.random
     observations: list[Observation] = []
-    pair_sums: list[tuple[int, int, float]] = []
     n = len(recognized)
     least = None
     for i, rec_i in enumerate(recognized):
@@ -371,18 +370,13 @@ def compute_visibility(state: ExperimentState) -> list[Observation]:
                 state.max_common = count
             if least is None or count < least:
                 least = count
-            matches = []
-            total = 0.0
-            scale = degraded_pair == (i, j)
-            for k in common:
-                q = random()
-                if scale:
-                    q *= scenario.multiplier
-                matches.append((k, q))
-                total += q
-            pair_sums.append((i, j, total))
-            observations.append(Observation((i, j), matches, loop))
-    state.seal.start_loop(pair_sums)
+            observations.append(Observation((i, j), [(k, random()) for k in common], loop))
+    scenario = state.scenario
+    if scenario is not None and scenario.active(loop):
+        for record in observations:
+            if record.pair == scenario.pair:
+                record.matches[:] = [(k, q * scenario.multiplier) for k, q in record.matches]
+    state.seal.start_loop(observations)
     if len(observations) < n * (n - 1) // 2:
         least = 0  # some pair shares no landmark
     if least is not None and (state.min_common is None or least < state.min_common):

@@ -26,7 +26,7 @@ from stakenav.cli import (
 )
 from stakenav.domain import MAX_POSITIONS, MAX_ROBOTS
 from stakenav.ledger import Observation
-from tests.test_ledger import CHAIN_RULES, FORGERIES, seed_records
+from tests.test_ledger import CHAIN_RULES, FORGERIES, relinked_dump, seed_records
 
 
 def parse(argv):
@@ -522,6 +522,27 @@ def test_verify_names_the_block_rule_a_forgery_breaks(tmp_path, capsys, forgery)
     ledger.write_bytes(breaker(seed_records()))
     assert main(["--verify", str(ledger)]) == 3
     assert capsys.readouterr().out == f"{ledger}: invalid at block 3: {message}\n"
+
+
+def test_verify_checks_robot_ids_against_the_team_size_it_is_given(tmp_path, capsys):
+    # Block 3's reward re-paid to robot 99, re-hashed and relinked.
+    records = seed_records()
+    records[3]["generator"] = records[3]["transactions"][-1]["generator"] = 99
+    ledger = tmp_path / LEDGER_FILE
+    ledger.write_bytes(relinked_dump(records))
+    assert main(["--verify", str(ledger)]) == 0  # no team size, no check
+    assert capsys.readouterr().out == f"{ledger}: valid\n"
+    config = tmp_path / "run.json"
+    config.write_text('{"robots": 10}')
+    for team in (["--robots", "10"], ["--config", str(config)]):
+        assert main(["--verify", str(ledger), *team]) == 3
+        assert capsys.readouterr().out == (
+            f"{ledger}: invalid at block 3: generator index 99 out of range\n"
+        )
+    assert main(["--verify", str(ledger), "--robots", "100"]) == 0
+    capsys.readouterr()
+    assert main(["--verify", str(ledger), "--robots", "0"]) == 1  # as for a run
+    assert capsys.readouterr().err.startswith("stakenav: error: n_robots must be in")
 
 
 def test_verify_rejects_a_dump_without_its_final_newline(tmp_path, capsys):

@@ -7,7 +7,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from stakenav import (
     Chain,
@@ -162,6 +162,21 @@ UNSEALABLE = {
     "integer quality 1": (
         [Observation((0, 1), [(0, 1)], 0), VALID_REWARD], 0.5, "match entries must be"
     ),
+    "list match entry": (
+        [Observation((0, 1), [[0, 0.5]], 0), VALID_REWARD], 0.5, "match entries must be"
+    ),
+    "match entry 5": (
+        [Observation((0, 1), [5], 0), VALID_REWARD], 0.5, "match entries must be"
+    ),
+    "match entry None": (
+        [Observation((0, 1), [None], 0), VALID_REWARD], 0.5, "match entries must be"
+    ),
+    "match entry (0,)": (
+        [Observation((0, 1), [(0,)], 0), VALID_REWARD], 0.5, "match entries must be"
+    ),
+    "match entry (0, 0.5, 1)": (
+        [Observation((0, 1), [(0, 0.5, 1)], 0), VALID_REWARD], 0.5, "match entries must be"
+    ),
     "reward -1.0": (
         [VALID_OBSERVATION, Reward(0, -1.0, 0)], 0.5, "reward must be a finite float >= 0"
     ),
@@ -208,6 +223,10 @@ def mostly(valid, bad):
 
 robots = st.integers(0, 2)
 bad_robots = st.sampled_from([-1, 3, True])
+matches = st.dictionaries(st.integers(0, 4), st.floats(0.0, 1.0), min_size=1, max_size=3).map(
+    lambda matches: sorted(matches.items())
+)
+bad_entries = st.tuples(st.integers(-1, 4), st.sampled_from([1.5, 1, math.nan, 0.5]))
 observations = st.builds(
     Observation,
     mostly(
@@ -215,11 +234,21 @@ observations = st.builds(
         st.tuples(st.one_of(robots, bad_robots), st.one_of(robots, bad_robots)),
     ),
     mostly(
-        st.dictionaries(st.integers(0, 4), st.floats(0.0, 1.0), min_size=1, max_size=3).map(
-            lambda matches: sorted(matches.items())
-        ),
-        st.lists(
-            st.tuples(st.integers(-1, 4), st.sampled_from([1.5, 1, math.nan, 0.5])), max_size=3
+        matches,
+        st.one_of(
+            st.lists(bad_entries, max_size=3),
+            # Entries of the wrong shape: lists, which would read back as
+            # tuples; one or three elements; no tuple at all.
+            matches.map(lambda entries: [list(entry) for entry in entries]),
+            st.lists(
+                st.one_of(
+                    bad_entries.map(lambda entry: entry[:1]),
+                    bad_entries.map(lambda entry: entry + (0.5,)),
+                    st.sampled_from([5, None]),
+                ),
+                min_size=1,
+                max_size=3,
+            ),
         ),
     ),
     mostly(st.integers(0, 2), st.just(-1)),
@@ -240,6 +269,7 @@ def block_arguments(draw):
 
 
 @given(st.lists(block_arguments(), max_size=4))
+@example([([Observation((0, 1), [[0, 0.5]], 0), VALID_REWARD], 0.5)])  # reads back as (0, 0.5)
 def test_every_chain_append_block_accepts_reads_back_as_sealed(arguments):
     chain = Chain(n_robots=3)
     sealed = []

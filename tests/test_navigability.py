@@ -15,6 +15,7 @@ from stakenav.reference import (
     navigability_matrix,
 )
 from stakenav.domain import ordered_sum
+from stakenav.ledger import Observation
 from stakenav.sim import SealState
 from tests.test_consensus import random_snapshot
 
@@ -147,19 +148,18 @@ def test_matrix_unchanged_by_stake_scaling():
             assert abs(a.values[i][j] - b.values[i][j]) <= 1e-12
 
 
-def pair_sums_of(snap):
-    """(i, j, summed quality) per pair sharing a landmark, ascending."""
-    sums = []
+def records_of(snap):
+    """The snapshot's observation records: one per pair sharing a landmark,
+    ascending by pair, each with its (landmark id, quality) tuples."""
+    records = []
     n = snap.n_robots
     for i in range(n):
         for j in range(i + 1, n):
             common = sorted(snap.recognized[i] & snap.recognized[j])
             if common:
-                total = 0.0
-                for k in common:
-                    total += snap.qualities[(i, j, k)]
-                sums.append((i, j, total))
-    return sums
+                matches = [(k, snap.qualities[(i, j, k)]) for k in common]
+                records.append(Observation((i, j), matches, 0))
+    return records
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -176,7 +176,7 @@ def test_seal_state_weights_match_matrix_row_sums_bit_for_bit(seed):
         alpha = AlphaMatrix.from_pair_counts(counts, n)
         matrix = navigability_matrix(StakeTable(stakes), snap, alpha)
         # A live term: a pair cooperating this loop with sealed history.
-        live = {r for i, j, _ in pair_sums_of(snap) if counts.get((i, j)) for r in (i, j)}
+        live = {r for record in records_of(snap) if counts.get(record.pair) for r in record.pair}
         assert robots == sorted(live)
         assert [w.hex() for w in weights] == [matrix.row_sum(i).hex() for i in robots]
         for i in set(range(n)) - live:
@@ -190,7 +190,7 @@ def test_seal_state_weights_match_matrix_row_sums_bit_for_bit(seed):
             if rng.random() < 0.15:
                 for k in snap.recognized[i] & snap.recognized[j]:
                     snap.qualities[(i, j, k)] = 0.0
-        seal.start_loop(pair_sums_of(snap))
+        seal.start_loop(records_of(snap))
         check(snap)
         for _ in range(rng.randint(0, 5)):  # sealed batches, pairs may repeat
             batch = [rng.choice(pairs) for _ in range(rng.randint(1, 6))]
@@ -238,7 +238,11 @@ def test_seal_state_keeps_rows_only_for_robots_with_live_terms():
     # robots cooperate: that peaked at 641 KiB here. Pair history alone,
     # the shared zeros, alpha and two robots' own rows, takes 128 KiB.
     n = 4096
-    pairs = [(0, 1, 0.5), (7, 4000, 0.25), (9, 10, 0.125)]
+    pairs = [
+        Observation((0, 1), [(0, 0.5)], 0),
+        Observation((7, 4000), [(0, 0.25)], 0),
+        Observation((9, 10), [(0, 0.125)], 0),
+    ]
     tracemalloc.start()
     try:
         seal = SealState(n)

@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -31,7 +31,8 @@ from stakenav.reference import (
     average_navigability,
     navigability_matrix,
 )
-from stakenav.sim import elect_generator, maybe_seal_blocks, step_movement
+from stakenav.domain import derive_stream, ordered_sum
+from stakenav.sim import SealState, elect_generator, maybe_seal_blocks, step_movement
 from tests.test_ledger import pair_tx_counts
 
 SMALL = WorldConfig(
@@ -579,3 +580,46 @@ def test_loop_snapshots_read_back_from_the_ledger(monkeypatch, world, seed):
     # Some loop's records span blocks, and the last block seals a remainder.
     assert any(len(blocks) > 1 for blocks in sealed_in)
     assert len(chain.blocks[-1].transactions) <= config.block_size
+
+
+def replay_seals(config, chain):
+    """(avg_navigability hex, generator) of every block, re-sealed from the
+    ledger's own records through a fresh `SealState`: a block's loop is
+    started from the records of its reward's loop (the last loop for the
+    final remainder) before its first seal."""
+    by_loop = defaultdict(list)
+    for block in chain.blocks:
+        for tx in block.transactions:
+            if isinstance(tx, Observation):
+                by_loop[tx.loop_index].append(tx)
+    seal = SealState(config.n_robots)
+    stakes = [config.initial_stake] * config.n_robots
+    election = derive_stream(config.seed, "election")
+    started = None
+    replayed = []
+    for block in chain.blocks:
+        *observations, reward = block.transactions
+        loop = min(reward.loop_index, config.loops - 1)
+        if loop != started:
+            seal.start_loop(by_loop[loop])
+            started = loop
+        robots, weights, average = seal.weights(stakes, ordered_sum(stakes))
+        generator = elect_generator(weights, election, stakes, robots)
+        seal.record([tx.pair for tx in observations])
+        stakes[generator] += reward.reward
+        replayed.append((average.hex(), generator))
+    return replayed
+
+
+@pytest.mark.parametrize("config, scenario", [
+    *((WorldConfig(seed=seed), None) for seed in range(5)),
+    (WorldConfig(seed=3), DegradationScenario((2, 7), 4, 6, 0.1)),
+    (WorldConfig(**COLD_START, seed=0), None),
+    (WorldConfig(**COLD_START, seed=1), None),
+], ids=["seed0", "seed1", "seed2", "seed3", "seed4", "degraded", "cold0", "cold1"])
+def test_the_ledger_replays_through_the_seal_state(config, scenario):
+    chain = run_experiment(config, scenario).chain
+    assert replay_seals(config, chain) == [
+        (block.avg_navigability.hex(), block.generator) for block in chain.blocks
+    ]
+    assert any(block.avg_navigability > 0.0 for block in chain.blocks)
