@@ -14,27 +14,27 @@ makes a line, puts `"hash":"<hex>",` there in the body and a newline after.
 
 A block is defined once, by `_seal`: it runs `_check_block`, the one check
 of the block rules, takes the block's generator to be the robot its one
-trailing reward pays, numbers the records from the chain's next tx_id,
-encodes the body once through the module-level `canonical_encode`, hashes
-it and splices the line. The rules convert no value: an integer where a
-float belongs, a reversed pair or a `bool` id is rejected.
-`Chain.append_block` is `_seal` at the chain tip plus an append. A block
-keeps its line, newline included, and a few header numbers; `Chain.dumps()`
-joins the lines as they are. Records are named tuples, one class per kind
-(`Observation`, `Reward`), and carry no id, so the records
+trailing reward pays and its index, prev_hash and first tx_id from the block
+before it, encodes the body once through the module-level
+`canonical_encode`, hashes it and splices the line. The rules convert no
+value: an integer where a float belongs, a reversed pair or a `bool` id is
+rejected. `Chain.append_block` is `_seal` on the chain's last block plus an
+append. A block keeps its line, newline included, and a few header numbers;
+`Chain.dumps()` joins the lines as they are. Records are named tuples, one
+class per kind (`Observation`, `Reward`), and carry no id, so the records
 `Block.transactions` builds from a line equal the ones sealed.
 
 There is one reader of dump bytes, `_read_dump`, and it walks a stream of
 lines, holding one at a time. Per line it requires the final newline,
 decodes the line, turns its transactions into records through `_records`
 (the decoder `Block.transactions` uses too) and re-seals them with the
-line's `avg_navigability`, the only other field it takes from the line, at
-its own index, tip hash and next tx_id, with the team size when it is
-given. A line is valid when the writer would seal it: the re-sealed line
-must equal the line read. That one byte comparison covers the field sets,
-the block's generator against its reward's robot, the index, the prev_hash
-link, the tx_id sequence, the canonical form and the hash; only on a
-mismatch does `_differs` name the rule. The first line that fails raises
+line's `avg_navigability`, the only other field it takes from the line, on
+the block it read before, with the team size when it is given. A line is
+valid when the writer would seal it: the re-sealed line must equal the line
+read. That one byte comparison covers the field sets, the block's generator
+against its reward's robot, the index, the prev_hash link, the tx_id
+sequence, the canonical form and the hash; only on a mismatch does
+`_differs` name the rule. The first line that fails raises
 `LedgerFormatError("block K: <rule>")`: `verify_dump_bytes` returns that
 K, and `Chain.loads` raises it, so a loaded chain is valid. Both read their
 bytes through an `io.BytesIO`, which shares the buffer, so neither holds a
@@ -226,13 +226,17 @@ def _splice(body: bytes, hash: str) -> bytes:
 
 
 def _seal(
-    transactions: list, avg_navigability: Any,
-    index: int, prev_hash: str, first_tx_id: int, n_robots: int | None,
+    transactions: list, avg_navigability: Any, previous: Block | None, n_robots: int | None
 ) -> Block:
-    """The block `transactions` make at `index` after `prev_hash`, generated
-    by the robot its reward pays: checked by `_check_block`, numbered from
-    `first_tx_id`, its body encoded and hashed once, its line by `_splice`."""
+    """The block `transactions` make on `previous`, the block before it or
+    None for the first, generated by the robot its reward pays: checked by
+    `_check_block`, numbered on from `previous`, its body encoded and hashed
+    once, its line by `_splice`."""
     _check_block(transactions, avg_navigability, n_robots)
+    index, prev_hash, first_tx_id = 0, GENESIS_PREV_HASH, 0
+    if previous is not None:
+        index, prev_hash = previous.index + 1, previous.hash
+        first_tx_id = previous.first_tx_id + previous.transaction_count
     generator = transactions[-1].generator
     body = canonical_encode({
         "avg_navigability": avg_navigability,
@@ -267,19 +271,18 @@ class Chain:
     def append_block(
         self, transactions: list[Observation | Reward], avg_navigability: float
     ) -> Block:
-        """Seal `transactions` into a new block at the chain tip (`_seal`),
+        """Seal `transactions` into a new block on the last one (`_seal`),
         generated by the robot its trailing reward pays, and append it;
         raise LedgerError, appending nothing, if they break a block rule."""
-        prev_hash = self.blocks[-1].hash if self.blocks else GENESIS_PREV_HASH
-        index, first_tx_id = len(self.blocks), self.next_tx_id
-        block = _seal(transactions, avg_navigability, index, prev_hash, first_tx_id, self.n_robots)
+        previous = self.blocks[-1] if self.blocks else None
+        block = _seal(transactions, avg_navigability, previous, self.n_robots)
         self.blocks.append(block)
         return block
 
     def verify(self) -> int | None:
-        """`verify_dump_bytes` of this chain's dump: None when intact,
-        otherwise the index of the first invalid block."""
-        return verify_dump_bytes(self.dumps())
+        """`verify_dump_bytes` of this chain's dump against its `n_robots`:
+        None when intact, otherwise the index of the first invalid block."""
+        return verify_dump_bytes(self.dumps(), self.n_robots)
 
     def generator_histogram(self) -> list[int]:
         """Blocks sealed per robot; entries sum to the chain length."""
@@ -330,13 +333,12 @@ def _differs(record: dict, block: Block) -> str:
 
 def _read_dump(lines, n_robots: int | None = None):
     """Yield the Block of each line of `lines`, an iterable of byte lines
-    such as an `io.BytesIO`, once `_seal` of its records at that place in
-    the chain, checking robot ids against `n_robots` when it is given, has
+    such as an `io.BytesIO`, once `_seal` of its records on the block read
+    before it, checking robot ids against `n_robots` when it is given, has
     given back the line read; raise `LedgerFormatError("block K: <rule>")`
     at the first line K that fails. Every line must end in a newline, and
     that rule is checked first."""
-    prev_hash = GENESIS_PREV_HASH
-    next_tx_id = 0
+    block = None
     for index, line in enumerate(lines):
         try:
             if line[-1:] != b"\n":
@@ -349,7 +351,7 @@ def _read_dump(lines, n_robots: int | None = None):
                 raise LedgerFormatError(f"missing field {exc}") from exc
             except (TypeError, ValueError) as exc:
                 raise LedgerFormatError(f"malformed record: {exc}") from exc
-            block = _seal(transactions, avg_navigability, index, prev_hash, next_tx_id, n_robots)
+            block = _seal(transactions, avg_navigability, block, n_robots)
             if block.line != line:
                 raise LedgerFormatError(_differs(record, block))
         # ValueError covers bad ASCII, bad JSON, an integer too long to
@@ -357,8 +359,6 @@ def _read_dump(lines, n_robots: int | None = None):
         # too deeply.
         except (ValueError, RecursionError) as exc:
             raise LedgerFormatError(f"block {index}: {exc}") from exc
-        prev_hash = block.hash
-        next_tx_id += block.transaction_count
         yield block
 
 

@@ -111,9 +111,9 @@ class DegradationScenario(_ScenarioFields):
         return self.start_loop <= loop_index <= self.end_loop
 
     def check_against(self, config: WorldConfig) -> None:
-        if self.end_loop > config.loops:
+        if self.end_loop >= config.loops:
             raise ConfigError(
-                f"end_loop must be <= loops ({config.loops}), got {self.end_loop}"
+                f"end_loop must be < loops ({config.loops}), got {self.end_loop}"
             )
         if self.pair[1] >= config.n_robots:
             raise ConfigError(
@@ -324,8 +324,8 @@ def compute_visibility(state: ExperimentState) -> list[Observation]:
     nothing, exactly as in a full pass. Each record is built in one
     expression around its ascending (landmark id, quality) tuples, and the
     records ascend by pair. After the walk, an active degradation scenario
-    rescales its pair's record in place; the seal state then starts its loop
-    from the records, and the common-count extremes are refreshed.
+    rescales its pair's record in place, and the seal state starts its loop
+    and the common-count extremes are read from the records' match counts.
     """
     config = state.config
     radius_sq = config.sensing_radius * config.sensing_radius
@@ -351,8 +351,6 @@ def compute_visibility(state: ExperimentState) -> list[Observation]:
     loop = state.loop_index
     random = state.streams.quality.random
     observations: list[Observation] = []
-    n = len(recognized)
-    least = None
     for i, rec_i in enumerate(recognized):
         partners = 0
         for k in rec_i:
@@ -365,11 +363,6 @@ def compute_visibility(state: ExperimentState) -> list[Observation]:
             partners >>= step
             j += step
             common = sorted(rec_i & recognized[j])
-            count = len(common)
-            if count > state.max_common:
-                state.max_common = count
-            if least is None or count < least:
-                least = count
             observations.append(Observation((i, j), [(k, random()) for k in common], loop))
     scenario = state.scenario
     if scenario is not None and scenario.active(loop):
@@ -377,10 +370,14 @@ def compute_visibility(state: ExperimentState) -> list[Observation]:
             if record.pair == scenario.pair:
                 record.matches[:] = [(k, q * scenario.multiplier) for k, q in record.matches]
     state.seal.start_loop(observations)
+    counts = [len(record.matches) for record in observations]
+    n = len(recognized)
     if len(observations) < n * (n - 1) // 2:
-        least = 0  # some pair shares no landmark
-    if least is not None and (state.min_common is None or least < state.min_common):
-        state.min_common = least
+        counts.append(0)  # some pair shares no landmark
+    if counts:
+        least = min(counts)
+        state.max_common = max(state.max_common, *counts)
+        state.min_common = least if state.min_common is None else min(state.min_common, least)
     return observations
 
 

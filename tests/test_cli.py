@@ -119,6 +119,14 @@ def test_partial_scenario_is_usage_error(capsys):
     assert "degrade_loops" in err and "degrade_factor" in err
 
 
+def test_degradation_window_past_the_last_loop_exits_one(capsys, tmp_path):
+    out = tmp_path / "out"
+    assert main(["--loops", "10", "--degrade-pair", "2,7", "--degrade-loops", "10,10",
+                 "--degrade-factor", "0.1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "stakenav: error: end_loop must be < loops (10), got 10\n"
+    assert not out.exists()
+
+
 def test_non_numeric_flag_exits_one(capsys):
     assert main(["--robots", "many"]) == 1
     assert "--robots" in capsys.readouterr().err

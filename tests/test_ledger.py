@@ -289,6 +289,20 @@ def test_verify_accepts_untampered_chain():
     assert build_chain(blocks=5).verify() is None
 
 
+def test_verify_checks_robot_ids_against_the_chain_team():
+    # A block sealed for a 20-robot team, paying robot 15, moved into a
+    # chain of 10 robots, which could neither load its dump nor count it.
+    block = Chain(n_robots=20).append_block([obs((3, 15), 0), Reward(15, 0.1, 0)], 0.0)
+    small = Chain(n_robots=10)
+    small.blocks.append(block)
+    assert small.verify() == 0
+    with pytest.raises(LedgerFormatError, match="^block 0: generator index 15 out of range$"):
+        Chain.loads(small.dumps(), n_robots=10)
+    unsized = Chain()
+    unsized.blocks.append(block)
+    assert unsized.verify() is None
+
+
 def test_verify_reports_first_tampered_block():
     config = WorldConfig()
     state = ExperimentState(config, None, *init_world(config))

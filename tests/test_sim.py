@@ -75,6 +75,28 @@ def test_scenario_validation():
             DegradationScenario((0, 1), 0, bad, 0.5)
 
 
+def test_degradation_window_must_end_before_the_last_loop():
+    # Loops run 0..loops-1, so a window that starts at `loops` would degrade
+    # nothing and write the baseline's bytes.
+    config = WorldConfig(seed=2)  # pair (2, 7) cooperates in every loop
+    with pytest.raises(ConfigError, match=r"^end_loop must be < loops \(10\), got 10$"):
+        run_experiment(config, DegradationScenario((2, 7), 10, 10, 0.1))
+
+    def pair_matches(state):
+        return {
+            tx.loop_index: tx.matches
+            for block in state.chain.blocks for tx in block.transactions
+            if isinstance(tx, Observation) and tx.pair == (2, 7)
+        }
+
+    base = pair_matches(run_experiment(config))
+    degraded = pair_matches(run_experiment(config, DegradationScenario((2, 7), 4, 9, 0.1)))
+    assert sorted(degraded) == list(range(10))
+    for loop, matches in degraded.items():
+        factor = 0.1 if loop >= 4 else 1.0
+        assert matches == [(k, q * factor) for k, q in base[loop]]
+
+
 @pytest.mark.parametrize(
     "args,field",
     [

@@ -1,6 +1,7 @@
 """Check that stakenav writes the same bytes on this interpreter.
 
-Runs the default configuration for seed 0 and for seeds 0-19, two sparse
+Runs the default configuration for seed 0 and for seeds 0-19, plain and
+with pair (2, 7) degraded x0.1 in loops 4-6 (the paper's c10 run), two sparse
 worlds, a dense world and a cold-start world for seeds 0-4, and one world
 whose robots change grid cell almost every loop. It compares the SHA-256 of
 the ledger dumps with pinned values. Each dump must also load back with
@@ -41,6 +42,10 @@ GOLDEN_SEED0_LEDGER = "8580c9a0fe7ef7871a91a2fb798d64764f415eb45c0954abfb5391dcd
 # SHA-256 of the ledger dumps of seeds 0..19, concatenated in seed order.
 SWEEP_SEEDS = range(20)
 SWEEP_DIGEST = "94e6e46a11bf515bd7e9f0292f5170c0ecfc4183645ae6ef3918dd9de980b734"
+# The same seeds with c10's degradation, whose multiplier is a fraction, so
+# every degraded quality is a rounded product.
+SWEEP_SCENARIO = DegradationScenario((2, 7), 4, 6, 0.1)
+SWEEP_DEGRADED_DIGEST = "ddd5ec03876fea972bc887d783e6d116fd4eec6e8d7896d250bd3724e87d2f10"
 # Worlds where few pairs share a landmark, so visibility, emission and the
 # seal-time navigability sum skip most pairs. Per seed 0..4, the plain
 # 200-robot run, then the 30-robot run with a pair zeroed in loops 2-5.
@@ -125,6 +130,9 @@ def main() -> int:
     worlds = {
         "seed-0 ledger": ([(0, {}, None)], GOLDEN_SEED0_LEDGER),
         "seeds 0-19 ledgers": ([(seed, {}, None) for seed in SWEEP_SEEDS], SWEEP_DIGEST),
+        "degraded seeds 0-19 ledgers": (
+            [(seed, {}, SWEEP_SCENARIO) for seed in SWEEP_SEEDS], SWEEP_DEGRADED_DIGEST
+        ),
         "sparse seeds 0-4 ledgers": (
             [
                 run
