@@ -16,7 +16,7 @@ other name is imported from its module.
 from __future__ import annotations
 
 from .domain import ConfigError, WorldConfig, init_world
-from .ledger import Block, Chain, LedgerError, LedgerFormatError, verify_dump_bytes
+from .ledger import Block, Chain, LedgerError, verify_dump_bytes
 from .sim import (
     DegradationScenario,
     ExperimentState,
@@ -34,7 +34,6 @@ __all__ = [
     "DegradationScenario",
     "ExperimentState",
     "LedgerError",
-    "LedgerFormatError",
     "WorldConfig",
     "compute_visibility",
     "emit_transactions",

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import ledger
-from .domain import WorldConfig
+from .domain import MAX_ROBOTS, WorldConfig
 from .sim import DegradationScenario, ExperimentState, run_experiment
 
 # Flag/config-file key -> (WorldConfig field, --help text); the flag is the
@@ -248,9 +248,9 @@ def run_and_export(request: RunRequest) -> dict:
     return summary
 
 
-def verify_dump(path: str, n_robots: int | None = None) -> int:
-    """Check a ledger dump file, with robot ids below `n_robots` when it is
-    given; report the first bad block and its rule if any."""
+def verify_dump(path: str, n_robots: int = MAX_ROBOTS) -> int:
+    """Check a ledger dump file, with robot ids below `n_robots`; report the
+    first bad block and its rule if any."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -263,7 +263,7 @@ def verify_dump(path: str, n_robots: int | None = None) -> int:
     # Only a failure reads the dump again, for the reader's "block K: <rule>".
     try:
         ledger.Chain.loads(data, n_robots)
-    except ledger.LedgerFormatError as exc:
+    except ledger.LedgerError as exc:
         print(f"{path}: invalid at {exc}")
     return 3
 
@@ -274,8 +274,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
 
-    # A plain --verify knows no team size; with --robots or --config it
-    # checks robot ids against the team a run would resolve.
+    # A plain --verify checks robot ids against MAX_ROBOTS, the largest
+    # team; with --robots or --config, against the team a run would resolve.
     if args.verify is not None and args.robots is None and args.config is None:
         return verify_dump(args.verify)
     try:

@@ -18,8 +18,10 @@ trailing reward pays and its index, prev_hash and first tx_id from the block
 before it, encodes the body once through the module-level
 `canonical_encode`, hashes it and splices the line. The rules convert no
 value: an integer where a float belongs, a reversed pair or a `bool` id is
-rejected. `Chain.append_block` is `_seal` on the chain's last block plus an
-append. A block keeps its line, newline included, and a few header numbers;
+rejected, and so is a robot id not below the team size, which is
+`MAX_ROBOTS`, the largest team any run has, unless a smaller one is given.
+`Chain.append_block` is `_seal` on the chain's last block plus an append. A
+block keeps its line, newline included, and a few header numbers;
 `Chain.dumps()` joins the lines as they are. Records are named tuples, one
 class per kind (`Observation`, `Reward`), and carry no id, so the records
 `Block.transactions` builds from a line equal the ones sealed.
@@ -29,14 +31,14 @@ lines, holding one at a time. Per line it requires the final newline,
 decodes the line, turns its transactions into records through `_records`
 (the decoder `Block.transactions` uses too) and re-seals them with the
 line's `avg_navigability`, the only other field it takes from the line, on
-the block it read before, with the team size when it is given. A line is
-valid when the writer would seal it: the re-sealed line must equal the line
-read. That one byte comparison covers the field sets, the block's generator
-against its reward's robot, the index, the prev_hash link, the tx_id
-sequence, the canonical form and the hash; only on a mismatch does
-`_differs` name the rule. The first line that fails raises
-`LedgerFormatError("block K: <rule>")`: `verify_dump_bytes` returns that
-K, and `Chain.loads` raises it, so a loaded chain is valid. Both read their
+the block it read before, against the same team size. A line is valid when
+the writer would seal it: the re-sealed line must equal the line read. That
+one byte comparison covers the field sets, the block's generator against
+its reward's robot, the index, the prev_hash link, the tx_id sequence, the
+canonical form and the hash; only on a mismatch does `_differs` name the
+rule. The first line that fails raises `LedgerError("block K: <rule>")`,
+the error every block rule raises: `verify_dump_bytes` returns that K, and
+`Chain.loads` raises it, so a loaded chain is valid. Both read their
 bytes through an `io.BytesIO`, which shares the buffer, so neither holds a
 second copy of the dump. Any single-bit change to the stored bytes is detected.
 """
@@ -48,6 +50,8 @@ import json
 import math
 from typing import Any, NamedTuple
 
+from .domain import MAX_ROBOTS
+
 GENESIS_PREV_HASH = "0" * 64
 
 KIND_OBSERVATION = "pair_observation"
@@ -57,11 +61,7 @@ _INDEX_KEY = b'"index":'
 
 
 class LedgerError(ValueError):
-    """A ledger construction rule was violated."""
-
-
-class LedgerFormatError(LedgerError):
-    """A dumped record could not be decoded."""
+    """A block rule was broken, by records given to seal or by a dump line."""
 
 
 # No cycle check: everything the ledger encodes is a block `_check_block`
@@ -162,7 +162,7 @@ def _check_id(value: Any, label: str, limit: int | None = None) -> None:
         raise LedgerError(f"{label} {value} out of range")
 
 
-def _check_block(transactions: list, avg_navigability: Any, n_robots: int | None) -> None:
+def _check_block(transactions: list, avg_navigability: Any, n_robots: int) -> None:
     """Raise LedgerError unless `transactions` make a block, the only copy
     of the block rules:
 
@@ -173,7 +173,7 @@ def _check_block(transactions: list, avg_navigability: Any, n_robots: int | None
       list of (landmark id, float quality in [0, 1]) tuples, ids strictly
       ascending;
     - ids and loop indices are integers >= 0 (`_check_id`), robot ids below
-      `n_robots` when it is given.
+      `n_robots`.
 
     Records are taken to have their class's shape. A match entry's shape,
     a tuple of two, is checked before it is unpacked, so a list entry,
@@ -226,7 +226,7 @@ def _splice(body: bytes, hash: str) -> bytes:
 
 
 def _seal(
-    transactions: list, avg_navigability: Any, previous: Block | None, n_robots: int | None
+    transactions: list, avg_navigability: Any, previous: Block | None, n_robots: int
 ) -> Block:
     """The block `transactions` make on `previous`, the block before it or
     None for the first, generated by the robot its reward pays: checked by
@@ -251,13 +251,11 @@ def _seal(
 
 
 class Chain:
-    """In-memory block chain with single-writer appends.
+    """In-memory block chain with single-writer appends for a team of
+    `n_robots`, against which the generator and pair indices of appended and
+    loaded blocks are checked."""
 
-    When `n_robots` is given, the generator and pair indices of appended and
-    loaded blocks are checked against it.
-    """
-
-    def __init__(self, n_robots: int | None = None):
+    def __init__(self, n_robots: int = MAX_ROBOTS):
         self.n_robots = n_robots
         self.blocks: list[Block] = []
 
@@ -286,8 +284,6 @@ class Chain:
 
     def generator_histogram(self) -> list[int]:
         """Blocks sealed per robot; entries sum to the chain length."""
-        if self.n_robots is None:
-            raise ValueError("generator_histogram needs the team size")
         counts = [0] * self.n_robots
         for block in self.blocks:
             counts[block.generator] += 1
@@ -299,11 +295,11 @@ class Chain:
         return b"".join(block.line for block in self.blocks)
 
     @classmethod
-    def loads(cls, data: bytes, n_robots: int | None = None) -> "Chain":
+    def loads(cls, data: bytes, n_robots: int = MAX_ROBOTS) -> "Chain":
         """Read a dump through the one verifying reader, with robot ids
-        checked against `n_robots` when it is given. Raises
-        `LedgerFormatError("block K: <rule>")` at the first line that fails,
-        so a loaded chain is valid and dumps back to the bytes read."""
+        checked against `n_robots`. Raises `LedgerError("block K: <rule>")`
+        at the first line that fails, so a loaded chain is valid and dumps
+        back to the bytes read."""
         chain = cls(n_robots=n_robots)
         chain.blocks.extend(_read_dump(io.BytesIO(data), n_robots))
         return chain
@@ -331,47 +327,47 @@ def _differs(record: dict, block: Block) -> str:
     return "line is not the canonical encoding of its record"
 
 
-def _read_dump(lines, n_robots: int | None = None):
+def _read_dump(lines, n_robots: int):
     """Yield the Block of each line of `lines`, an iterable of byte lines
     such as an `io.BytesIO`, once `_seal` of its records on the block read
-    before it, checking robot ids against `n_robots` when it is given, has
-    given back the line read; raise `LedgerFormatError("block K: <rule>")`
-    at the first line K that fails. Every line must end in a newline, and
-    that rule is checked first."""
+    before it, checking robot ids against `n_robots`, has given back the
+    line read; raise `LedgerError("block K: <rule>")` at the first line K
+    that fails. Every line must end in a newline, and that rule is checked
+    first."""
     block = None
     for index, line in enumerate(lines):
         try:
             if line[-1:] != b"\n":
-                raise LedgerFormatError("line does not end with a newline")
+                raise LedgerError("line does not end with a newline")
             record = json.loads(line[:-1].decode("ascii"))
             try:
                 transactions = _records(record["transactions"])
                 avg_navigability = record["avg_navigability"]
             except KeyError as exc:
-                raise LedgerFormatError(f"missing field {exc}") from exc
+                raise LedgerError(f"missing field {exc}") from exc
             except (TypeError, ValueError) as exc:
-                raise LedgerFormatError(f"malformed record: {exc}") from exc
+                raise LedgerError(f"malformed record: {exc}") from exc
             block = _seal(transactions, avg_navigability, block, n_robots)
             if block.line != line:
-                raise LedgerFormatError(_differs(record, block))
+                raise LedgerError(_differs(record, block))
         # ValueError covers bad ASCII, bad JSON, an integer too long to
         # convert and LedgerError; RecursionError comes from arrays nested
         # too deeply.
         except (ValueError, RecursionError) as exc:
-            raise LedgerFormatError(f"block {index}: {exc}") from exc
+            raise LedgerError(f"block {index}: {exc}") from exc
         yield block
 
 
-def verify_dump_bytes(data: bytes, n_robots: int | None = None) -> int | None:
+def verify_dump_bytes(data: bytes, n_robots: int = MAX_ROBOTS) -> int | None:
     """Run the dump reader over the lines of `data`, read in place through
-    an `io.BytesIO`, with robot ids checked against `n_robots` when it is
-    given, and build no chain. Returns None when valid, otherwise the index
-    of the first invalid block: any byte-level change is reported no later
-    than the block it lands in."""
+    an `io.BytesIO`, with robot ids checked against `n_robots`, and build no
+    chain. Returns None when valid, otherwise the index of the first invalid
+    block: any byte-level change is reported no later than the block it
+    lands in."""
     verified = 0
     try:
         for _ in _read_dump(io.BytesIO(data), n_robots):
             verified += 1
-    except LedgerFormatError:
+    except LedgerError:
         return verified
     return None

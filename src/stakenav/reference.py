@@ -31,8 +31,10 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from .domain import InvalidPairError, normalize_pair, ordered_sum
-from .ledger import Observation
-from .sim import IMPORTANCE_LEVELS
+
+# The paper's ten importance levels: a pair's shared-transaction count,
+# capped at this, over this.
+IMPORTANCE_LEVELS = 10
 
 
 class DegenerateStakesError(ValueError):
@@ -89,9 +91,7 @@ class VisibilitySnapshot:
         return len(self.recognized)
 
     @classmethod
-    def of(
-        cls, n_robots: int, n_landmarks: int, observations: Iterable[Observation]
-    ) -> "VisibilitySnapshot":
+    def of(cls, n_robots: int, n_landmarks: int, observations: Iterable) -> "VisibilitySnapshot":
         """The snapshot of one loop's observation records.
 
         Each record gives its `pair` and the pair's `matches`, (landmark id,

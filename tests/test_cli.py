@@ -538,7 +538,7 @@ def test_verify_checks_robot_ids_against_the_team_size_it_is_given(tmp_path, cap
     records[3]["generator"] = records[3]["transactions"][-1]["generator"] = 99
     ledger = tmp_path / LEDGER_FILE
     ledger.write_bytes(relinked_dump(records))
-    assert main(["--verify", str(ledger)]) == 0  # no team size, no check
+    assert main(["--verify", str(ledger)]) == 0  # below MAX_ROBOTS
     assert capsys.readouterr().out == f"{ledger}: valid\n"
     config = tmp_path / "run.json"
     config.write_text('{"robots": 10}')
@@ -551,6 +551,18 @@ def test_verify_checks_robot_ids_against_the_team_size_it_is_given(tmp_path, cap
     capsys.readouterr()
     assert main(["--verify", str(ledger), "--robots", "0"]) == 1  # as for a run
     assert capsys.readouterr().err.startswith("stakenav: error: n_robots must be in")
+
+
+def test_plain_verify_refuses_a_robot_id_no_run_can_write(tmp_path, capsys):
+    # Block 3's reward re-paid to robot MAX_ROBOTS, re-hashed and relinked.
+    records = seed_records()
+    records[3]["generator"] = records[3]["transactions"][-1]["generator"] = MAX_ROBOTS
+    ledger = tmp_path / LEDGER_FILE
+    ledger.write_bytes(relinked_dump(records))
+    assert main(["--verify", str(ledger)]) == 3
+    assert capsys.readouterr().out == (
+        f"{ledger}: invalid at block 3: generator index {MAX_ROBOTS} out of range\n"
+    )
 
 
 def test_verify_rejects_a_dump_without_its_final_newline(tmp_path, capsys):

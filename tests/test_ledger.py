@@ -14,7 +14,6 @@ from stakenav import (
     ConfigError,
     ExperimentState,
     LedgerError,
-    LedgerFormatError,
     WorldConfig,
     compute_visibility,
     emit_transactions,
@@ -22,6 +21,7 @@ from stakenav import (
     run_experiment,
     verify_dump_bytes,
 )
+from stakenav.domain import MAX_ROBOTS
 from stakenav.ledger import GENESIS_PREV_HASH, Observation, Reward, canonical_encode
 from stakenav.sim import step_movement
 
@@ -112,7 +112,7 @@ def test_reader_rejects_a_bad_transaction_record_at_its_block():
         breakage(broken[3]["transactions"][0])
         data = relinked_dump(broken)
         assert verify_dump_bytes(data) == 3
-        with pytest.raises(LedgerFormatError, match=r"^block 3: "):
+        with pytest.raises(LedgerError, match=r"^block 3: "):
             Chain.loads(data)
 
 
@@ -296,11 +296,11 @@ def test_verify_checks_robot_ids_against_the_chain_team():
     small = Chain(n_robots=10)
     small.blocks.append(block)
     assert small.verify() == 0
-    with pytest.raises(LedgerFormatError, match="^block 0: generator index 15 out of range$"):
+    with pytest.raises(LedgerError, match="^block 0: generator index 15 out of range$"):
         Chain.loads(small.dumps(), n_robots=10)
-    unsized = Chain()
-    unsized.blocks.append(block)
-    assert unsized.verify() is None
+    largest = Chain()  # a team of MAX_ROBOTS
+    largest.blocks.append(block)
+    assert largest.verify() is None
 
 
 def test_verify_reports_first_tampered_block():
@@ -324,13 +324,13 @@ def test_verify_reports_first_tampered_block():
     line = data.split(b"\n")[2]
     edited = re.sub(rb'"loop_index":\d+', b'"loop_index":99', line, count=1)
     assert verify_dump_bytes(replace_line(data, 2, edited)) == 2
-    with pytest.raises(LedgerFormatError, match=r"^block 2: "):
+    with pytest.raises(LedgerError, match=r"^block 2: "):
         Chain.loads(replace_line(data, 2, edited))
 
     line = data.split(b"\n")[3]
     edited = re.sub(rb'"prev_hash":"\w+"', b'"prev_hash":"' + b"f" * 64 + b'"', line)
     assert verify_dump_bytes(replace_line(data, 3, edited)) == 3
-    with pytest.raises(LedgerFormatError, match=r"^block 3: "):
+    with pytest.raises(LedgerError, match=r"^block 3: "):
         Chain.loads(replace_line(data, 3, edited))
 
     chain = build_chain(blocks=5)
@@ -425,7 +425,7 @@ def test_reader_splits_lines_only_at_newlines(shape):
     build, index, message = LINE_SHAPES[shape]
     data = build(build_chain(blocks=3).dumps().splitlines(keepends=True))
     assert verify_dump_bytes(data) == index
-    with pytest.raises(LedgerFormatError) as raised:
+    with pytest.raises(LedgerError) as raised:
         Chain.loads(data)
     assert str(raised.value) == message
 
@@ -455,7 +455,7 @@ def test_a_dump_must_end_in_a_newline():
     data = seed_dump()
     last = data.count(b"\n") - 1
     assert verify_dump_bytes(data[:-1]) == last
-    with pytest.raises(LedgerFormatError, match=rf"^block {last}: line does not end with a newline$"):
+    with pytest.raises(LedgerError, match=rf"^block {last}: line does not end with a newline$"):
         Chain.loads(data[:-1])
     assert verify_dump_bytes(b"") is None
     assert Chain.loads(b"").dumps() == b""
@@ -476,7 +476,7 @@ def test_single_bit_flips_are_detected_no_later_than_the_block():
         block_idx = next(i for s, e, i in offsets if s <= pos < e)
         data[pos] ^= bit
         result = verify_dump_bytes(bytes(data))
-        with pytest.raises(LedgerFormatError, match=rf"^block {result}: "):
+        with pytest.raises(LedgerError, match=rf"^block {result}: "):
             Chain.loads(bytes(data))  # the same reader, so the same block
         data[pos] ^= bit
         assert result is not None and result <= block_idx, (pos, bit, result, block_idx)
@@ -548,7 +548,7 @@ def test_verify_dump_rejects_mutated_record_at_its_block(name):
     assert mutated != lines[index]
     mutated_data = replace_line(data, index, rehash(mutated))
     assert verify_dump_bytes(mutated_data) == index
-    with pytest.raises(LedgerFormatError, match=rf"^block {index}: "):
+    with pytest.raises(LedgerError, match=rf"^block {index}: "):
         Chain.loads(mutated_data)
 
 
@@ -607,7 +607,7 @@ def test_reader_names_the_rule_a_block_breaks(rule):
     breaker, message = CHAIN_RULES[rule]
     data = breaker(seed_records())
     assert verify_dump_bytes(data) == 3
-    with pytest.raises(LedgerFormatError, match=rf"^block 3: {message}"):
+    with pytest.raises(LedgerError, match=rf"^block 3: {message}"):
         Chain.loads(data)
 
 
@@ -664,7 +664,7 @@ def test_reader_rejects_a_forged_block_by_its_rule(forgery):
     breaker, message = FORGERIES[forgery]
     data = breaker(seed_records())
     assert verify_dump_bytes(data) == 3
-    with pytest.raises(LedgerFormatError, match=f"^block 3: {re.escape(message)}$"):
+    with pytest.raises(LedgerError, match=f"^block 3: {re.escape(message)}$"):
         Chain.loads(data)
 
 
@@ -675,8 +675,8 @@ def test_loads_with_team_size_rejects_outsider_generator():
     records[0]["transactions"][-1]["generator"] = 99
     data = relinked_dump(records)
     assert verify_dump_bytes(data) is None  # hashes and links hold
-    assert Chain.loads(data).blocks[0].generator == 99  # no team size, no check
-    with pytest.raises(LedgerFormatError, match=r"^block 0: generator index 99 out of range$"):
+    assert Chain.loads(data).blocks[0].generator == 99  # below MAX_ROBOTS
+    with pytest.raises(LedgerError, match=r"^block 0: generator index 99 out of range$"):
         Chain.loads(data, n_robots=10)
 
 
@@ -686,9 +686,28 @@ def test_loads_with_team_size_rejects_outsider_pair():
     tx["pair"] = [tx["pair"][0], 10]
     data = relinked_dump(records)
     assert verify_dump_bytes(data) is None
-    with pytest.raises(LedgerFormatError, match=r"^block 3: pair index 10 out of range$"):
+    with pytest.raises(LedgerError, match=r"^block 3: pair index 10 out of range$"):
         Chain.loads(data, n_robots=10)
     assert Chain.loads(data, n_robots=11).dumps() == data
+
+
+# With no team given, a chain's team is MAX_ROBOTS, the largest any run has.
+def test_a_chain_with_no_team_given_counts_the_largest_team():
+    assert Chain().generator_histogram() == [0] * MAX_ROBOTS
+
+
+def test_a_chain_with_no_team_given_refuses_a_robot_beyond_the_largest_team():
+    chain = Chain()
+    with pytest.raises(LedgerError, match=f"^pair index {MAX_ROBOTS} out of range$"):
+        chain.append_block([obs((0, MAX_ROBOTS), 0), Reward(0, 0.1, 0)], 0.5)
+    assert chain.blocks == []
+
+
+def test_loads_with_no_team_given_refuses_a_robot_beyond_the_largest_team():
+    records = seed_records()
+    records[3]["transactions"][0]["pair"][1] = MAX_ROBOTS
+    with pytest.raises(LedgerError, match=f"^block 3: pair index {MAX_ROBOTS} out of range$"):
+        Chain.loads(relinked_dump(records))
 
 
 def _bad_pair_id(record, value):
@@ -729,7 +748,7 @@ def test_an_id_of_the_wrong_type_is_named_as_one(place, value):
     message = f"{label} must be an integer >= 0, got {value!r}"
     data = seed_records()
     breaker(data[0], value)
-    with pytest.raises(LedgerFormatError) as raised:
+    with pytest.raises(LedgerError) as raised:
         Chain.loads(relinked_dump(data), n_robots=10)
     assert str(raised.value) == f"block 0: {message}"
     chain = Chain(n_robots=10)
@@ -757,7 +776,7 @@ def test_a_line_must_name_its_rewards_robot_as_generator(edit, message):
     edit(records[3])
     data = relinked_dump(records)
     assert verify_dump_bytes(data) == 3
-    with pytest.raises(LedgerFormatError, match=f"^block 3: {re.escape(message)}$"):
+    with pytest.raises(LedgerError, match=f"^block 3: {re.escape(message)}$"):
         Chain.loads(data)
 
 

@@ -51,11 +51,11 @@ def test_visibility_snapshot_belongs_to_the_oracle():
 def test_package_exports_only_what_its_users_name():
     # The names README's library section uses without a module prefix, the
     # ones tools/check_determinism.py imports, and the error `append_block`
-    # raises. Everything else is imported from its module.
+    # and the dump reader raise. Everything else is imported from its module.
     assert sorted(stakenav.__all__) == [
         "Block", "Chain", "ConfigError", "DegradationScenario", "ExperimentState",
-        "LedgerError", "LedgerFormatError", "WorldConfig", "compute_visibility",
-        "emit_transactions", "init_world", "run_experiment", "verify_dump_bytes",
+        "LedgerError", "WorldConfig", "compute_visibility", "emit_transactions",
+        "init_world", "run_experiment", "verify_dump_bytes",
     ]
 
 
@@ -82,6 +82,13 @@ def test_engine_does_not_import_the_oracle(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     for name in _imported_modules(tree):
         assert "reference" not in name.split("."), f"{module}.py imports {name}"
+
+
+def test_the_oracle_does_not_import_the_engine():
+    # The oracle shares only `domain` with the engine it checks.
+    tree = ast.parse((PACKAGE / "reference.py").read_text(encoding="utf-8"))
+    for name in _imported_modules(tree):
+        assert not {"sim", "ledger", "cli"} & set(name.split(".")), f"reference.py imports {name}"
 
 
 def _interpreter(version):

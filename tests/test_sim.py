@@ -487,8 +487,9 @@ def run_from_scratch(config, scenario=None):
     """Mirror of run_experiment that seals via the uncached matrix path.
 
     Movement, visibility, and emission reuse the library ops (identical RNG
-    consumption); sealing recomputes navigability from the chain state alone,
-    its pair counts read from each newly sealed block once.
+    consumption), and each loop's records are checked against the distance
+    rule over all landmarks; sealing recomputes navigability from the chain
+    state alone, its pair counts read from each newly sealed block once.
     Used to prove the driver's cached sealing is bit-identical.
     """
     if scenario is not None:
@@ -515,6 +516,7 @@ def run_from_scratch(config, scenario=None):
         state.loop_index = loop
         step_movement(state)
         observations = compute_visibility(state)
+        assert_distance_rule(state, observations, landmarks)
         snapshot = VisibilitySnapshot.of(config.n_robots, config.n_landmarks, observations)
         emit_transactions(state, observations)
         while len(state.pending) >= config.block_size:
@@ -543,6 +545,51 @@ def test_replay_equivalence_holds_under_scenario():
     fast = run_experiment(cfg, scenario)
     scratch = run_from_scratch(cfg, scenario)
     assert fast.chain.dumps() == scratch.chain.dumps()
+
+
+@st.composite
+def drawn_runs(draw):
+    """(config, scenario): a small world of shapes nobody picked, with block
+    size 1, a single robot, no landmarks or loops, a radius up to five times
+    the world, no step and no reward all allowed, and an optional
+    degradation that the world admits, multiplier 0.0 included."""
+    width = draw(st.floats(1.0, 500.0))
+    height = draw(st.floats(1.0, 500.0))
+    extent = max(width, height)
+    config = WorldConfig(
+        n_robots=draw(st.integers(1, 8)),
+        n_landmarks=draw(st.integers(0, 12)),
+        width=width,
+        height=height,
+        loops=draw(st.integers(0, 4)),
+        sensing_radius=draw(st.floats(0.0, 5.0 * extent, exclude_min=True)),
+        step_size=draw(st.floats(0.0, extent)),
+        block_size=draw(st.integers(1, 6)),
+        seed=draw(st.integers(0, 2**32)),
+        generator_reward=draw(st.floats(0.0, 1.0)),
+    )
+    if config.n_robots < 2 or config.loops < 1 or not draw(st.booleans()):
+        return config, None
+    robot = st.integers(0, config.n_robots - 1)
+    pair = draw(st.lists(robot, min_size=2, max_size=2, unique=True))
+    start = draw(st.integers(0, config.loops - 1))
+    end = draw(st.integers(start, config.loops - 1))
+    multiplier = draw(st.floats(0.0, 1.0, exclude_max=True))
+    return config, DegradationScenario(tuple(pair), start, end, multiplier)
+
+
+@settings(deadline=None, max_examples=200)
+@given(drawn_runs())
+def test_drawn_worlds_replay_through_the_oracle(run):
+    # Every skip the engine makes (grid prune, masks of seers, live terms
+    # only, cold pairs held apart, records pending across loops, robots
+    # without a live term left out of the election) must give the oracle's
+    # bytes and stakes on worlds that no test placed by hand.
+    config, scenario = run
+    fast = run_experiment(config, scenario)
+    scratch = run_from_scratch(config, scenario)
+    assert fast.chain.dumps() == scratch.chain.dumps()
+    assert fast.stakes == scratch.stakes
 
 
 # Every pair starts with no history, and 7 does not divide a loop's pairs, so

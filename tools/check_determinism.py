@@ -31,7 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from stakenav import (  # noqa: E402
     Chain,
     DegradationScenario,
-    LedgerFormatError,
+    LedgerError,
     WorldConfig,
     run_experiment,
 )
@@ -97,7 +97,7 @@ def world_digest(runs) -> tuple[str, str | None]:
             continue
         try:
             loaded = Chain.loads(data, n_robots=config.n_robots)
-        except LedgerFormatError as exc:
+        except LedgerError as exc:
             problem = f"seed {seed} does not load: {exc}"
         else:
             if loaded.dumps() != data:
