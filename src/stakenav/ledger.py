@@ -12,35 +12,28 @@ block including its "hash" field, then a newline. Keys are sorted, so that
 field always sits just before "index": `_splice`, the one function that
 makes a line, puts `"hash":"<hex>",` there in the body and a newline after.
 
-A block is defined once, by `_seal`: it runs `_check_block`, the one check
-of the block rules, takes the block's generator to be the robot its one
-trailing reward pays and its index, prev_hash and first tx_id from the block
-before it, encodes the body once through the module-level
-`canonical_encode`, hashes it and splices the line. The rules convert no
+The block rules are value checks that the writer and the reader share
+(`_check_average`, `_check_reward`, `_check_observation`). They convert no
 value: an integer where a float belongs, a reversed pair or a `bool` id is
-rejected, and so is a robot id not below the team size, which is
-`MAX_ROBOTS`, the largest team any run has, unless a smaller one is given.
-`Chain.append_block` is `_seal` on the chain's last block plus an append. A
-block keeps its line, newline included, and a few header numbers;
-`Chain.dumps()` joins the lines as they are. Records are named tuples, one
-class per kind (`Observation`, `Reward`), and carry no id, so the records
-`Block.transactions` builds from a line equal the ones sealed.
+rejected, and so is a robot id not below the team size, an `int` in
+[1, `MAX_ROBOTS`] that defaults to `MAX_ROBOTS`, the largest team any run
+has. `_numbering` gives a block its index, prev_hash and first tx_id from
+the block before it. The writer, `_seal`, checks records with pairs and
+match entries as tuples, so a list is refused, and encodes the body once,
+through the module-level `canonical_encode`. A block keeps its line and a
+few header numbers; `Block.transactions` rebuilds from the line records
+(named tuples, with no id) equal to the ones that were sealed.
 
-There is one reader of dump bytes, `_read_dump`, and it walks a stream of
-lines, holding one at a time. Per line it requires the final newline,
-decodes the line, turns its transactions into records through `_records`
-(the decoder `Block.transactions` uses too) and re-seals them with the
-line's `avg_navigability`, the only other field it takes from the line, on
-the block it read before, against the same team size. A line is valid when
-the writer would seal it: the re-sealed line must equal the line read. That
-one byte comparison covers the field sets, the block's generator against
-its reward's robot, the index, the prev_hash link, the tx_id sequence, the
-canonical form and the hash; only on a mismatch does `_differs` name the
-rule. The first line that fails raises `LedgerError("block K: <rule>")`,
-the error every block rule raises: `verify_dump_bytes` returns that K, and
-`Chain.loads` raises it, so a loaded chain is valid. Both read their
-bytes through an `io.BytesIO`, which shares the buffer, so neither holds a
-second copy of the dump. Any single-bit change to the stored bytes is detected.
+The one reader of dump bytes, `_read_dump`, holds one line at a time. It
+checks the decoded objects themselves, pairs and entries as lists, then
+pops "hash" and requires the splice of the re-encoded rest and its SHA-256
+to equal the line. Every value it encodes has passed a check of its exact
+type, so a line is accepted exactly when re-sealing its records would accept
+it, yet a valid line builds no record. The first line that fails raises
+`LedgerError("block K: <rule>")`: `verify_dump_bytes` returns that K, and
+`Chain.loads` raises it. Both read through an `io.BytesIO`, which shares the
+buffer, so neither holds a second copy of the dump. Any single-bit change to
+the stored bytes is detected.
 """
 from __future__ import annotations
 
@@ -58,15 +51,20 @@ KIND_OBSERVATION = "pair_observation"
 KIND_REWARD = "generator_reward"
 
 _INDEX_KEY = b'"index":'
+_BLOCK_FIELDS = frozenset("avg_navigability generator hash index prev_hash transactions".split())
+_OBSERVATION_FIELDS = frozenset("kind loop_index matches pair tx_id".split())
+_REWARD_FIELDS = frozenset("generator kind loop_index reward tx_id".split())
+_NOT_CANONICAL = "line is not the canonical encoding of its record"
+_STALE_HASH = "hash does not match the block body"
 
 
 class LedgerError(ValueError):
     """A block rule was broken, by records given to seal or by a dump line."""
 
 
-# No cycle check: everything the ledger encodes is a block `_check_block`
-# has passed, which nests no deeper than a list of (id, quality) pairs. A
-# cyclic argument still raises, as RecursionError instead of ValueError.
+# No cycle check: everything the ledger encodes has passed the block rules,
+# which nest no deeper than a list of (id, quality) pairs. A cyclic argument
+# still raises, as RecursionError instead of ValueError.
 _CANONICAL = json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), allow_nan=False, ensure_ascii=True, check_circular=False
 )
@@ -116,9 +114,7 @@ class Reward(NamedTuple):
 
 
 def _records(transactions: list) -> list[Observation | Reward]:
-    """Records from decoded transaction objects, as the writer was given
-    them. Any kind but an observation's is read as a reward: the re-seal
-    then writes the reward's kind, so the line does not match."""
+    """Records from decoded transactions; any kind but an observation's is a reward."""
     return [
         Observation(tuple(tx["pair"]), [(k, q) for k, q in tx["matches"]], tx["loop_index"])
         if tx["kind"] == KIND_OBSERVATION
@@ -155,6 +151,12 @@ class Block(NamedTuple):
         return _records(json.loads(self.line)["transactions"])
 
 
+def _check_team(n_robots: Any) -> None:
+    """Raise ValueError unless `n_robots` is an int, not a bool, in [1, MAX_ROBOTS]."""
+    if type(n_robots) is not int or not 1 <= n_robots <= MAX_ROBOTS:
+        raise ValueError(f"n_robots must be an integer in [1, {MAX_ROBOTS}], got {n_robots!r}")
+
+
 def _check_id(value: Any, label: str, limit: int | None = None) -> None:
     if type(value) is not int or value < 0:
         raise LedgerError(f"{label} must be an integer >= 0, got {value!r}")
@@ -162,60 +164,72 @@ def _check_id(value: Any, label: str, limit: int | None = None) -> None:
         raise LedgerError(f"{label} {value} out of range")
 
 
-def _check_block(transactions: list, avg_navigability: Any, n_robots: int) -> None:
-    """Raise LedgerError unless `transactions` make a block, the only copy
-    of the block rules:
-
-    - `avg_navigability` is a finite float;
-    - every record but the last is an `Observation`, and the last is the
-      block's one `Reward`, paying its generator a finite float >= 0;
-    - a pair is a tuple of two robot ids i < j, and `matches` a non-empty
-      list of (landmark id, float quality in [0, 1]) tuples, ids strictly
-      ascending;
-    - ids and loop indices are integers >= 0 (`_check_id`), robot ids below
-      `n_robots`.
-
-    Records are taken to have their class's shape. A match entry's shape,
-    a tuple of two, is checked before it is unpacked, so a list entry,
-    which would read back as a tuple, is refused; every value is
-    type-checked before it is compared, so a bad value raises LedgerError,
-    never TypeError.
-    """
+def _check_average(avg_navigability: Any) -> None:
     if type(avg_navigability) is not float or not math.isfinite(avg_navigability):
         raise LedgerError(f"avg_navigability must be finite and a float, got {avg_navigability!r}")
-    if not transactions or type(transactions[-1]) is not Reward:
-        raise LedgerError("a block must end in its generator's reward")
-    generator, amount, loop_index = transactions[-1]
+
+
+def _check_reward(generator: Any, amount: Any, loop_index: Any, n_robots: int) -> None:
     _check_id(generator, "generator index", n_robots)
     if type(amount) is not float or not 0.0 <= amount < math.inf:
         raise LedgerError(f"reward must be a finite float >= 0, got {amount!r}")
     _check_id(loop_index, "loop_index")
+
+
+def _shown(value: Any, seq: type) -> Any:
+    """`value` as a message shows it: a `seq` as the tuple a record holds."""
+    return tuple(value) if type(value) is seq else value
+
+
+def _check_observation(pair: Any, matches: Any, loop_index: Any, n_robots: int, seq: type) -> None:
+    """A pair is a `seq` of robot ids i < j below `n_robots`; `matches` a
+    non-empty list of `seq`s (landmark id, float quality in [0, 1]), ids
+    strictly ascending. Shapes and types are checked before values are
+    unpacked or compared, so a bad value raises LedgerError, never TypeError."""
+    if type(pair) is not seq or len(pair) != 2:
+        raise LedgerError(f"pair must be a tuple of two robot ids, got {_shown(pair, seq)!r}")
+    i, j = pair
+    _check_id(i, "pair index", n_robots)
+    _check_id(j, "pair index", n_robots)
+    if i >= j:
+        raise LedgerError(f"pair must be ascending, got {_shown(pair, seq)!r}")
+    if type(matches) is not list or not matches:
+        raise LedgerError(f"matches must be a non-empty list, got {matches!r}")
+    previous = -1
+    for entry in matches:
+        if type(entry) is seq and len(entry) == 2:
+            k, q = entry
+            if type(k) is int and k > previous and type(q) is float and 0.0 <= q <= 1.0:
+                previous = k
+                continue
+        after = f" after landmark {previous}" if previous >= 0 else ""
+        raise LedgerError(
+            f"match entries must be (landmark id >= 0, float quality in [0, 1]) with "
+            f"ids strictly ascending, got {_shown(entry, seq)!r}{after}"
+        )
+    _check_id(loop_index, "loop_index")
+
+
+def _check_block(transactions: list, avg_navigability: Any, n_robots: int) -> None:
+    """Raise LedgerError unless the records `transactions`, each taken to
+    have its class's shape, are observations and then one `Reward`, and each
+    value passes its check, pairs and match entries as tuples."""
+    _check_average(avg_navigability)
+    if not transactions or type(transactions[-1]) is not Reward:
+        raise LedgerError("a block must end in its generator's reward")
+    _check_reward(*transactions[-1], n_robots)
     for tx in transactions[:-1]:
         if type(tx) is not Observation:
             raise LedgerError(f"records before the reward must be observations, got {tx!r}")
         pair, matches, loop_index = tx
-        if type(pair) is not tuple or len(pair) != 2:
-            raise LedgerError(f"pair must be a tuple of two robot ids, got {pair!r}")
-        i, j = pair
-        _check_id(i, "pair index", n_robots)
-        _check_id(j, "pair index", n_robots)
-        if i >= j:
-            raise LedgerError(f"pair must be ascending, got {pair!r}")
-        if type(matches) is not list or not matches:
-            raise LedgerError(f"matches must be a non-empty list, got {matches!r}")
-        previous = -1
-        for entry in matches:
-            if type(entry) is tuple and len(entry) == 2:
-                k, q = entry
-                if type(k) is int and k > previous and type(q) is float and 0.0 <= q <= 1.0:
-                    previous = k
-                    continue
-            after = f" after landmark {previous}" if previous >= 0 else ""
-            raise LedgerError(
-                f"match entries must be (landmark id >= 0, float quality in [0, 1]) with "
-                f"ids strictly ascending, got {entry!r}{after}"
-            )
-        _check_id(loop_index, "loop_index")
+        _check_observation(pair, matches, loop_index, n_robots, tuple)
+
+
+def _numbering(previous: Block | None) -> tuple[int, str, int]:
+    """Index, prev_hash and first tx_id of the block after `previous` (or None)."""
+    if previous is None:
+        return 0, GENESIS_PREV_HASH, 0
+    return previous.index + 1, previous.hash, previous.first_tx_id + previous.transaction_count
 
 
 def _splice(body: bytes, hash: str) -> bytes:
@@ -229,14 +243,10 @@ def _seal(
     transactions: list, avg_navigability: Any, previous: Block | None, n_robots: int
 ) -> Block:
     """The block `transactions` make on `previous`, the block before it or
-    None for the first, generated by the robot its reward pays: checked by
-    `_check_block`, numbered on from `previous`, its body encoded and hashed
-    once, its line by `_splice`."""
+    None, generated by the robot its reward pays: checked, numbered by
+    `_numbering`, its body encoded and hashed once, and its line spliced."""
     _check_block(transactions, avg_navigability, n_robots)
-    index, prev_hash, first_tx_id = 0, GENESIS_PREV_HASH, 0
-    if previous is not None:
-        index, prev_hash = previous.index + 1, previous.hash
-        first_tx_id = previous.first_tx_id + previous.transaction_count
+    index, prev_hash, first_tx_id = _numbering(previous)
     generator = transactions[-1].generator
     body = canonical_encode({
         "avg_navigability": avg_navigability,
@@ -256,15 +266,13 @@ class Chain:
     loaded blocks are checked."""
 
     def __init__(self, n_robots: int = MAX_ROBOTS):
+        _check_team(n_robots)
         self.n_robots = n_robots
         self.blocks: list[Block] = []
 
     @property
     def next_tx_id(self) -> int:
-        if not self.blocks:
-            return 0
-        last = self.blocks[-1]
-        return last.first_tx_id + last.transaction_count
+        return _numbering(self.blocks[-1] if self.blocks else None)[2]
 
     def append_block(
         self, transactions: list[Observation | Reward], avg_navigability: float
@@ -296,65 +304,71 @@ class Chain:
 
     @classmethod
     def loads(cls, data: bytes, n_robots: int = MAX_ROBOTS) -> "Chain":
-        """Read a dump through the one verifying reader, with robot ids
-        checked against `n_robots`. Raises `LedgerError("block K: <rule>")`
-        at the first line that fails, so a loaded chain is valid and dumps
-        back to the bytes read."""
+        """Read a dump through the one verifying reader, robot ids below
+        `n_robots`; raise `LedgerError("block K: <rule>")` at the first line
+        that fails, so a loaded chain is valid and dumps back to the bytes read."""
         chain = cls(n_robots=n_robots)
         chain.blocks.extend(_read_dump(io.BytesIO(data), n_robots))
         return chain
 
 
-def _differs(record: dict, block: Block) -> str:
-    """The rule by which the decoded line `record` breaks, given `block`,
-    the re-seal of its records whose line it does not match."""
-    if "generator" not in record:
-        return "missing field 'generator'"
-    if type(record["generator"]) is not int or record["generator"] != block.generator:
-        return f"the reward pays robot {block.generator}, not the generator {record['generator']!r}"
-    sealed = json.loads(block.line)
-    if record.get("index") != block.index:
-        return f"index is {record.get('index')!r}, expected {block.index}"
-    if record.get("prev_hash") != sealed["prev_hash"]:
-        return "prev_hash does not link to the previous block"
-    for tx_id, tx in enumerate(record["transactions"], block.first_tx_id):
-        if tx.get("tx_id") != tx_id:
-            return f"tx_id is {tx.get('tx_id')!r}, expected {tx_id}"
-    stored = record.pop("hash", None)
-    del sealed["hash"]
-    if record == sealed and stored != block.hash:
-        return "hash does not match the block body"
-    return "line is not the canonical encoding of its record"
+def _check_fields(record: Any, fields: frozenset) -> None:
+    """Raise LedgerError unless `record` is a JSON object with exactly the keys `fields`."""
+    if type(record) is not dict:
+        raise LedgerError(f"malformed record: expected an object, got {type(record).__name__}")
+    if record.keys() != fields:
+        missing = sorted(fields - record.keys())
+        raise LedgerError(f"missing field {missing[0]!r}" if missing else _NOT_CANONICAL)
 
 
 def _read_dump(lines, n_robots: int):
-    """Yield the Block of each line of `lines`, an iterable of byte lines
-    such as an `io.BytesIO`, once `_seal` of its records on the block read
-    before it, checking robot ids against `n_robots`, has given back the
-    line read; raise `LedgerError("block K: <rule>")` at the first line K
-    that fails. Every line must end in a newline, and that rule is checked
-    first."""
+    """Yield the Block of each of `lines`, byte lines such as an `io.BytesIO`,
+    on the block before it, robot ids below `n_robots`; raise
+    `LedgerError("block K: <rule>")` at the first line K that fails."""
     block = None
-    for index, line in enumerate(lines):
+    for line in lines:
+        index, prev_hash, first_tx_id = _numbering(block)
         try:
             if line[-1:] != b"\n":
                 raise LedgerError("line does not end with a newline")
             record = json.loads(line[:-1].decode("ascii"))
-            try:
-                transactions = _records(record["transactions"])
-                avg_navigability = record["avg_navigability"]
-            except KeyError as exc:
-                raise LedgerError(f"missing field {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise LedgerError(f"malformed record: {exc}") from exc
-            block = _seal(transactions, avg_navigability, block, n_robots)
-            if block.line != line:
-                raise LedgerError(_differs(record, block))
-        # ValueError covers bad ASCII, bad JSON, an integer too long to
-        # convert and LedgerError; RecursionError comes from arrays nested
-        # too deeply.
+            _check_fields(record, _BLOCK_FIELDS)
+            avg_navigability, txs = record["avg_navigability"], record["transactions"]
+            _check_average(avg_navigability)
+            reward = txs[-1] if type(txs) is list and txs else None
+            if type(reward) is not dict or reward.get("kind") != KIND_REWARD:
+                raise LedgerError("a block must end in its generator's reward")
+            _check_fields(reward, _REWARD_FIELDS)
+            generator = reward["generator"]
+            _check_reward(generator, reward["reward"], reward["loop_index"], n_robots)
+            for tx in txs[:-1]:
+                if type(tx) is not dict or tx.get("kind") != KIND_OBSERVATION:
+                    if type(tx) is dict and tx.keys() == _REWARD_FIELDS:
+                        tx = _records([tx])[0]
+                    raise LedgerError(f"records before the reward must be observations, got {tx!r}")
+                _check_fields(tx, _OBSERVATION_FIELDS)
+                _check_observation(tx["pair"], tx["matches"], tx["loop_index"], n_robots, list)
+            if type(record["generator"]) is not int or record["generator"] != generator:
+                raise LedgerError(
+                    f"the reward pays robot {generator}, not the generator {record['generator']!r}"
+                )
+            if type(record["index"]) is not int or record["index"] != index:
+                raise LedgerError(f"index is {record['index']!r}, expected {index}")
+            if record["prev_hash"] != prev_hash:
+                raise LedgerError("prev_hash does not link to the previous block")
+            for tx_id, tx in enumerate(txs, first_tx_id):
+                if type(tx["tx_id"]) is not int or tx["tx_id"] != tx_id:
+                    raise LedgerError(f"tx_id is {tx['tx_id']!r}, expected {tx_id}")
+            stored = record.pop("hash")
+            body = canonical_encode(record)
+            hash = hashlib.sha256(body).hexdigest()
+            if _splice(body, hash) != line:
+                raise LedgerError(_NOT_CANONICAL if stored == hash else _STALE_HASH)
+        # ValueError covers bad ASCII or JSON, an integer too long to convert
+        # and LedgerError; RecursionError comes from arrays nested too deeply.
         except (ValueError, RecursionError) as exc:
             raise LedgerError(f"block {index}: {exc}") from exc
+        block = Block(index, generator, avg_navigability, hash, line, first_tx_id, len(txs))
         yield block
 
 
@@ -363,7 +377,8 @@ def verify_dump_bytes(data: bytes, n_robots: int = MAX_ROBOTS) -> int | None:
     an `io.BytesIO`, with robot ids checked against `n_robots`, and build no
     chain. Returns None when valid, otherwise the index of the first invalid
     block: any byte-level change is reported no later than the block it
-    lands in."""
+    lands in. Raises ValueError, reading nothing, on a bad `n_robots`."""
+    _check_team(n_robots)
     verified = 0
     try:
         for _ in _read_dump(io.BytesIO(data), n_robots):

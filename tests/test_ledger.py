@@ -21,6 +21,7 @@ from stakenav import (
     run_experiment,
     verify_dump_bytes,
 )
+from stakenav import ledger
 from stakenav.domain import MAX_ROBOTS
 from stakenav.ledger import GENESIS_PREV_HASH, Observation, Reward, canonical_encode
 from stakenav.sim import step_movement
@@ -146,6 +147,10 @@ def test_append_block_validates_ids_and_indices():
 # with the message it raises.
 VALID_OBSERVATION = Observation((0, 1), [(0, 0.5)], 0)
 VALID_REWARD = Reward(0, 0.1, 0)
+OBSERVATION_DICT = {
+    "kind": "pair_observation", "loop_index": 0, "matches": [[0, 0.5]], "pair": [0, 1]
+}
+REWARD_DICT = {"generator": 0, "kind": "generator_reward", "loop_index": 0, "reward": 0.1}
 UNSEALABLE = {
     "pair (1, 0)": (
         [Observation((1, 0), [(0, 0.5)], 0), VALID_REWARD], 0.5, "pair must be ascending"
@@ -193,6 +198,14 @@ UNSEALABLE = {
     ),
     "integer avg_navigability": (
         [VALID_OBSERVATION, VALID_REWARD], 0, "avg_navigability must be finite"
+    ),
+    # Records in the shape of a decoded line are not records.
+    "observation-shaped dict": (
+        [OBSERVATION_DICT, VALID_REWARD], 0.5,
+        f"records before the reward must be observations, got {OBSERVATION_DICT!r}",
+    ),
+    "reward-shaped dict": (
+        [VALID_OBSERVATION, REWARD_DICT], 0.5, "a block must end in its generator's reward"
     ),
 }
 
@@ -795,3 +808,101 @@ def test_verify_dump_reports_lines_the_decoder_cannot_read():
     data = build_chain(blocks=3).dumps()
     assert verify_dump_bytes(replace_line(data, 1, b"[" * 100_000)) == 1
     assert verify_dump_bytes(replace_line(data, 2, b"1" * 5_000)) == 2
+
+
+@pytest.mark.parametrize("n_robots", [None, 0, MAX_ROBOTS + 1, True], ids=repr)
+def test_a_team_size_is_an_int_from_1_to_max_robots(n_robots):
+    # Checked before any block is sealed or any line read: the line below
+    # would otherwise be invalid at block 0, and Chain(None) would seal a
+    # reward to any robot.
+    message = rf"^n_robots must be an integer in \[1, {MAX_ROBOTS}\], got {n_robots!r}$"
+    for call in (
+        lambda: Chain(n_robots),
+        lambda: Chain.loads(b"not json\n", n_robots),
+        lambda: verify_dump_bytes(b"not json\n", n_robots),
+    ):
+        with pytest.raises(ValueError, match=message) as raised:
+            call()
+        assert not isinstance(raised.value, LedgerError)
+
+
+def _no_records(transactions):
+    raise AssertionError("a record was built")
+
+
+def test_a_valid_line_is_read_without_building_records(monkeypatch):
+    # The reader checks each decoded line as it is; only
+    # `Block.transactions` builds records.
+    data = seed_dump()
+    appended = [obs((0, 2), 4, [(1, 0.25), (3, 0.75)]), Reward(1, 0.1, 4)]
+    chain = Chain(n_robots=4)
+    chain.append_block(appended, 0.5)
+    with monkeypatch.context() as patched:
+        patched.setattr(ledger, "_records", _no_records)
+        assert verify_dump_bytes(data) is None
+        assert Chain.loads(data).dumps() == data
+        loaded = Chain.loads(chain.dumps(), n_robots=4)
+    assert loaded.blocks[0].transactions == appended
+
+
+@pytest.mark.parametrize("stored", [5, None, ["x"]], ids=repr)
+def test_a_stored_hash_that_is_not_a_string_does_not_match(stored):
+    data = seed_dump()
+    record = json.loads(data.split(b"\n")[3])
+    record["hash"] = stored
+    data = replace_line(data, 3, canonical_encode(record))
+    assert verify_dump_bytes(data) == 3
+    with pytest.raises(LedgerError, match="^block 3: hash does not match the block body$"):
+        Chain.loads(data)
+
+
+def _transactions_of_ints(records):
+    records[3]["transactions"] = [1, 2]
+    return relinked_dump(records)
+
+
+# Lines whose JSON is not a block's shape at all.
+NOT_BLOCKS = {
+    "transactions [1, 2]": _transactions_of_ints,
+    "a JSON array": lambda records: replace_line(relinked_dump(records), 3, b"[1, 2]"),
+    "a JSON number": lambda records: replace_line(relinked_dump(records), 3, b"5"),
+}
+
+
+@pytest.mark.parametrize("shape", list(NOT_BLOCKS))
+def test_a_line_that_is_not_a_block_is_invalid_at_its_block(shape):
+    data = NOT_BLOCKS[shape](seed_records())
+    assert verify_dump_bytes(data) == 3
+    with pytest.raises(LedgerError, match=r"^block 3: "):
+        Chain.loads(data)
+
+
+def _float_tx_id(block):
+    tx = block["transactions"][0]
+    tx["tx_id"] = float(tx["tx_id"])
+
+
+# Values that compare equal to the right ones but encode otherwise, and an
+# extra field: each edits block 3, which is then re-hashed and relinked, so
+# only the reader's own checks can reject it.
+EQUAL_BUT_NOT_THE_SAME = {
+    "index 3.0": (lambda block: block.update(index=3.0), "index is 3.0, expected 3"),
+    "generator as a float": (
+        lambda block: block.update(generator=float(block["generator"])), "the reward pays robot "
+    ),
+    "tx_id as a float": (_float_tx_id, "tx_id is "),
+    "extra field": (
+        lambda block: block.update(extra=1), "line is not the canonical encoding of its record"
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", list(EQUAL_BUT_NOT_THE_SAME))
+def test_a_value_equal_to_the_right_one_but_encoded_otherwise_is_rejected(edit):
+    change, message = EQUAL_BUT_NOT_THE_SAME[edit]
+    records = seed_records()
+    change(records[3])
+    data = relinked_dump(records)
+    assert verify_dump_bytes(data) == 3
+    with pytest.raises(LedgerError, match=f"^block 3: {re.escape(message)}"):
+        Chain.loads(data)

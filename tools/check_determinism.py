@@ -2,14 +2,15 @@
 
 Runs the default configuration for seed 0 and for seeds 0-19, plain and
 with pair (2, 7) degraded x0.1 in loops 4-6 (the paper's c10 run), two sparse
-worlds, a dense world and a cold-start world for seeds 0-4, and one world
-whose robots change grid cell almost every loop. It compares the SHA-256 of
-the ledger dumps with pinned values. Each dump must also load back with
-`Chain.loads`, which verifies it, and dump to the same bytes. Then exports
-the default seed-0 run as `stakenav --out DIR` does, into a temporary
-directory, compares the SHA-256 of each of its four files with pinned
-values, and runs `stakenav --verify` on its ledger. Needs only the standard
-library, so it runs on interpreters that have no pytest:
+worlds, a dense world and a cold-start world for seeds 0-4, one world whose
+robots change grid cell almost every loop, and 50 small worlds drawn from a
+fixed seed. It compares the SHA-256 of the ledger dumps with pinned values.
+Each dump must also load back with `Chain.loads`, which verifies it, and
+dump to the same bytes. Then exports the default seed-0 run as `stakenav
+--out DIR` does, into a temporary directory, compares the SHA-256 of each of
+its four files with pinned values, and runs `stakenav --verify` on its
+ledger. Needs only the standard library, so it runs on interpreters that
+have no pytest:
 
     python3 tools/check_determinism.py
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -74,6 +76,15 @@ CROSS_CELL_SEED = 10
 CROSS_CELL = dict(n_robots=100, n_landmarks=2000, width=3000.0, height=3000.0,
                   sensing_radius=60.0, step_size=150.0, loops=8)
 CROSS_CELL_DIGEST = "2a521c93e1c6ba231d286fd14425389be299fc20677b345dc6e42f14ae7a4fcd"
+# 50 small worlds drawn by `random.Random(DRAWN_SEED)` in the ranges of
+# tests/test_sim.py's drawn-world property: 1-8 robots, 0-12 landmarks, 0-4
+# loops, blocks of 1-6, a radius up to five times the world, step and reward
+# 0 allowed, and half the time a degradation the world admits, multiplier
+# 0.0 allowed. Only `randrange` and `random` draw, and their streams for a
+# given seed are the same on every interpreter the project supports.
+DRAWN_SEED = 2027
+DRAWN_COUNT = 50
+DRAWN_DIGEST = "dfad9094eae750845f164b024689314ccfaafa4afffd110cc4cd1d7595eb2a6e"
 # SHA-256 of each file that `stakenav --out DIR` writes: the default config, seed 0.
 SEED0_EXPORTS = {
     "ledger.jsonl": GOLDEN_SEED0_LEDGER,
@@ -81,6 +92,44 @@ SEED0_EXPORTS = {
     "timeseries.csv": "7d2193e58da5197a369dcb2478472d4577c1f88c2a50b1be2a000ab4b24bd13c",
     "trajectories.csv": "ba0375ef49b74c78609c1b73c07b2be8bb5ee76cc8e206e1d43648f3048342e7",
 }
+
+
+def drawn_runs() -> list:
+    """The (seed, shape, scenario) of each drawn world, in draw order."""
+    rng = random.Random(DRAWN_SEED)
+
+    def uniform(low: float, high: float) -> float:
+        return low + (high - low) * rng.random()
+
+    def zero_or_uniform(high: float) -> float:
+        """0.0 one time in four, otherwise a draw from [0, high)."""
+        return 0.0 if rng.randrange(4) == 0 else uniform(0.0, high)
+
+    runs = []
+    for _ in range(DRAWN_COUNT):
+        width, height = uniform(1.0, 500.0), uniform(1.0, 500.0)
+        extent = max(width, height)
+        n_robots, loops = 1 + rng.randrange(8), rng.randrange(5)
+        shape = dict(
+            n_robots=n_robots,
+            n_landmarks=rng.randrange(13),
+            width=width,
+            height=height,
+            loops=loops,
+            sensing_radius=5.0 * extent * (1.0 - rng.random()),
+            step_size=zero_or_uniform(extent),
+            block_size=1 + rng.randrange(6),
+            generator_reward=zero_or_uniform(1.0),
+        )
+        seed = rng.randrange(2**32)
+        scenario = None
+        if n_robots >= 2 and loops >= 1 and rng.randrange(2):
+            i, j = rng.randrange(n_robots), rng.randrange(n_robots - 1)
+            start = rng.randrange(loops)
+            end = start + rng.randrange(loops - start)
+            scenario = DegradationScenario((i, j + (j >= i)), start, end, zero_or_uniform(1.0))
+        runs.append((seed, shape, scenario))
+    return runs
 
 
 def world_digest(runs) -> tuple[str, str | None]:
@@ -144,6 +193,7 @@ def main() -> int:
         "dense seeds 0-4 ledgers": ([(seed, DENSE, None) for seed in DENSE_SEEDS], DENSE_DIGEST),
         "cold-start seeds 0-4 ledgers": ([(seed, COLD, None) for seed in COLD_SEEDS], COLD_DIGEST),
         "cross-cell seed 10 ledger": ([(CROSS_CELL_SEED, CROSS_CELL, None)], CROSS_CELL_DIGEST),
+        f"{DRAWN_COUNT} drawn-world ledgers": (drawn_runs(), DRAWN_DIGEST),
     }
     version = sys.version.split()[0]
     failed = False
