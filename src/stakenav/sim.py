@@ -432,35 +432,29 @@ def _draw(weights: list[float], rng: Random) -> int | None:
     return k
 
 
-def _seal_batch(state: ExperimentState, batch: list[Observation]) -> Block:
-    """Seal one batch: elect by navigability, append reward, update stakes.
-
-    Importance comes from the chain state before this block, so a block's own
-    transactions only influence later elections.
-    """
-    config = state.config
-    stakes = state.stakes
-    robots, weights, avg_nav = state.seal.weights(stakes, state.total_stake())
-    generator = elect_generator(weights, state.streams.election, stakes, robots)
-    reward = Reward(generator, config.generator_reward, state.loop_index)
-    block = state.chain.append_block(batch + [reward], avg_nav)
-    state.seal.record([tx.pair for tx in batch])
-    stakes[generator] += config.generator_reward
-    return block
-
-
 def maybe_seal_blocks(state: ExperimentState, finalize: bool = False) -> list[Block]:
     """Seal full batches while enough transactions are pending.
 
+    Each seal elects the generator by navigability, appends the batch and its
+    reward, records the batch's pairs and credits the generator's stake.
     With `finalize`, also seal any non-empty remainder (end of experiment).
     """
+    config = state.config
+    stakes = state.stakes
     sealed = []
     pending = state.pending
-    block_size = state.config.block_size
+    block_size = config.block_size
     while len(pending) >= block_size or (finalize and pending):
         batch = pending[:block_size]
         del pending[:block_size]
-        sealed.append(_seal_batch(state, batch))
+        # Importance comes from the chain before this block, so a block's own
+        # transactions only influence later elections.
+        robots, weights, avg_nav = state.seal.weights(stakes, state.total_stake())
+        generator = elect_generator(weights, state.streams.election, stakes, robots)
+        reward = Reward(generator, config.generator_reward, state.loop_index)
+        sealed.append(state.chain.append_block(batch + [reward], avg_nav))
+        state.seal.record([tx.pair for tx in batch])
+        stakes[generator] += config.generator_reward
     return sealed
 
 

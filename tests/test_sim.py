@@ -6,7 +6,9 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from collections import Counter, defaultdict
+from bisect import bisect_left
+from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -31,8 +33,8 @@ from stakenav.reference import (
     average_navigability,
     navigability_matrix,
 )
-from stakenav.domain import derive_stream, ordered_sum
-from stakenav.sim import SealState, elect_generator, maybe_seal_blocks, step_movement
+from stakenav.domain import derive_stream
+from stakenav.sim import maybe_seal_blocks, step_movement
 from tests.test_ledger import pair_tx_counts
 
 SMALL = WorldConfig(
@@ -134,17 +136,17 @@ def test_step_movement_stays_in_bounds_and_logs_trajectory():
     assert len(state.trajectory) == 51
 
 
-def brute_common(state, landmarks=None):
-    """(i, j) -> ascending landmarks both robots recognize, for every pair
-    sharing one, by the engine's distance predicate over all landmarks:
-    `landmarks`, or else those `init_world` places for the state's config."""
+def brute_common(config, positions, landmarks=None):
+    """(i, j) -> ascending landmarks both robots at `positions` recognize, for
+    every pair sharing one, by the engine's distance predicate over all
+    landmarks: `landmarks`, or else those `init_world` places for `config`."""
     if landmarks is None:
-        landmarks = init_world(state.config)[1]
-    radius = state.config.sensing_radius
+        landmarks = init_world(config)[1]
+    radius = config.sensing_radius
     seen = [
         {k for k, (lx, ly) in enumerate(landmarks)
          if (rx - lx) * (rx - lx) + (ry - ly) * (ry - ly) <= radius * radius}
-        for rx, ry in state.trajectory[-1]
+        for rx, ry in positions
     ]
     n = len(seen)
     common = {(i, j): sorted(seen[i] & seen[j]) for i in range(n) for j in range(i + 1, n)}
@@ -152,7 +154,7 @@ def brute_common(state, landmarks=None):
 
 
 def assert_distance_rule(state, observations, landmarks=None):
-    expected = brute_common(state, landmarks)
+    expected = brute_common(state.config, state.trajectory[-1], landmarks)
     assert [tx.pair for tx in observations] == list(expected)
     for tx in observations:
         assert [k for k, _ in tx.matches] == expected[tx.pair]
@@ -254,7 +256,7 @@ def test_cooperating_pairs_equal_an_all_pairs_intersection(world):
     replay = random.Random()
     replay.setstate(state.streams.quality.getstate())
     observations = compute_visibility(state)
-    common = brute_common(state, landmarks)
+    common = brute_common(config, robots, landmarks)
     expected = [
         Observation(pair, [(k, replay.random()) for k in ks], 0) for pair, ks in common.items()
     ]
@@ -356,7 +358,7 @@ def test_snapshot_qualities_are_the_drawn_qualities():
     observations = compute_visibility(state)
     assert (1, 3) in [tx.pair for tx in observations]
     expected = {}
-    for (i, j), ks in brute_common(state).items():
+    for (i, j), ks in brute_common(SMALL, state.trajectory[-1]).items():
         for k in ks:
             q = replay.random()
             if (i, j) == scenario.pair:
@@ -483,68 +485,83 @@ def test_degradation_scales_only_target_pair_in_window():
             assert matches == base_txs[(pair, loop)]
 
 
-def run_from_scratch(config, scenario=None):
-    """Mirror of run_experiment that seals via the uncached matrix path.
+def replay_from_ledger(config, state):
+    """Replay a run from its ledger, its trajectory and its config, through the oracle.
 
-    Movement, visibility, and emission reuse the library ops (identical RNG
-    consumption), and each loop's records are checked against the distance
-    rule over all landmarks; sealing recomputes navigability from the chain
-    state alone, its pair counts read from each newly sealed block once.
-    Used to prove the driver's cached sealing is bit-identical.
+    Checks the records: each loop's pairs and landmark ids are the distance
+    rule's at that loop's positions over all landmarks, the chain's
+    observations strictly ascend by (loop_index, pair), and each reward's
+    loop is at least that of every record before it. Checks the layout: the
+    records are cut into batches of `block_size`, each sealed in the first
+    loop that emitted its last record, and a remainder is stamped `loops`.
+    Then re-seals every block with no engine state: the snapshot of its
+    reward's loop (the last loop for the remainder), importance from the
+    earlier blocks' pair counts, stakes from `initial_stake` and the earlier
+    rewards, the oracle's navigability matrix and average, and the election
+    on a fresh election stream over the whole team. Returns every block's
+    (avg_navigability hex, generator) and the final stakes.
     """
-    if scenario is not None:
-        scenario.check_against(config)
-    positions, landmarks, streams = init_world(config)
-    state = ExperimentState(config, scenario, positions, landmarks, streams)
-    snapshot = None
+    n, m, loops = config.n_robots, config.n_landmarks, config.loops
+    blocks = [block.transactions for block in state.chain.blocks]
+    transactions = [tx for block in blocks for tx in block]
+    observations = [tx for tx in transactions if isinstance(tx, Observation)]
+    keys = [(tx.loop_index, tx.pair) for tx in observations]
+    assert keys == sorted(set(keys))  # no pair observed twice in one loop
+    latest = 0
+    for tx in transactions:
+        assert isinstance(tx, Observation) or tx.loop_index >= latest  # a reward
+        latest = max(latest, tx.loop_index)
+
+    records = [[] for _ in range(loops)]
+    for tx in observations:
+        records[tx.loop_index].append(tx)
+    landmarks = init_world(config)[1]
+    for t, loop_records in enumerate(records):
+        common = brute_common(config, state.trajectory[t + 1], landmarks)
+        assert [(tx.pair, [k for k, _ in tx.matches]) for tx in loop_records] == list(common.items())
+
+    emitted = list(accumulate(map(len, records)))
+    total, size = len(observations), config.block_size
+    layout = [(size, bisect_left(emitted, end)) for end in range(size, total + 1, size)]
+    if total % size:
+        layout.append((total % size, loops))
+    assert [(len(block) - 1, block[-1].loop_index) for block in blocks] == layout
+
+    snapshots = [VisibilitySnapshot.of(n, m, loop_records) for loop_records in records]
+    election = derive_stream(config.seed, "election")
+    stakes = [config.initial_stake] * n
     counts = Counter()
-
-    def seal(batch):
-        alpha = AlphaMatrix.from_pair_counts(counts, config.n_robots)
-        stakes = state.stakes
+    replayed = []
+    for *batch, reward in blocks:
+        snapshot = snapshots[min(reward.loop_index, loops - 1)]
+        alpha = AlphaMatrix.from_pair_counts(counts, n)
         matrix = navigability_matrix(StakeTable(stakes), snapshot, alpha)
-        weights = [matrix.row_sum(i) for i in range(config.n_robots)]
-        avg = average_navigability(matrix)
-        robots = range(config.n_robots)
-        generator = elect_generator(weights, state.streams.election, stakes, robots)
-        reward = Reward(generator, config.generator_reward, state.loop_index)
-        block = state.chain.append_block(batch + [reward], avg)
-        counts.update(pair_tx_counts([block]))
-        stakes[generator] += config.generator_reward
+        weights = [matrix.row_sum(i) for i in range(n)]
+        generator = sim.elect_generator(weights, election, stakes, range(n))
+        replayed.append((average_navigability(matrix).hex(), generator))
+        assert reward.reward == config.generator_reward
+        counts.update(tx.pair for tx in batch)
+        stakes[reward.generator] += reward.reward
+    return replayed, stakes
 
-    for loop in range(config.loops):
-        state.loop_index = loop
-        step_movement(state)
-        observations = compute_visibility(state)
-        assert_distance_rule(state, observations, landmarks)
-        snapshot = VisibilitySnapshot.of(config.n_robots, config.n_landmarks, observations)
-        emit_transactions(state, observations)
-        while len(state.pending) >= config.block_size:
-            batch = state.pending[: config.block_size]
-            del state.pending[: config.block_size]
-            seal(batch)
-    state.loop_index = config.loops
-    if state.pending:
-        seal(state.pending)
-        state.pending = []
+
+def replayed_run(config, scenario=None):
+    """Run the engine and require the oracle's replay of its ledger to give
+    every block's average and generator and the final stakes."""
+    state = run_experiment(config, scenario)
+    replayed, stakes = replay_from_ledger(config, state)
+    assert replayed == [(b.avg_navigability.hex(), b.generator) for b in state.chain.blocks]
+    assert stakes == state.stakes
     return state
 
 
 @pytest.mark.parametrize("seed", [0, 1, 13])
 def test_sealed_averages_replay_bit_identically(seed):
-    cfg = WorldConfig(seed=seed)
-    fast = run_experiment(cfg)
-    scratch = run_from_scratch(cfg)
-    assert fast.chain.dumps() == scratch.chain.dumps()
-    assert fast.stakes == scratch.stakes
+    replayed_run(WorldConfig(seed=seed))
 
 
 def test_replay_equivalence_holds_under_scenario():
-    cfg = WorldConfig(seed=2)
-    scenario = DegradationScenario((2, 6), 3, 7, 0.25)
-    fast = run_experiment(cfg, scenario)
-    scratch = run_from_scratch(cfg, scenario)
-    assert fast.chain.dumps() == scratch.chain.dumps()
+    replayed_run(WorldConfig(seed=2), DegradationScenario((2, 6), 3, 7, 0.25))
 
 
 @st.composite
@@ -584,12 +601,8 @@ def test_drawn_worlds_replay_through_the_oracle(run):
     # Every skip the engine makes (grid prune, masks of seers, live terms
     # only, cold pairs held apart, records pending across loops, robots
     # without a live term left out of the election) must give the oracle's
-    # bytes and stakes on worlds that no test placed by hand.
-    config, scenario = run
-    fast = run_experiment(config, scenario)
-    scratch = run_from_scratch(config, scenario)
-    assert fast.chain.dumps() == scratch.chain.dumps()
-    assert fast.stakes == scratch.stakes
+    # averages, generators and stakes on worlds that no test placed by hand.
+    replayed_run(*run)
 
 
 # Every pair starts with no history, and 7 does not divide a loop's pairs, so
@@ -599,33 +612,14 @@ COLD_START = dict(n_robots=30, n_landmarks=60, loops=2, block_size=7)
 
 
 def test_replay_equivalence_holds_from_a_cold_start():
-    cfg = WorldConfig(**COLD_START, seed=0)
-    fast = run_experiment(cfg)
-    scratch = run_from_scratch(cfg)
-    assert fast.chain.dumps() == scratch.chain.dumps()
-    assert fast.stakes == scratch.stakes
-
-
-@pytest.mark.parametrize("scenario", [None, DegradationScenario((2, 10), 1, 3, 0.0)])
-def test_replay_equivalence_holds_in_a_sparse_world(scenario):
-    fast = run_experiment(SPARSE, scenario)
-    scratch = run_from_scratch(SPARSE, scenario)
-    assert fast.chain.dumps() == scratch.chain.dumps()
-    assert fast.stakes == scratch.stakes
-    assert fast.min_common == 0
-    assert any(b.avg_navigability > 0.0 for b in fast.chain.blocks)
-    if scenario is not None:
-        zeroed = [
-            tx.matches
-            for b in fast.chain.blocks for tx in b.transactions
-            if isinstance(tx, Observation) and tx.pair == (2, 10) and 1 <= tx.loop_index <= 3
-        ]
-        assert zeroed and all(q == 0.0 for matches in zeroed for _, q in matches)
+    replayed_run(WorldConfig(**COLD_START, seed=0))
 
 
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("world", [COLD_START, {}], ids=["cold_start", "default"])
 def test_loop_snapshots_read_back_from_the_ledger(monkeypatch, world, seed):
+    # The snapshot the engine builds from each loop's records is the one the
+    # ledger's records of that loop give back.
     config = WorldConfig(**world, seed=seed)
     n, m = config.n_robots, config.n_landmarks
     returned = []
@@ -651,33 +645,18 @@ def test_loop_snapshots_read_back_from_the_ledger(monkeypatch, world, seed):
     assert len(chain.blocks[-1].transactions) <= config.block_size
 
 
-def replay_seals(config, chain):
-    """(avg_navigability hex, generator) of every block, re-sealed from the
-    ledger's own records through a fresh `SealState`: a block's loop is
-    started from the records of its reward's loop (the last loop for the
-    final remainder) before its first seal."""
-    by_loop = defaultdict(list)
-    for block in chain.blocks:
-        for tx in block.transactions:
-            if isinstance(tx, Observation):
-                by_loop[tx.loop_index].append(tx)
-    seal = SealState(config.n_robots)
-    stakes = [config.initial_stake] * config.n_robots
-    election = derive_stream(config.seed, "election")
-    started = None
-    replayed = []
-    for block in chain.blocks:
-        *observations, reward = block.transactions
-        loop = min(reward.loop_index, config.loops - 1)
-        if loop != started:
-            seal.start_loop(by_loop[loop])
-            started = loop
-        robots, weights, average = seal.weights(stakes, ordered_sum(stakes))
-        generator = elect_generator(weights, election, stakes, robots)
-        seal.record([tx.pair for tx in observations])
-        stakes[generator] += reward.reward
-        replayed.append((average.hex(), generator))
-    return replayed
+@pytest.mark.parametrize("scenario", [None, DegradationScenario((2, 10), 1, 3, 0.0)])
+def test_replay_equivalence_holds_in_a_sparse_world(scenario):
+    fast = replayed_run(SPARSE, scenario)
+    assert fast.min_common == 0
+    assert any(b.avg_navigability > 0.0 for b in fast.chain.blocks)
+    if scenario is not None:
+        zeroed = [
+            tx.matches
+            for b in fast.chain.blocks for tx in b.transactions
+            if isinstance(tx, Observation) and tx.pair == (2, 10) and 1 <= tx.loop_index <= 3
+        ]
+        assert zeroed and all(q == 0.0 for matches in zeroed for _, q in matches)
 
 
 @pytest.mark.parametrize("config, scenario", [
@@ -687,8 +666,10 @@ def replay_seals(config, chain):
     (WorldConfig(**COLD_START, seed=1), None),
 ], ids=["seed0", "seed1", "seed2", "seed3", "seed4", "degraded", "cold0", "cold1"])
 def test_the_ledger_replays_through_the_seal_state(config, scenario):
-    chain = run_experiment(config, scenario).chain
-    assert replay_seals(config, chain) == [
-        (block.avg_navigability.hex(), block.generator) for block in chain.blocks
-    ]
-    assert any(block.avg_navigability > 0.0 for block in chain.blocks)
+    # The state each seal starts from (stakes, pair history, the loop's
+    # snapshot) is re-derived from the ledger alone. Some block carries
+    # records over from an earlier loop, and the last block seals a remainder.
+    blocks = replayed_run(config, scenario).chain.blocks
+    assert any(len({tx.loop_index for tx in b.transactions[:-1]}) > 1 for b in blocks)
+    assert blocks[-1].transactions[-1].loop_index == config.loops
+    assert any(block.avg_navigability > 0.0 for block in blocks)
