@@ -18,11 +18,13 @@ value: an integer where a float belongs, a reversed pair or a `bool` id is
 rejected, and so is a robot id not below the team size, an `int` in
 [1, `MAX_ROBOTS`] that defaults to `MAX_ROBOTS`, the largest team any run
 has. `_numbering` gives a block its index, prev_hash and first tx_id from
-the block before it. The writer, `_seal`, checks records with pairs and
-match entries as tuples, so a list is refused, and encodes the body once,
-through the module-level `canonical_encode`. A block keeps its line and a
-few header numbers; `Block.transactions` rebuilds from the line records
-(named tuples, with no id) equal to the ones that were sealed.
+the block before it. Records are plain named tuples that hold no id and no
+encoding. The one writer, `Chain.append_block`, walks them once: it checks
+each, pairs and match entries as tuples, so a list is refused, and lays out
+its body record; it then encodes the body once, through the module-level
+`canonical_encode`. A block keeps its line and a few header numbers;
+`Block.transactions` rebuilds from the line records equal to the ones that
+were sealed.
 
 The one reader of dump bytes, `_read_dump`, holds one line at a time. It
 checks the decoded objects themselves, pairs and entries as lists, then
@@ -84,16 +86,6 @@ class Observation(NamedTuple):
     matches: list[tuple[int, float]]
     loop_index: int
 
-    def _record(self, tx_id: int) -> dict:
-        """The body record; pair and matches encode as JSON arrays as they are."""
-        return {
-            "kind": KIND_OBSERVATION,
-            "loop_index": self.loop_index,
-            "matches": self.matches,
-            "pair": self.pair,
-            "tx_id": tx_id,
-        }
-
 
 class Reward(NamedTuple):
     """`reward` stake credited to the block generator `generator`, sealed in
@@ -102,15 +94,6 @@ class Reward(NamedTuple):
     generator: int
     reward: float
     loop_index: int
-
-    def _record(self, tx_id: int) -> dict:
-        return {
-            "generator": self.generator,
-            "kind": KIND_REWARD,
-            "loop_index": self.loop_index,
-            "reward": self.reward,
-            "tx_id": tx_id,
-        }
 
 
 def _records(transactions: list) -> list[Observation | Reward]:
@@ -127,9 +110,9 @@ class Block(NamedTuple):
     """One sealed block: its header numbers and its canonical dump line.
 
     `line` is the block's exact bytes in the dump, hash field and newline
-    included, made once by `_splice` in `_seal`; `hash` is the SHA-256 of
-    the body, the line without that field and newline. The transactions
-    live only in `line`: their ids run from `first_tx_id` for
+    included, made once by `_splice` in `Chain.append_block`; `hash` is the
+    SHA-256 of the body, the line without that field and newline. The
+    transactions live only in `line`: their ids run from `first_tx_id` for
     `transaction_count` records, and `transactions` builds them on every
     read, unchecked, equal to the records that were sealed.
     """
@@ -165,8 +148,11 @@ def _check_id(value: Any, label: str, limit: int | None = None) -> None:
 
 
 def _check_average(avg_navigability: Any) -> None:
-    if type(avg_navigability) is not float or not math.isfinite(avg_navigability):
-        raise LedgerError(f"avg_navigability must be finite and a float, got {avg_navigability!r}")
+    """A navigability average sums non-negative terms, so it is a float in [0, inf)."""
+    if type(avg_navigability) is not float or not 0.0 <= avg_navigability < math.inf:
+        raise LedgerError(
+            f"avg_navigability must be finite and a float >= 0, got {avg_navigability!r}"
+        )
 
 
 def _check_reward(generator: Any, amount: Any, loop_index: Any, n_robots: int) -> None:
@@ -210,21 +196,6 @@ def _check_observation(pair: Any, matches: Any, loop_index: Any, n_robots: int, 
     _check_id(loop_index, "loop_index")
 
 
-def _check_block(transactions: list, avg_navigability: Any, n_robots: int) -> None:
-    """Raise LedgerError unless the records `transactions`, each taken to
-    have its class's shape, are observations and then one `Reward`, and each
-    value passes its check, pairs and match entries as tuples."""
-    _check_average(avg_navigability)
-    if not transactions or type(transactions[-1]) is not Reward:
-        raise LedgerError("a block must end in its generator's reward")
-    _check_reward(*transactions[-1], n_robots)
-    for tx in transactions[:-1]:
-        if type(tx) is not Observation:
-            raise LedgerError(f"records before the reward must be observations, got {tx!r}")
-        pair, matches, loop_index = tx
-        _check_observation(pair, matches, loop_index, n_robots, tuple)
-
-
 def _numbering(previous: Block | None) -> tuple[int, str, int]:
     """Index, prev_hash and first tx_id of the block after `previous` (or None)."""
     if previous is None:
@@ -237,27 +208,6 @@ def _splice(body: bytes, hash: str) -> bytes:
     in before "index", where sorted keys put it, and a newline after."""
     at = body.index(_INDEX_KEY)
     return b"".join((body[:at], b'"hash":"', hash.encode("ascii"), b'",', body[at:], b"\n"))
-
-
-def _seal(
-    transactions: list, avg_navigability: Any, previous: Block | None, n_robots: int
-) -> Block:
-    """The block `transactions` make on `previous`, the block before it or
-    None, generated by the robot its reward pays: checked, numbered by
-    `_numbering`, its body encoded and hashed once, and its line spliced."""
-    _check_block(transactions, avg_navigability, n_robots)
-    index, prev_hash, first_tx_id = _numbering(previous)
-    generator = transactions[-1].generator
-    body = canonical_encode({
-        "avg_navigability": avg_navigability,
-        "generator": generator,
-        "index": index,
-        "prev_hash": prev_hash,
-        "transactions": [tx._record(tx_id) for tx_id, tx in enumerate(transactions, first_tx_id)],
-    })
-    hash = hashlib.sha256(body).hexdigest()
-    line = _splice(body, hash)
-    return Block(index, generator, avg_navigability, hash, line, first_tx_id, len(transactions))
 
 
 class Chain:
@@ -277,11 +227,41 @@ class Chain:
     def append_block(
         self, transactions: list[Observation | Reward], avg_navigability: float
     ) -> Block:
-        """Seal `transactions` into a new block on the last one (`_seal`),
-        generated by the robot its trailing reward pays, and append it;
-        raise LedgerError, appending nothing, if they break a block rule."""
-        previous = self.blocks[-1] if self.blocks else None
-        block = _seal(transactions, avg_navigability, previous, self.n_robots)
+        """Seal `transactions`, observations and then the reward that pays the
+        block's generator, into a new block on the last one, and append it;
+        raise LedgerError, appending nothing, if they break a block rule.
+
+        One walk checks each record, pairs and match entries as tuples, and
+        lays out its body record with its tx_id; the body is then encoded and
+        hashed once, and its line spliced."""
+        _check_average(avg_navigability)
+        if not transactions or type(transactions[-1]) is not Reward:
+            raise LedgerError("a block must end in its generator's reward")
+        generator, reward, reward_loop = transactions[-1]
+        n_robots = self.n_robots
+        _check_reward(generator, reward, reward_loop, n_robots)
+        index, prev_hash, first_tx_id = _numbering(self.blocks[-1] if self.blocks else None)
+        records = []
+        for tx_id, tx in enumerate(transactions[:-1], first_tx_id):
+            if type(tx) is not Observation:
+                raise LedgerError(f"records before the reward must be observations, got {tx!r}")
+            pair, matches, loop_index = tx
+            _check_observation(pair, matches, loop_index, n_robots, tuple)
+            records.append({
+                "kind": KIND_OBSERVATION, "loop_index": loop_index, "matches": matches,
+                "pair": pair, "tx_id": tx_id,
+            })
+        records.append({
+            "generator": generator, "kind": KIND_REWARD, "loop_index": reward_loop,
+            "reward": reward, "tx_id": first_tx_id + len(records),
+        })
+        body = canonical_encode({
+            "avg_navigability": avg_navigability, "generator": generator, "index": index,
+            "prev_hash": prev_hash, "transactions": records,
+        })
+        hash = hashlib.sha256(body).hexdigest()
+        line = _splice(body, hash)
+        block = Block(index, generator, avg_navigability, hash, line, first_tx_id, len(records))
         self.blocks.append(block)
         return block
 

@@ -199,6 +199,9 @@ UNSEALABLE = {
     "integer avg_navigability": (
         [VALID_OBSERVATION, VALID_REWARD], 0, "avg_navigability must be finite"
     ),
+    "avg_navigability -1.0": (
+        [VALID_OBSERVATION, VALID_REWARD], -1.0, "avg_navigability must be finite"
+    ),
     # Records in the shape of a decoded line are not records.
     "observation-shaped dict": (
         [OBSERVATION_DICT, VALID_REWARD], 0.5,
@@ -210,6 +213,18 @@ UNSEALABLE = {
 }
 
 
+# Shapes no line can carry: a list entry reads back as a tuple entry would,
+# and a dict where a record belongs is not a record.
+NOT_IN_A_LINE = {"list match entry", "observation-shaped dict", "reward-shaped dict"}
+
+
+def line_transactions(records):
+    """The transactions of a decoded line holding `records`, tx ids all 0."""
+    kinds = {Observation: "pair_observation", Reward: "generator_reward"}
+    transactions = [dict(tx._asdict(), kind=kinds[type(tx)], tx_id=0) for tx in records]
+    return json.loads(json.dumps(transactions))
+
+
 @pytest.mark.parametrize("shape", list(UNSEALABLE))
 def test_append_block_refuses_what_its_reader_rejects(shape):
     transactions, avg_navigability, message = UNSEALABLE[shape]
@@ -219,6 +234,18 @@ def test_append_block_refuses_what_its_reader_rejects(shape):
         chain.append_block(transactions, avg_navigability)
     assert chain.blocks == before
     assert chain.verify() is None
+    if shape in NOT_IN_A_LINE:
+        return
+    # The same block written as block 3 of a seed-0 dump, generated by robot
+    # 0 as VALID_REWARD is, with its tx ids renumbered, re-hashed and relinked.
+    records = seed_records()
+    records[3].update(
+        avg_navigability=avg_navigability, generator=0, transactions=line_transactions(transactions)
+    )
+    data = _forge(lambda txs: None)(records)
+    assert verify_dump_bytes(data) == 3
+    with pytest.raises(LedgerError, match=f"^block 3: {re.escape(message)}"):
+        Chain.loads(data)
 
 
 def test_a_block_is_generated_by_the_robot_its_reward_pays():
@@ -650,6 +677,11 @@ def _swap_matches(transactions):
     matches[0], matches[1] = matches[1], matches[0]
 
 
+def _negative_average(records):
+    records[3]["avg_navigability"] = -0.5
+    return relinked_dump(records)
+
+
 # Forged blocks whose hashes, links and ids hold: each rewrites block 3 of a
 # seed-0 dump against a block rule, and the loader's message names the rule.
 FORGERIES = {
@@ -668,6 +700,9 @@ FORGERIES = {
         _forge(_swap_matches),
         "match entries must be (landmark id >= 0, float quality in [0, 1]) with ids strictly "
         "ascending, got (3, 0.5922239872129136) after landmark 4",
+    ),
+    "negative avg_navigability": (
+        _negative_average, "avg_navigability must be finite and a float >= 0, got -0.5"
     ),
 }
 

@@ -33,7 +33,7 @@ from stakenav.reference import (
     average_navigability,
     navigability_matrix,
 )
-from stakenav.domain import derive_stream
+from stakenav.domain import RandomStreams, derive_stream
 from stakenav.sim import maybe_seal_blocks, step_movement
 from tests.test_ledger import pair_tx_counts
 
@@ -202,6 +202,28 @@ def test_compute_visibility_grid_in_a_huge_world():
     state = hand_placed_state(cfg, [(x, 7.0), (x, 7.0)], [(x + 1.0, 7.0)])
     observations = compute_visibility(state)
     assert [(tx.pair, [k for k, _ in tx.matches]) for tx in observations] == [((0, 1), [0])]
+
+
+@pytest.mark.parametrize(
+    "direction", [(1, 0), (-1, 0), (0, 1), (0, -1)], ids=["right", "left", "above", "below"]
+)
+def test_a_landmark_just_inside_the_radius_is_seen_from_anywhere_in_a_cell(direction):
+    # A grid cell must reach at least the sensing radius, or a landmark
+    # just inside the radius can lie two cells from a robot near the far
+    # edge of its own cell. Two robots share each spot, 129 spots apart by
+    # radius / 64 span about two cell widths, and the landmark sits a hair inside
+    # the radius on one side of them.
+    radius = 90.0
+    config = WorldConfig(n_robots=2, n_landmarks=1, width=1000.0, height=1000.0,
+                         sensing_radius=radius, seed=0)
+    dx, dy = (radius * (1 - 2**-20) * d for d in direction)
+    for step in range(129):
+        x = y = 400.0 + step * radius / 64
+        state = ExperimentState(
+            config, None, [(x, y), (x, y)], [(x + dx, y + dy)], RandomStreams.from_seed(0)
+        )
+        observations = compute_visibility(state)
+        assert [(tx.pair, [k for k, _ in tx.matches]) for tx in observations] == [((0, 1), [0])], x
 
 
 def test_compute_visibility_in_a_sparse_world():
