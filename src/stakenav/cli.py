@@ -96,8 +96,19 @@ def _parse_pair(value, key: str) -> tuple[int, int]:
     raise UsageError(f"config key '{key}' must be two integers, got {value!r}")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A decoded JSON object's dict; ValueError if it repeats a key."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate key '{key}'")
+        data[key] = value
+    return data
+
+
 def load_config_file(path: str) -> dict:
-    """Read a JSON config file and reject keys this tool does not know."""
+    """Read a JSON config file and reject keys this tool does not know, or
+    any key given twice, which JSON would otherwise resolve to the last."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -105,10 +116,10 @@ def load_config_file(path: str) -> dict:
     except UnicodeDecodeError as exc:
         raise UsageError(f"config file {path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path}: invalid JSON ({exc})") from None
-    except ValueError as exc:  # an integer with more digits than int() converts
+    except ValueError as exc:  # a repeated key, or an integer longer than int() converts
         raise UsageError(f"config file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError(f"config file {path}: expected a JSON object")

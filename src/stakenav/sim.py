@@ -131,18 +131,23 @@ class SealState:
     which is never written; `record` gives a robot its own copy at its first
     sealed observation, so only robots with history cost a row of n entries.
 
-    `_rows`, built by `start_loop` from the loop's records, maps each robot
-    with live terms to them: the partners that share a landmark with it this
-    loop and have a non-zero importance, as (j, pair quality sum) ascending
-    by j. A cooperating pair with no sealed history is held apart until a
-    seal gives it one; then it joins both rows at its sorted place. Pending
-    transactions from earlier loops can do that mid-loop.
+    `_rows`, built by `start_loop` from the loop's records, lists each robot
+    with live terms once, as (robot, row) ascending by robot id, and
+    `_index` finds the same rows by robot id. A row holds the partners that
+    share a landmark with its robot this loop and have a non-zero
+    importance, as (j, pair quality sum) ascending by j. A cooperating pair
+    with no sealed history is held apart until a seal gives it one; then it
+    joins both rows at its sorted place, and a robot that had no row gets
+    one at its own sorted place. Pending transactions from earlier loops can
+    do that mid-loop. Robot ids are unique in `_rows` and partner ids in a
+    row, so `sorted` and `insort` never compare a row or a quality sum.
     """
 
     def __init__(self, n_robots: int):
         self._zeros = [0.0] * n_robots
         self.alpha = [self._zeros] * n_robots
-        self._rows: defaultdict[int, list[tuple[int, float]]] = defaultdict(list)
+        self._rows: list[tuple[int, list[tuple[int, float]]]] = []
+        self._index: dict[int, list[tuple[int, float]]] = {}
         # (i, j) -> pair quality sum of cooperating pairs with no history.
         self._cold: dict[tuple[int, int], float] = {}
 
@@ -150,7 +155,8 @@ class SealState:
         """Replace the rows with one loop's observation records, ascending by
         pair as `compute_visibility` returns them; a pair's quality sum adds
         its qualities left to right from 0.0, as `ordered_sum` does. Row r
-        then receives its partners below r before those above, each in order.
+        then receives its partners below r before those above, each in order,
+        and the robots are sorted once.
         """
         alpha = self.alpha
         rows: defaultdict[int, list[tuple[int, float]]] = defaultdict(list)
@@ -165,7 +171,8 @@ class SealState:
                 rows[j].append((i, total))
             else:
                 cold[record.pair] = total
-        self._rows = rows
+        self._rows = sorted(rows.items())
+        self._index = rows
         self._cold = cold
 
     def record(self, pairs: Iterable[tuple[int, int]]) -> None:
@@ -183,9 +190,18 @@ class SealState:
                     alpha[j] = zeros[:]
                 if pair in cold:
                     total = cold.pop(pair)
-                    insort(self._rows[i], (j, total))  # j is unique in the row, so
-                    insort(self._rows[j], (i, total))  # totals are never compared
+                    insort(self._row(i), (j, total))
+                    insort(self._row(j), (i, total))
             alpha[i][j] = alpha[j][i] = _NEXT_IMPORTANCE[level]
+
+    def _row(self, robot: int) -> list[tuple[int, float]]:
+        """The robot's live row, first added to `_rows` at its sorted place
+        if the robot had none."""
+        row = self._index.get(robot)
+        if row is None:
+            row = self._index[robot] = []
+            insort(self._rows, (robot, row))
+        return row
 
     def weights(self, stakes: list[float], total_stake: float) -> tuple[list[int], list[float], float]:
         """The robots with live terms, ascending; their navigability; its average.
@@ -198,19 +214,24 @@ class SealState:
         `stakenav.reference`), so the results match them bit for bit. Every
         term or robot left out has a zero importance or a zero pair sum, so it
         is 0.0 * finite >= 0 == +0.0, and acc + 0.0 == acc for any acc >= 0.
+        The average's sum is taken in the same pass, left to right from 0.0,
+        as `ordered_sum(weights)` would.
         """
         n = len(stakes)
         alpha = self.alpha
-        robots = sorted(self._rows)
+        robots = []
         weights = []
-        for i in robots:
+        total = 0.0
+        for i, row in self._rows:
             w_i = stakes[i] / total_stake
             alpha_row = alpha[i]
             acc = 0.0
-            for j, pair_sum in self._rows[i]:
+            for j, pair_sum in row:
                 acc += alpha_row[j] * (w_i * pair_sum)
+            robots.append(i)
             weights.append(acc)
-        return robots, weights, ordered_sum(weights) / (n * (n - 1))
+            total += acc
+        return robots, weights, total / (n * (n - 1))
 
 
 class ExperimentState:
@@ -259,14 +280,21 @@ class ExperimentState:
 
 def step_movement(state: ExperimentState) -> list[tuple[float, float]]:
     """Move every robot by a uniform step in [-step_size, +step_size] per axis,
-    clamped to the world bounds. Appends the new positions to the trajectory."""
+    clamped to the world bounds. Appends the new positions to the trajectory.
+
+    Each draw is `low + span * random()`, x before y, robot by robot: the
+    arithmetic of `Random.uniform(low, step)`, written out so that the bytes
+    do not rest on how the standard library writes `uniform`.
+    """
     config = state.config
-    rng = state.streams.movement
+    random = state.streams.movement.random
     step = config.step_size
+    low = -step
+    span = step - low
     positions = []
     for x, y in state.trajectory[-1]:
-        dx = rng.uniform(-step, step)
-        dy = rng.uniform(-step, step)
+        dx = low + span * random()
+        dy = low + span * random()
         positions.append(
             (min(max(x + dx, 0.0), config.width), min(max(y + dy, 0.0), config.height))
         )
@@ -274,7 +302,7 @@ def step_movement(state: ExperimentState) -> list[tuple[float, float]]:
     return positions
 
 
-_Cells = dict[tuple[float, float], list[tuple[int, float, float]]]
+_Cells = dict[int, list[tuple[int, float, float]]]
 
 
 def _landmark_grid(
@@ -282,10 +310,16 @@ def _landmark_grid(
 ) -> tuple[float, _Cells]:
     """Cell size and the landmarks in each cell.
 
-    A cell is (x // size, y // size). The map lists (id, x, y) of each
+    Cell (x // size, y // size) is keyed by one integer,
+    `int(x // size) * stride + int(y // size)`, where `stride` is
+    `int(config.height // size) + 3`. The map lists (id, x, y) of each
     landmark once, in its cell, ascending by id, and only non-empty cells.
     `compute_visibility` reads a robot's nine cells, its own and the eight
-    around it, straight from the map on every visit.
+    around it, by adding nine fixed offsets to the robot's own key: the keys
+    of two cells differ by dx * stride + dy, so a neighbour's key is always
+    one of them. A point of the world has a y index in [0, stride - 3], so
+    the y indices a probe reaches, -1 to stride - 2, span fewer than
+    `stride` values and no probe lands on a cell that is not a neighbour.
 
     The prune is conservative: the distance test alone decides, and no
     landmark it would accept lies outside the robot's neighbourhood. The test
@@ -297,14 +331,15 @@ def _landmark_grid(
     by less than one and their floors by at most one; likewise for y. Float
     floor division returns that exact floor while the quotient stays far
     below 2**51, which a cell of at least 2**-40 of the world's extent
-    ensures.
+    ensures, and `int()` of that exact floor is exact.
     """
     radius_sq = config.sensing_radius * config.sensing_radius
     reach = max(math.sqrt(radius_sq), 2.0**-511) * 1.0001
     size = max(reach, max(config.width, config.height) / 2**40)
+    stride = int(config.height // size) + 3
     cells: _Cells = {}
     for k, (x, y) in enumerate(landmarks):
-        cells.setdefault((x // size, y // size), []).append((k, x, y))
+        cells.setdefault(int(x // size) * stride + int(y // size), []).append((k, x, y))
     # Landmarks are visited in id order, so every list is already ascending.
     return size, cells
 
@@ -314,8 +349,9 @@ def compute_visibility(state: ExperimentState) -> list[Observation]:
 
     A robot recognizes a landmark iff their Euclidean distance is within the
     sensing radius; only the landmarks of the robot's grid cell and the eight
-    around it are measured, in no particular order, since sightings land in
-    sets and masks (see `_landmark_grid`). Each sighting sets the robot's bit
+    around it are measured, found by the robot's integer cell key plus nine
+    fixed offsets, in no particular order, since sightings land in sets and
+    masks (see `_landmark_grid`). Each sighting sets the robot's bit
     in the landmark's mask of seers; robot i's partners are the bits above i
     in the OR of its landmarks' masks, so work grows with sightings and
     cooperating pairs, never with all pairs or all landmarks.
@@ -330,22 +366,22 @@ def compute_visibility(state: ExperimentState) -> list[Observation]:
     config = state.config
     radius_sq = config.sensing_radius * config.sensing_radius
     size, cells = state._grid
+    stride = int(config.height // size) + 3  # as in `_landmark_grid`
+    around = [nx * stride + ny for nx in (-1, 0, 1) for ny in (-1, 0, 1)]
     recognized: list[set[int]] = []
     # Seen landmark id -> mask of the robots that see it.
     seers: defaultdict[int, int] = defaultdict(int)
     for i, (rx, ry) in enumerate(state.trajectory[-1]):
-        cx = rx // size
-        cy = ry // size
+        key = int(rx // size) * stride + int(ry // size)
         seen = set()
         bit = 1 << i
-        for nx in (cx - 1.0, cx, cx + 1.0):
-            for ny in (cy - 1.0, cy, cy + 1.0):
-                for k, lx, ly in cells.get((nx, ny), ()):
-                    dx = rx - lx
-                    dy = ry - ly
-                    if dx * dx + dy * dy <= radius_sq:
-                        seen.add(k)
-                        seers[k] |= bit
+        for offset in around:
+            for k, lx, ly in cells.get(key + offset, ()):
+                dx = rx - lx
+                dy = ry - ly
+                if dx * dx + dy * dy <= radius_sq:
+                    seen.add(k)
+                    seers[k] |= bit
         recognized.append(seen)
 
     loop = state.loop_index

@@ -63,6 +63,16 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     assert "robtos" in capsys.readouterr().err
 
 
+def test_config_file_with_a_repeated_key_exits_one(tmp_path, capsys):
+    # json.loads alone keeps the last of two equal keys and would run 4 robots.
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"robots": 3, "robots": 4}')
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"stakenav: error: config file {cfg}: duplicate key 'robots'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "kind,reason",
     [

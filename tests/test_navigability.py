@@ -257,3 +257,29 @@ def test_seal_state_keeps_rows_only_for_robots_with_live_terms():
     robots, weights, _ = seal.weights(stakes, ordered_sum(stakes))
     assert robots == [7, 4000]
     assert [w.hex() for w in weights] == [(0.1 * (1 / n * 0.25)).hex()] * 2
+
+    # Mid-loop joins in a team small enough for the oracle: robots 7 and 11
+    # are live when the loop starts; (9, 10) joins between them, (7, 9)
+    # joins 7's own row below 11, and (2, 3) and (0, 1) sort below them all.
+    n = 12
+    records = [
+        Observation((0, 1), [(0, 0.5)], 0),
+        Observation((2, 3), [(1, 0.75)], 0),
+        Observation((7, 9), [(4, 0.375)], 0),
+        Observation((7, 11), [(2, 0.25), (5, 0.625)], 0),
+        Observation((9, 10), [(3, 0.875)], 0),
+    ]
+    seal = SealState(n)
+    seal.record([(7, 11)])
+    seal.start_loop(records)
+    seal.record([(9, 10), (7, 9), (2, 3), (0, 1)])
+    stakes = [1.0 + i / 8 for i in range(n)]
+    robots, weights, average = seal.weights(stakes, ordered_sum(stakes))
+    assert robots == [0, 1, 2, 3, 7, 9, 10, 11]
+    counts = {record.pair: 1 for record in records}
+    matrix = navigability_matrix(
+        StakeTable(stakes), VisibilitySnapshot.of(n, 6, records),
+        AlphaMatrix.from_pair_counts(counts, n),
+    )
+    assert [w.hex() for w in weights] == [matrix.row_sum(i).hex() for i in robots]
+    assert average.hex() == average_navigability(matrix).hex()

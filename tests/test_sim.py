@@ -205,18 +205,22 @@ def test_compute_visibility_grid_in_a_huge_world():
 
 
 @pytest.mark.parametrize(
-    "direction", [(1, 0), (-1, 0), (0, 1), (0, -1)], ids=["right", "left", "above", "below"]
+    "direction",
+    [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, 1), (1, -1), (-1, -1)],
+    ids=["right", "left", "above", "below",
+         "above-right", "above-left", "below-right", "below-left"],
 )
 def test_a_landmark_just_inside_the_radius_is_seen_from_anywhere_in_a_cell(direction):
     # A grid cell must reach at least the sensing radius, or a landmark
     # just inside the radius can lie two cells from a robot near the far
     # edge of its own cell. Two robots share each spot, 129 spots apart by
-    # radius / 64 span about two cell widths, and the landmark sits a hair inside
-    # the radius on one side of them.
+    # radius / 64 along the diagonal span about two cell widths on both
+    # axes, and the landmark sits a hair inside the radius on one side of
+    # them, or at 45 degrees, where it can lie in a corner cell around them.
     radius = 90.0
     config = WorldConfig(n_robots=2, n_landmarks=1, width=1000.0, height=1000.0,
                          sensing_radius=radius, seed=0)
-    dx, dy = (radius * (1 - 2**-20) * d for d in direction)
+    dx, dy = (radius * (1 - 2**-20) * d / math.hypot(*direction) for d in direction)
     for step in range(129):
         x = y = 400.0 + step * radius / 64
         state = ExperimentState(
