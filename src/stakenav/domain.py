@@ -3,10 +3,10 @@
 All randomness in the package flows through :class:`RandomStreams`, a set of
 independent generators derived from a single root seed. Each concern
 (placement, movement, quality, election) gets its own stream, so adding draws
-to one concern never perturbs the others.
-
-A robot or landmark is its index in a list: `init_world` returns the robots'
-and the landmarks' positions as lists of (x, y) tuples.
+to one concern never perturbs the others. `derive_stream` is the only seeding,
+and every draw of a run is `Random.random()`, so that no other stdlib
+algorithm shapes the bytes. A robot or landmark is its index in the lists of
+positions that `init_world` returns.
 """
 from __future__ import annotations
 
@@ -192,9 +192,9 @@ def init_world(
     worlds.
     """
     streams = RandomStreams.from_seed(config.seed)
-    uniform = streams.placement.uniform
+    random = streams.placement.random
 
     def place(count: int) -> list[tuple[float, float]]:
-        return [(uniform(0.0, config.width), uniform(0.0, config.height)) for _ in range(count)]
+        return [(config.width * random(), config.height * random()) for _ in range(count)]
 
     return place(config.n_robots), place(config.n_landmarks), streams

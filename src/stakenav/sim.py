@@ -5,8 +5,8 @@ landmarks each robot recognizes (Euclidean distance within the sensing
 radius), draws a fresh match quality for every pairwise common landmark,
 emits one observation transaction per pair that shares at least one landmark,
 and seals blocks whenever enough transactions are pending. Sealing elects the
-generator by navigability (stake weights as cold-start fallback, then
-uniform; `elect_generator`), appends a reward transaction, and credits the
+generator by navigability (stake weights as cold-start fallback;
+`elect_generator`), appends a reward transaction, and credits the
 generator's stake. This module owns the loop's state (`ExperimentState`,
 which holds the robots' positions in its trajectory and their stakes in one
 list, both indexed by robot id), the seal-time navigability (`SealState`)
@@ -264,7 +264,8 @@ class ExperimentState:
         # Pair history and this loop's live navigability terms; sealed
         # averages replay the reference oracle's sums bit for bit.
         self.seal = SealState(config.n_robots)
-        self._grid = _landmark_grid(config, landmarks)
+        size, self._stride, cells = _landmark_grid(config, landmarks)
+        self._grid = size, cells
 
     def total_stake(self) -> float:
         """Left-to-right total of the stakes; ValueError once it has overflowed.
@@ -280,11 +281,8 @@ class ExperimentState:
 
 def step_movement(state: ExperimentState) -> list[tuple[float, float]]:
     """Move every robot by a uniform step in [-step_size, +step_size] per axis,
-    clamped to the world bounds. Appends the new positions to the trajectory.
-
-    Each draw is `low + span * random()`, x before y, robot by robot: the
-    arithmetic of `Random.uniform(low, step)`, written out so that the bytes
-    do not rest on how the standard library writes `uniform`.
+    x before y, robot by robot, clamped to the world bounds. Appends the new
+    positions to the trajectory.
     """
     config = state.config
     random = state.streams.movement.random
@@ -307,8 +305,8 @@ _Cells = dict[int, list[tuple[int, float, float]]]
 
 def _landmark_grid(
     config: WorldConfig, landmarks: list[tuple[float, float]]
-) -> tuple[float, _Cells]:
-    """Cell size and the landmarks in each cell.
+) -> tuple[float, int, _Cells]:
+    """Cell size, key stride and the landmarks in each cell.
 
     Cell (x // size, y // size) is keyed by one integer,
     `int(x // size) * stride + int(y // size)`, where `stride` is
@@ -341,7 +339,7 @@ def _landmark_grid(
     for k, (x, y) in enumerate(landmarks):
         cells.setdefault(int(x // size) * stride + int(y // size), []).append((k, x, y))
     # Landmarks are visited in id order, so every list is already ascending.
-    return size, cells
+    return size, stride, cells
 
 
 def compute_visibility(state: ExperimentState) -> list[Observation]:
@@ -366,7 +364,7 @@ def compute_visibility(state: ExperimentState) -> list[Observation]:
     config = state.config
     radius_sq = config.sensing_radius * config.sensing_radius
     size, cells = state._grid
-    stride = int(config.height // size) + 3  # as in `_landmark_grid`
+    stride = state._stride
     around = [nx * stride + ny for nx in (-1, 0, 1) for ny in (-1, 0, 1)]
     recognized: list[set[int]] = []
     # Seen landmark id -> mask of the robots that see it.
@@ -435,10 +433,9 @@ def elect_generator(
     """Elect a robot id with probability proportional to its weight.
 
     `robots[k]` owns `weights[k]`, and robots left out weigh zero. One
-    uniform draw picks from the cumulative weights (see `_draw`). Degenerate
-    cascade: if no weight is positive, draw from `stakes`, which is indexed
-    by robot id and covers the whole team; if those are all zero too, pick
-    uniformly from the team.
+    `random()` draw picks from the cumulative weights (see `_draw`), or from
+    `stakes`, indexed by robot id, if no weight is positive. ValueError if
+    the stakes' total is not positive too; a run's stakes never are.
     """
     if len(robots) != len(weights):
         raise ValueError(f"{len(robots)} robots for {len(weights)} weights")
@@ -449,7 +446,9 @@ def elect_generator(
     if k is not None:
         return robots[k]
     k = _draw(stakes, rng)
-    return rng.randrange(len(stakes)) if k is None else k
+    if k is None:
+        raise ValueError("election stakes must total > 0 when no weight is positive")
+    return k
 
 
 def _draw(weights: list[float], rng: Random) -> int | None:

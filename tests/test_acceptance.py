@@ -207,8 +207,9 @@ def test_c07_election_frequencies_and_fallback_cascade():
     frequencies(777, [1.0, 2.0, 3.0, 4.0], None, [1, 2, 3, 4])
     # cascade step 1: zero navigability everywhere -> stakes decide
     frequencies(778, [0.0] * 4, [1.0, 2.0, 3.0, 4.0], [1, 2, 3, 4])
-    # cascade step 2: zero stakes too -> uniform
-    frequencies(779, [0.0] * 4, [0.0] * 4, [1, 1, 1, 1])
+    # zero stakes too -> no level can elect
+    with pytest.raises(ValueError, match="election stakes must total > 0"):
+        elect_generator([0.0] * 4, random.Random(779), [0.0] * 4, range(4))
 
 
 def test_c08_dump_verification_catches_10k_single_bit_mutations():

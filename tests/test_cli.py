@@ -166,8 +166,9 @@ def test_non_finite_flag_exits_one_naming_the_field(tmp_path, capsys, flag, valu
 
 
 def test_step_whose_draw_span_overflows_exits_one(tmp_path, capsys):
-    # uniform(-step, step) spans 2 * step, which is inf here; the run used to
-    # exit 0 with every robot clamped to the (width, height) corner.
+    # A step draw, low + span * random() with low = -step, spans 2 * step,
+    # which is inf here; the run used to exit 0 with every robot clamped to
+    # the (width, height) corner.
     out = tmp_path / "out"
     assert main(["--step", "1e308", "--loops", "3", "--out", str(out)]) == 1
     err = capsys.readouterr().err

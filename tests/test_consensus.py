@@ -160,14 +160,14 @@ def test_election_single_positive_weight_always_wins():
         assert elect_generator([0.0, 0.0, 2.5, 0.0], rng, [1.0] * 4, range(4)) == 2
 
 
-def test_election_falls_back_to_stakes_then_uniform():
+def test_election_falls_back_to_stakes_and_refuses_zero_stakes():
     rng = random.Random(2)
     # zero navigability everywhere -> stakes decide
     for _ in range(50):
         assert elect_generator([0.0, 0.0, 0.0], rng, [0.0, 4.0, 0.0], range(3)) == 1
-    # zero stakes too -> uniform over all robots
-    seen = {elect_generator([0.0, 0.0, 0.0], rng, [0.0, 0.0, 0.0], range(3)) for _ in range(500)}
-    assert seen == {0, 1, 2}
+    # zero stakes too -> no level can elect
+    with pytest.raises(ValueError, match="election stakes must total > 0"):
+        elect_generator([0.0, 0.0, 0.0], rng, [0.0, 0.0, 0.0], range(3))
 
 
 def test_election_consumes_exactly_one_draw():
@@ -199,14 +199,21 @@ def test_election_rejects_bad_input():
 )
 def test_election_over_live_robots_matches_the_dense_vector(weights, zero_stakes, seed):
     # Zero weights interleaved, sometimes all of them, and stakes that are
-    # sometimes all zero too, so every fallback level is reached.
+    # sometimes all zero too (always for one robot), so both levels and the
+    # refusal of all-zero weights and stakes are reached.
     n = len(weights)
     stakes = [0.0 if zero_stakes else float(i % 3) for i in range(n)]
     robots = [i for i, w in enumerate(weights) if w]
     live = [weights[i] for i in robots]
     dense_rng, live_rng = random.Random(seed), random.Random(seed)
-    dense = elect_generator(weights, dense_rng, stakes, range(n))
-    assert elect_generator(live, live_rng, stakes, robots) == dense
+    if not any(weights) and not any(stakes):
+        with pytest.raises(ValueError, match="election stakes must total > 0"):
+            elect_generator(weights, dense_rng, stakes, range(n))
+        with pytest.raises(ValueError, match="election stakes must total > 0"):
+            elect_generator(live, live_rng, stakes, robots)
+    else:
+        dense = elect_generator(weights, dense_rng, stakes, range(n))
+        assert elect_generator(live, live_rng, stakes, robots) == dense
     assert dense_rng.getstate() == live_rng.getstate()
 
 

@@ -3,6 +3,7 @@ same ledger bytes on every supported interpreter."""
 import ast
 import importlib.util
 import os
+import random
 import re
 import subprocess
 import sys
@@ -149,7 +150,7 @@ def test_check_determinism_reports_a_dump_that_does_not_load(monkeypatch, capsys
     monkeypatch.setattr(tool, "run_experiment", lambda config, scenario: garbled)
     assert tool.main() == 1
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 9
+    assert len(lines) == 10
     first_seeds = [0] * 6 + [tool.CROSS_CELL_SEED, tool.drawn_runs()[0][0]]
     for line, seed in zip(lines[:8], first_seeds):
         assert ": MISMATCH " in line
@@ -157,6 +158,18 @@ def test_check_determinism_reports_a_dump_that_does_not_load(monkeypatch, capsys
                              "line 1 column 1 (char 0)")
     # The exports come from the CLI's own run, which the patch leaves alone.
     assert lines[8].endswith(": seed-0 exports: ok")
+
+
+def test_check_determinism_names_each_primitive_that_moved(monkeypatch, capsys):
+    tool = _load_tool(monkeypatch)
+    # Patched in the tool only: the runs, and so every digest, are left alone.
+    monkeypatch.setattr(tool, "derive_stream", lambda seed, label: random.Random(seed))
+    monkeypatch.setattr(tool, "canonical_encode", lambda obj: repr(obj).encode())
+    assert tool.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10
+    assert all(line.endswith(": ok") for line in lines[:9])
+    assert lines[9].endswith(": primitives: MISMATCH derive_stream seed, canonical_encode")
 
 
 def test_check_determinism_runs_the_cli_verify_on_its_ledger_export(monkeypatch, capsys):
@@ -171,7 +184,7 @@ def test_check_determinism_runs_the_cli_verify_on_its_ledger_export(monkeypatch,
     monkeypatch.setattr(tool, "run_and_export", run_and_cut_the_last_newline)
     assert tool.main() == 1
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 9
+    assert len(lines) == 10
     assert all(line.endswith(": ok") for line in lines[:8])
     assert ": seed-0 exports: MISMATCH ledger.jsonl " in lines[8]
     assert re.search(r"; --verify exits 3: \S+ledger\.jsonl: invalid at block 30: "

@@ -641,6 +641,27 @@ def test_replay_equivalence_holds_from_a_cold_start():
     replayed_run(WorldConfig(**COLD_START, seed=0))
 
 
+@pytest.mark.parametrize("reward", [0.0, 5e-324])
+def test_the_least_stakes_a_config_admits_still_elect(monkeypatch, reward):
+    # The least initial stake, with no reward or the least one. Every stake
+    # stays positive, so when no robot has navigability the stakes elect, and
+    # no election finds both levels empty.
+    stake_elections = 0
+    elect = sim.elect_generator
+
+    def counting(weights, rng, stakes, robots):
+        nonlocal stake_elections
+        stake_elections += not any(w > 0.0 for w in weights)
+        return elect(weights, rng, stakes, robots)
+
+    monkeypatch.setattr(sim, "elect_generator", counting)
+    for seed in range(5):
+        config = WorldConfig(**COLD_START, seed=seed, initial_stake=5e-324,
+                             generator_reward=reward)
+        assert run_experiment(config).chain.blocks
+    assert stake_elections > 0
+
+
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("world", [COLD_START, {}], ids=["cold_start", "default"])
 def test_loop_snapshots_read_back_from_the_ledger(monkeypatch, world, seed):

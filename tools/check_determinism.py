@@ -9,14 +9,17 @@ Each dump must also load back with `Chain.loads`, which verifies it, and
 dump to the same bytes. Then exports the default seed-0 run as `stakenav
 --out DIR` does, into a temporary directory, compares the SHA-256 of each of
 its four files with pinned values, and runs `stakenav --verify` on its
-ledger. Needs only the standard library, so it runs on interpreters that
-have no pytest:
+ledger. Last, checks the known answers of the primitives the bytes rest on,
+so that a digest that breaks on a new interpreter comes with the name of the
+primitive that moved. Needs only the standard library, so it runs on
+interpreters that have no pytest:
 
     python3 tools/check_determinism.py
 
-Exits 0 when every digest matches, every dump round-trips and the verify
-exits 0, 1 otherwise; a dump that does not load is reported by the loader's
-message, and a failed verify by its exit code and output.
+Exits 0 when every digest matches, every dump round-trips, the verify exits 0
+and every primitive gives its known answer, 1 otherwise; a dump that does not
+load is reported by the loader's message, a failed verify by its exit code and
+output, and a primitive by its name.
 """
 from __future__ import annotations
 
@@ -38,6 +41,8 @@ from stakenav import (  # noqa: E402
     run_experiment,
 )
 from stakenav.cli import build_parser, main as cli_main, parse_config, run_and_export  # noqa: E402
+from stakenav.domain import derive_stream  # noqa: E402
+from stakenav.ledger import canonical_encode  # noqa: E402
 
 # Same value as GOLDEN_SEED0_LEDGER in tests/test_acceptance.py.
 GOLDEN_SEED0_LEDGER = "8580c9a0fe7ef7871a91a2fb798d64764f415eb45c0954abfb5391dcd5cdc7b6"
@@ -92,6 +97,29 @@ SEED0_EXPORTS = {
     "timeseries.csv": "7d2193e58da5197a369dcb2478472d4577c1f88c2a50b1be2a000ab4b24bd13c",
     "trajectories.csv": "ba0375ef49b74c78609c1b73c07b2be8bb5ee76cc8e206e1d43648f3048342e7",
 }
+# Known answers of the primitives a run's bytes rest on. For seed 0, the seed
+# `derive_stream` gives each stream, the SHA-256 of "0:<label>" as an integer:
+STREAM_SEEDS = {
+    "placement": 0x3BE43AD688DD3D122737E3195684E5D81651342BFE7F73EB56CEA1E880C4AF5E,
+    "movement": 0x19EDE372251EE8A908AF8A3902BA47AD2F90E54BFBC603806D18B8D5DF02A282,
+    "quality": 0xF8C7AD753F95636CBF2CDFFEF1D725175E3AA9E3F57E68C412F90DCB7FF81630,
+    "election": 0x7F330930171A8774BC009C281426E0F627AE2FEC90E41C93B7594113E6B6C3D4,
+}
+# and the first three `random()` draws of a `random.Random` seeded with each.
+FIRST_DRAWS = [
+    [0.6780785952817623, 0.317081397418979, 0.827110639752601],
+    [0.07292863623666701, 0.9614411299555529, 0.9128589907821284],
+    [0.6217489372718918, 0.5007245706848668, 0.18987901881172664],
+    [0.3249777285846389, 0.26773150809154367, 0.3868566329970262],
+]
+# The least subnormal, the least power of ten that repr writes with an
+# exponent, a rounded sum and the largest finite float: `repr` writes each
+# float of a dump, through `canonical_encode`.
+EDGE_FLOATS = [5e-324, 1e16, 0.1 + 0.2, 1.7976931348623157e308]
+EDGE_REPRS = ["5e-324", "1e+16", "0.30000000000000004", "1.7976931348623157e+308"]
+EDGE_ENCODING = b"[5e-324,1e+16,0.30000000000000004,1.7976931348623157e+308]"
+# FIPS 180-2's one-block test vector, SHA-256 of b"abc".
+SHA256_ABC = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 
 
 def drawn_runs() -> list:
@@ -175,6 +203,25 @@ def export_result() -> str:
     return "; ".join(problems) or "ok"
 
 
+def primitives_result() -> str:
+    """Whether each primitive gives its known answer: "ok", or the names of
+    those that do not."""
+    holds = {
+        "derive_stream seed": all(
+            derive_stream(0, label).getstate() == random.Random(seed).getstate()
+            for label, seed in STREAM_SEEDS.items()
+        ),
+        "Random.random": [
+            [rng.random() for _ in range(3)] for rng in map(random.Random, STREAM_SEEDS.values())
+        ] == FIRST_DRAWS,
+        "float repr": [repr(x) for x in EDGE_FLOATS] == EDGE_REPRS,
+        "canonical_encode": canonical_encode(EDGE_FLOATS) == EDGE_ENCODING,
+        "hashlib.sha256": hashlib.sha256(b"abc").hexdigest() == SHA256_ABC,
+    }
+    moved = [name for name, ok in holds.items() if not ok]
+    return f"MISMATCH {', '.join(moved)}" if moved else "ok"
+
+
 def main() -> int:
     worlds = {
         "seed-0 ledger": ([(0, {}, None)], GOLDEN_SEED0_LEDGER),
@@ -207,6 +254,9 @@ def main() -> int:
     result = export_result()
     failed = failed or result != "ok"
     print(f"python {version}: seed-0 exports: {result}")
+    result = primitives_result()
+    failed = failed or result != "ok"
+    print(f"python {version}: primitives: {result}")
     return 1 if failed else 0
 
 
