@@ -15,15 +15,9 @@ other name is imported from its module.
 """
 from __future__ import annotations
 
-from .domain import ConfigError, WorldConfig, init_world
+from .domain import ConfigError, DegradationScenario, WorldConfig, init_world
 from .ledger import Block, Chain, LedgerError, verify_dump_bytes
-from .sim import (
-    DegradationScenario,
-    ExperimentState,
-    compute_visibility,
-    emit_transactions,
-    run_experiment,
-)
+from .sim import ExperimentState, compute_visibility, emit_transactions, run_experiment
 
 __version__ = "0.1.0"
 

@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import ledger
-from .domain import MAX_ROBOTS, WorldConfig
-from .sim import DegradationScenario, ExperimentState, run_experiment
+from .domain import MAX_ROBOTS, ConfigError, DegradationScenario, WorldConfig
+from .sim import ExperimentState, run_experiment
 
 # Flag/config-file key -> (WorldConfig field, --help text); the flag is the
 # key with "-" for "_", and its value has the type of the field's default.
@@ -40,10 +40,6 @@ LEDGER_FILE = "ledger.jsonl"
 TRAJECTORIES_FILE = "trajectories.csv"
 TIMESERIES_FILE = "timeseries.csv"
 SUMMARY_FILE = "summary.json"
-
-
-class UsageError(ValueError):
-    """Bad flag or config-file value; maps to exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,12 +84,12 @@ def _parse_pair(value, key: str) -> tuple[int, int]:
         try:
             a, b = (int(p) for p in value.split(","))
         except ValueError:
-            raise UsageError(f"{key} must be two comma-separated integers, got {value!r}") from None
+            raise ConfigError(f"{key} must be two comma-separated integers, got {value!r}") from None
         return a, b
     # As for integer config keys: no bool, no float, no string.
     if isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value):
         return value[0], value[1]
-    raise UsageError(f"config key '{key}' must be two integers, got {value!r}")
+    raise ConfigError(f"config key '{key}' must be two integers, got {value!r}")
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -112,21 +108,21 @@ def load_config_file(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise UsageError(f"config file {path}: cannot read ({exc.strerror or exc})") from None
+        raise ConfigError(f"config file {path}: cannot read ({exc.strerror or exc})") from None
     except UnicodeDecodeError as exc:
-        raise UsageError(f"config file {path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+        raise ConfigError(f"config file {path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path}: invalid JSON ({exc})") from None
+        raise ConfigError(f"config file {path}: invalid JSON ({exc})") from None
     except ValueError as exc:  # a repeated key, or an integer longer than int() converts
-        raise UsageError(f"config file {path}: {exc}") from None
+        raise ConfigError(f"config file {path}: {exc}") from None
     if not isinstance(data, dict):
-        raise UsageError(f"config file {path}: expected a JSON object")
+        raise ConfigError(f"config file {path}: expected a JSON object")
     known = set(CONFIG_KEYS) | set(SCENARIO_KEYS)
     for key in data:
         if key not in known:
-            raise UsageError(f"config file {path}: unknown key '{key}'")
+            raise ConfigError(f"config file {path}: unknown key '{key}'")
     return data
 
 
@@ -137,34 +133,30 @@ class RunRequest(NamedTuple):
 
 
 def parse_config(args: argparse.Namespace) -> RunRequest:
-    """Merge defaults, config file, and flags into a validated request."""
-    file_values = load_config_file(args.config) if args.config else {}
-    overrides = {}
-    for key, (field, _) in CONFIG_KEYS.items():
+    """Merge defaults, config file, and flags into a validated request.
+
+    A key in the config file counts as given whatever its value, JSON null
+    included, and a flag that was given overrides it. Every given value is
+    checked, world keys and scenario keys alike.
+    """
+    values = load_config_file(args.config) if args.config else {}
+    for key in (*CONFIG_KEYS, *SCENARIO_KEYS):
         flag = getattr(args, key)
         if flag is not None:
-            overrides[field] = flag
-        elif key in file_values:
-            overrides[field] = file_values[key]
-    config = WorldConfig(**overrides)
-
-    scenario_values = {}
-    for key in SCENARIO_KEYS:
-        flag = getattr(args, key)
-        value = flag if flag is not None else file_values.get(key)
-        if value is not None:
-            scenario_values[key] = value
+            values[key] = flag
+    config = WorldConfig(**{field: values[key] for key, (field, _) in CONFIG_KEYS.items()
+                            if key in values})
     scenario = None
-    if scenario_values:
-        missing = [k for k in SCENARIO_KEYS if k not in scenario_values]
+    if any(key in values for key in SCENARIO_KEYS):
+        missing = [key for key in SCENARIO_KEYS if key not in values]
         if missing:
-            raise UsageError(
+            raise ConfigError(
                 "degradation scenario needs all of --degrade-pair, --degrade-loops, "
                 f"--degrade-factor; missing {', '.join(missing)}"
             )
-        pair = _parse_pair(scenario_values["degrade_pair"], "degrade_pair")
-        start, end = _parse_pair(scenario_values["degrade_loops"], "degrade_loops")
-        scenario = DegradationScenario(pair, start, end, scenario_values["degrade_factor"])
+        pair = _parse_pair(values["degrade_pair"], "degrade_pair")
+        start, end = _parse_pair(values["degrade_loops"], "degrade_loops")
+        scenario = DegradationScenario(pair, start, end, values["degrade_factor"])
         scenario.check_against(config)
     return RunRequest(config=config, scenario=scenario, out_dir=args.out)
 
@@ -285,18 +277,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
 
-    # A plain --verify checks robot ids against MAX_ROBOTS, the largest
-    # team; with --robots or --config, against the team a run would resolve.
-    if args.verify is not None and args.robots is None and args.config is None:
-        return verify_dump(args.verify)
     try:
         request = parse_config(args)
-    except ValueError as exc:
-        # UsageError, ConfigError, and bad pair values all land here.
+    except ConfigError as exc:
         print(f"stakenav: error: {exc}", file=sys.stderr)
         return 1
     if args.verify is not None:
-        return verify_dump(args.verify, request.config.n_robots)
+        # Robot ids are checked against the team a run would resolve when
+        # --robots or --config gives one, and otherwise against MAX_ROBOTS.
+        given = args.robots is not None or args.config is not None
+        return verify_dump(args.verify, request.config.n_robots if given else MAX_ROBOTS)
     try:
         run_and_export(request)
     except OSError as exc:

@@ -1,5 +1,8 @@
-"""Core value types: world configuration, random streams, world placement.
+"""Core value types: world configuration, degradation scenario, random
+streams, world placement.
 
+Every input of a run is checked here, when its `WorldConfig` or
+`DegradationScenario` is built; a bad value raises `ConfigError` naming it.
 All randomness in the package flows through :class:`RandomStreams`, a set of
 independent generators derived from a single root seed. Each concern
 (placement, movement, quality, election) gets its own stream, so adding draws
@@ -19,6 +22,14 @@ from typing import NamedTuple
 MAX_SEED = 2**64 - 1
 # Largest step size whose draw span, 2 * step_size, is still finite.
 MAX_STEP = sys.float_info.max / 2
+# Bounds on the lengths in the distance test dx * dx + dy * dy <= radius_sq.
+# A width and height of at most 2**511 bound each |dx| and |dy| by it, so the
+# sum is at most 2**1023 and finite, as is radius_sq. A radius of at least
+# 2**-511 makes radius_sq at least 2**-1022, a normal float. Each square that
+# underflows is then off by at most 2**-1075, half the last bit of the least
+# radius_sq, so the test decides the Euclidean rule up to rounding.
+MAX_LENGTH = 2.0**511
+MIN_RADIUS = 2.0**-511
 # Team and landmark bounds that keep a run's memory finite: the seal state holds
 # a row of n shared floats per robot with sealed history, at most about 134 MB
 # at 4096 robots, and the landmark grid one entry per landmark.
@@ -44,10 +55,10 @@ def ordered_sum(values) -> float:
 
 
 class ConfigError(ValueError):
-    """A configuration field violates its constraints."""
+    """A setting, flag or config file violates its constraints."""
 
 
-def check_finite(name: str, value) -> None:
+def _check_finite(name: str, value) -> None:
     """ConfigError unless `value` is a finite number that a float can hold."""
     try:
         finite = math.isfinite(value)
@@ -57,7 +68,7 @@ def check_finite(name: str, value) -> None:
         raise ConfigError(f"{name} must be finite, got {value}")
 
 
-def checked_setting(name: str, value, kind: type) -> int | float:
+def _checked_setting(name: str, value, kind: type) -> int | float:
     """`value` as a setting of `kind`, int or float; ConfigError otherwise.
 
     An int setting takes only an int, and a float setting a finite int or
@@ -70,7 +81,7 @@ def checked_setting(name: str, value, kind: type) -> int | float:
         )
     if kind is int:
         return value
-    check_finite(name, value)
+    _check_finite(name, value)
     return float(value) or 0.0  # -0.0 is false
 
 
@@ -111,7 +122,7 @@ class WorldConfig(_WorldFields):
     def __new__(cls, *args, **kwargs):
         given = _WorldFields(*args, **kwargs)
         self = super().__new__(cls, *(
-            checked_setting(name, value, type(default))
+            _checked_setting(name, value, type(default))
             for (name, default), value in zip(_WorldFields._field_defaults.items(), given)
         ))
         if not self.width > 0:
@@ -133,6 +144,11 @@ class WorldConfig(_WorldFields):
             )
         if not self.sensing_radius > 0:
             raise ConfigError(f"sensing_radius must be > 0, got {self.sensing_radius}")
+        for name in ("width", "height", "sensing_radius"):
+            if getattr(self, name) > MAX_LENGTH:
+                raise ConfigError(f"{name} must be <= {MAX_LENGTH!r}, got {getattr(self, name)}")
+        if self.sensing_radius < MIN_RADIUS:
+            raise ConfigError(f"sensing_radius must be >= {MIN_RADIUS!r}, got {self.sensing_radius}")
         if self.step_size < 0:
             raise ConfigError(f"step_size must be >= 0, got {self.step_size}")
         if not math.isfinite(2.0 * self.step_size):
@@ -150,6 +166,57 @@ class WorldConfig(_WorldFields):
         return self
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so `_replace` checks too
+
+
+class _ScenarioFields(NamedTuple):
+    pair: tuple[int, int]
+    start_loop: int
+    end_loop: int
+    multiplier: float
+
+
+class DegradationScenario(_ScenarioFields):
+    """Multiply one pair's drawn match qualities during a window of loops.
+
+    The window [start_loop, end_loop] is inclusive over 0-based loop indices.
+    The pair and the loops take ints, the multiplier an int or a float, which
+    is stored as a float; any other value raises ConfigError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, pair: tuple[int, int], start_loop: int, end_loop: int, multiplier: float):
+        if type(pair) not in (tuple, list) or [type(robot) for robot in pair] != [int, int]:
+            raise ConfigError(f"pair must be two integers, got {pair!r}")
+        try:
+            pair = normalize_pair(*pair)
+        except InvalidPairError as exc:
+            raise ConfigError(str(exc)) from None
+        for name, value in (("start_loop", start_loop), ("end_loop", end_loop)):
+            _checked_setting(name, value, int)
+            _check_finite(name, value)
+        multiplier = _checked_setting("multiplier", multiplier, float)
+        self = super().__new__(cls, pair, start_loop, end_loop, multiplier)
+        if self.start_loop < 0:
+            raise ConfigError(f"start_loop must be >= 0, got {self.start_loop}")
+        if self.end_loop < self.start_loop:
+            raise ConfigError(
+                f"end_loop must be >= start_loop, got [{self.start_loop}, {self.end_loop}]"
+            )
+        if not 0.0 <= self.multiplier < 1.0:
+            raise ConfigError(f"multiplier must be in [0, 1), got {self.multiplier}")
+        return self
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so `_replace` checks too
+
+    def active(self, loop_index: int) -> bool:
+        return self.start_loop <= loop_index <= self.end_loop
+
+    def check_against(self, config: WorldConfig) -> None:
+        if self.end_loop >= config.loops:
+            raise ConfigError(f"end_loop must be < loops ({config.loops}), got {self.end_loop}")
+        if self.pair[1] >= config.n_robots:
+            raise ConfigError(f"pair {self.pair} out of range for {config.n_robots} robots")
 
 
 def derive_stream(seed: int, label: str) -> random.Random:

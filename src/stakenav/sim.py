@@ -43,19 +43,8 @@ from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from itertools import accumulate
 from random import Random
-from typing import NamedTuple
 
-from .domain import (
-    ConfigError,
-    InvalidPairError,
-    RandomStreams,
-    WorldConfig,
-    check_finite,
-    checked_setting,
-    init_world,
-    normalize_pair,
-    ordered_sum,
-)
+from .domain import DegradationScenario, RandomStreams, WorldConfig, init_world, ordered_sum
 from .ledger import Block, Chain, Observation, Reward
 
 # Shared-transaction count at which a pair's importance saturates; counts are
@@ -64,61 +53,6 @@ IMPORTANCE_LEVELS = 10
 # min(c, L) / L for c in 0..L, and each level's successor after one more record.
 _IMPORTANCE = [c / IMPORTANCE_LEVELS for c in range(IMPORTANCE_LEVELS + 1)]
 _NEXT_IMPORTANCE = dict(zip(_IMPORTANCE, _IMPORTANCE[1:] + _IMPORTANCE[-1:]))
-
-
-class _ScenarioFields(NamedTuple):
-    pair: tuple[int, int]
-    start_loop: int
-    end_loop: int
-    multiplier: float
-
-
-class DegradationScenario(_ScenarioFields):
-    """Multiply one pair's drawn match qualities during a window of loops.
-
-    The window [start_loop, end_loop] is inclusive over 0-based loop indices.
-    The pair and the loops take ints, the multiplier an int or a float, which
-    is stored as a float; any other value raises ConfigError.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, pair: tuple[int, int], start_loop: int, end_loop: int, multiplier: float):
-        if type(pair) not in (tuple, list) or [type(robot) for robot in pair] != [int, int]:
-            raise ConfigError(f"pair must be two integers, got {pair!r}")
-        try:
-            pair = normalize_pair(*pair)
-        except InvalidPairError as exc:
-            raise ConfigError(str(exc)) from None
-        for name, value in (("start_loop", start_loop), ("end_loop", end_loop)):
-            checked_setting(name, value, int)
-            check_finite(name, value)
-        multiplier = checked_setting("multiplier", multiplier, float)
-        self = super().__new__(cls, pair, start_loop, end_loop, multiplier)
-        if self.start_loop < 0:
-            raise ConfigError(f"start_loop must be >= 0, got {self.start_loop}")
-        if self.end_loop < self.start_loop:
-            raise ConfigError(
-                f"end_loop must be >= start_loop, got [{self.start_loop}, {self.end_loop}]"
-            )
-        if not 0.0 <= self.multiplier < 1.0:
-            raise ConfigError(f"multiplier must be in [0, 1), got {self.multiplier}")
-        return self
-
-    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so `_replace` checks too
-
-    def active(self, loop_index: int) -> bool:
-        return self.start_loop <= loop_index <= self.end_loop
-
-    def check_against(self, config: WorldConfig) -> None:
-        if self.end_loop >= config.loops:
-            raise ConfigError(
-                f"end_loop must be < loops ({config.loops}), got {self.end_loop}"
-            )
-        if self.pair[1] >= config.n_robots:
-            raise ConfigError(
-                f"pair {self.pair} out of range for {config.n_robots} robots"
-            )
 
 
 class SealState:
@@ -322,8 +256,8 @@ def _landmark_grid(
     The prune is conservative: the distance test alone decides, and no
     landmark it would accept lies outside the robot's neighbourhood. The test
     accepts only if dx * dx <= radius_sq (the dy term can only add), so
-    |dx| <= sqrt(radius_sq) up to rounding, or |dx| < 2**-511, below which
-    dx * dx leaves the normal float range and rounds by an absolute amount.
+    |dx| <= sqrt(radius_sq) up to rounding, since `WorldConfig`'s length
+    bounds keep both sides finite and radius_sq normal (see `domain.MAX_LENGTH`).
     The cell is at least 1.0001 times that reach, a margin far above
     rounding, so the exact quotients x / size of robot and landmark differ
     by less than one and their floors by at most one; likewise for y. Float
@@ -332,7 +266,7 @@ def _landmark_grid(
     ensures, and `int()` of that exact floor is exact.
     """
     radius_sq = config.sensing_radius * config.sensing_radius
-    reach = max(math.sqrt(radius_sq), 2.0**-511) * 1.0001
+    reach = math.sqrt(radius_sq) * 1.0001
     size = max(reach, max(config.width, config.height) / 2**40)
     stride = int(config.height // size) + 3
     cells: _Cells = {}

@@ -217,6 +217,9 @@ def test_non_integer_pair_in_config_file_exits_one(tmp_path, capsys, key, value)
          "config key 'degrade_pair' must be two integers, got [2]"),
         ({"degrade_pair": [2, 7], "degrade_loops": [4, 5, 6], "degrade_factor": 0.1},
          "config key 'degrade_loops' must be two integers, got [4, 5, 6]"),
+        # A key that is present counts as given, even as null.
+        ({"degrade_pair": None, "degrade_loops": None, "degrade_factor": None},
+         "config key 'degrade_pair' must be two integers, got None"),
     ],
 )
 def test_wrong_type_in_config_file_exits_one_naming_the_field(tmp_path, capsys, values, message):
@@ -246,6 +249,24 @@ def test_stake_overflow_exits_two_and_writes_nothing(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("stakenav: error: total stake overflowed")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extent,radius,message",
+    [
+        ("1e300", "1e160", "width must be <= 6.703903964971299e+153, got 1e+300"),
+        ("1e-300", "1e-310", "sensing_radius must be >= 1.4916681462400413e-154, got 1e-310"),
+    ],
+)
+def test_lengths_beyond_the_distance_test_exit_one(tmp_path, capsys, extent, radius, message):
+    # The two worlds' squared distances overflow to inf against an inf
+    # radius_sq, or underflow to 0.0, so every robot would see every landmark.
+    out = tmp_path / "out"
+    argv = ["--robots", "4", "--landmarks", "8", "--seed", "3", "--width", extent,
+            "--height", extent, "--radius", radius, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"stakenav: error: {message}\n"
     assert not out.exists()
 
 
@@ -551,6 +572,10 @@ def test_verify_checks_robot_ids_against_the_team_size_it_is_given(tmp_path, cap
     ledger.write_bytes(relinked_dump(records))
     assert main(["--verify", str(ledger)]) == 0  # below MAX_ROBOTS
     assert capsys.readouterr().out == f"{ledger}: valid\n"
+    assert main(["--verify", str(ledger), "--degrade-pair", "0,1"]) == 1  # as for a run
+    assert capsys.readouterr().err.startswith(
+        "stakenav: error: degradation scenario needs all of"
+    )
     config = tmp_path / "run.json"
     config.write_text('{"robots": 10}')
     for team in (["--robots", "10"], ["--config", str(config)]):

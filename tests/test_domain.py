@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from stakenav import ConfigError, DegradationScenario, ExperimentState, WorldConfig, init_world
 from stakenav.domain import (
     MAX_LANDMARKS,
+    MAX_LENGTH,
     MAX_POSITIONS,
     MAX_ROBOTS,
+    MIN_RADIUS,
     InvalidPairError,
     RandomStreams,
     derive_stream,
@@ -51,6 +54,9 @@ def test_default_config_values():
         ("n_robots", MAX_ROBOTS + 1),
         ("n_landmarks", MAX_LANDMARKS + 1),
         ("loops", MAX_POSITIONS),
+        # Lengths at which the distance test leaves the float range.
+        ("width", 1e300),
+        ("sensing_radius", 1e-310),
         # Integers that no float can hold.
         pytest.param("width", 10**400, id="width-beyond-float"),
         pytest.param("generator_reward", 10**400, id="generator_reward-beyond-float"),
@@ -88,8 +94,21 @@ def test_step_size_bound_keeps_the_draw_span_finite():
         WorldConfig(step_size=math.nextafter(largest, math.inf))
 
 
+def test_length_bounds_are_inclusive():
+    config = WorldConfig(width=MAX_LENGTH, height=MAX_LENGTH, sensing_radius=MIN_RADIUS)
+    assert (config.width, config.sensing_radius) == (2.0**511, 2.0**-511)
+    assert WorldConfig(sensing_radius=MAX_LENGTH).sensing_radius == MAX_LENGTH
+    beyond = math.nextafter(MAX_LENGTH, math.inf)
+    for field in ("width", "height", "sensing_radius"):
+        with pytest.raises(ConfigError, match=re.escape(f"{field} must be <= {MAX_LENGTH!r}, got ")):
+            WorldConfig(**{field: beyond})
+    with pytest.raises(ConfigError, match=re.escape(f"sensing_radius must be >= {MIN_RADIUS!r}, got ")):
+        WorldConfig(sensing_radius=math.nextafter(MIN_RADIUS, 0.0))
+
+
 def test_team_and_landmark_bounds_are_inclusive():
-    # Only constructed, never run: a run at the bounds would take minutes.
+    # Only constructed, never run: no host could run it, since its first loop
+    # alone would hold billions of sightings.
     config = WorldConfig(n_robots=MAX_ROBOTS, n_landmarks=MAX_LANDMARKS)
     assert (config.n_robots, config.n_landmarks) == (4096, 2**20)
 

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from bisect import bisect_left
 from collections import Counter
+from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from stakenav.reference import (
     average_navigability,
     navigability_matrix,
 )
-from stakenav.domain import RandomStreams, derive_stream
+from stakenav.domain import MAX_LENGTH, MIN_RADIUS, RandomStreams, derive_stream
 from stakenav.sim import maybe_seal_blocks, step_movement
 from tests.test_ledger import pair_tx_counts
 
@@ -190,6 +191,44 @@ def test_compute_visibility_grid_boundaries():
     assert [(tx.pair, [k for k, _ in tx.matches]) for tx in observations] == [((0, 1), [0, 2])]
     assert_distance_rule(state, observations, landmarks)
     assert state.min_common == 0 and state.max_common == 2
+
+
+# Robots a quarter step off the landmarks' grid of eighths, so that no squared
+# distance lies within rounding of the squared radius in the worlds below.
+BOUND_ROBOTS = [(1 / 32, 1 / 32), (17 / 32, 15 / 32), (31 / 32, 31 / 32),
+                (31 / 32, 1 / 32), (1 / 32, 31 / 32)]
+BOUND_LANDMARKS = [(a / 8, b / 8) for a in range(9) for b in range(9)]
+
+
+@pytest.mark.parametrize(
+    "extent,radius,scale",
+    [
+        (MAX_LENGTH, MAX_LENGTH, MAX_LENGTH),  # squares up to 2**1023
+        (1e-300, MIN_RADIUS, 1e-300),  # every square underflows to 0.0
+        (8 * MIN_RADIUS, MIN_RADIUS, 8 * MIN_RADIUS),  # squares about 2**-1022
+        (MAX_LENGTH, MIN_RADIUS, 8 * MIN_RADIUS),  # the same, in clamped cells
+    ],
+    ids=["largest", "smallest", "least-radius", "widest-ratio"],
+)
+def test_distance_rule_is_exact_at_the_length_bounds(extent, radius, scale):
+    # Exact rational distances against the engine's float test, at the
+    # lengths `WorldConfig` admits at its bounds.
+    config = WorldConfig(n_robots=len(BOUND_ROBOTS), n_landmarks=len(BOUND_LANDMARKS),
+                         width=extent, height=extent, sensing_radius=radius, seed=3)
+    robots = [(x * scale, y * scale) for x, y in BOUND_ROBOTS]
+    landmarks = [(x * scale, y * scale) for x, y in BOUND_LANDMARKS]
+    radius_sq = Fraction(radius) ** 2
+    seen = []
+    for rx, ry in robots:
+        dist_sq = [(Fraction(rx) - Fraction(lx)) ** 2 + (Fraction(ry) - Fraction(ly)) ** 2
+                   for lx, ly in landmarks]
+        assert all(abs(d - radius_sq) > radius_sq / 2**40 for d in dist_sq)
+        seen.append({k for k, d in enumerate(dist_sq) if d <= radius_sq})
+    n = len(robots)
+    expected = [((i, j), sorted(seen[i] & seen[j]))
+                for i in range(n) for j in range(i + 1, n) if seen[i] & seen[j]]
+    observations = compute_visibility(hand_placed_state(config, robots, landmarks))
+    assert [(tx.pair, [k for k, _ in tx.matches]) for tx in observations] == expected
 
 
 def test_compute_visibility_grid_in_a_huge_world():
@@ -605,7 +644,7 @@ def drawn_runs(draw):
         width=width,
         height=height,
         loops=draw(st.integers(0, 4)),
-        sensing_radius=draw(st.floats(0.0, 5.0 * extent, exclude_min=True)),
+        sensing_radius=draw(st.floats(MIN_RADIUS, 5.0 * extent)),
         step_size=draw(st.floats(0.0, extent)),
         block_size=draw(st.integers(1, 6)),
         seed=draw(st.integers(0, 2**32)),
