@@ -106,7 +106,8 @@ def load_config_file(path: str) -> dict:
     """Read a JSON config file and reject keys this tool does not know, or
     any key given twice, which JSON would otherwise resolve to the last."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:  # Path("") would read "."
+            text = file.read()
     except OSError as exc:
         raise ConfigError(f"config file {path}: cannot read ({exc.strerror or exc})") from None
     except UnicodeDecodeError as exc:
@@ -115,7 +116,7 @@ def load_config_file(path: str) -> dict:
         data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path}: invalid JSON ({exc})") from None
-    except ValueError as exc:  # a repeated key, or an integer longer than int() converts
+    except (ValueError, RecursionError) as exc:  # a repeated key, a huge integer, deep nesting
         raise ConfigError(f"config file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path}: expected a JSON object")
@@ -139,7 +140,7 @@ def parse_config(args: argparse.Namespace) -> RunRequest:
     included, and a flag that was given overrides it. Every given value is
     checked, world keys and scenario keys alike.
     """
-    values = load_config_file(args.config) if args.config else {}
+    values = load_config_file(args.config) if args.config is not None else {}
     for key in (*CONFIG_KEYS, *SCENARIO_KEYS):
         flag = getattr(args, key)
         if flag is not None:

@@ -31,8 +31,8 @@ MAX_STEP = sys.float_info.max / 2
 MAX_LENGTH = 2.0**511
 MIN_RADIUS = 2.0**-511
 # Team and landmark bounds that keep a run's memory finite: the seal state holds
-# a row of n shared floats per robot with sealed history, at most about 134 MB
-# at 4096 robots, and the landmark grid one entry per landmark.
+# about 73 B per pair with a sealed observation, at most about 0.6 GB at 4096
+# robots, and the landmark grid one entry per landmark.
 MAX_ROBOTS = 4096
 MAX_LANDMARKS = 2**20
 # A run's trajectory holds n_robots * (loops + 1) positions, which take about

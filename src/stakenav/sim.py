@@ -20,10 +20,11 @@ the landmarks of its own cell and the eight around it. Each sighting also
 sets the robot's bit in the landmark's mask of seers, and a robot's partners
 are the OR of the masks of the landmarks it sees, so a pair that shares
 nothing is never visited. A seal sums navigability over live terms only:
-pairs that share a landmark this loop and have sealed history (see
-`SealState`). The election sees only robots with a live term. A skipped
-distance test could only have failed, and a skipped pair, term or robot
-could only have added an exact zero: the bytes are the full quadratic pass's.
+pairs that share a landmark this loop and have sealed history, which is
+kept only for pairs that sealed together (see `SealState`). The election
+sees only robots with a live term. A skipped distance test could only have
+failed, and a skipped pair, term or robot could only have added an exact
+zero: the bytes are the full quadratic pass's.
 
 A loop's observation records are all that `compute_visibility` hands on,
 each built once around its drawn (landmark id, quality) tuples. The seal
@@ -59,11 +60,11 @@ class SealState:
     """Seal-time navigability of one run: pair history and this loop's live terms.
 
     `alpha[i][j]` is pair (i, j)'s importance, min(c, 10) / 10 after c sealed
-    observations, one of the eleven levels in `_IMPORTANCE`. This symmetric
-    n x n list is the run's one record of pair history, and its rows are
-    written only by `record`. Robots with no history share one row of zeros,
-    which is never written; `record` gives a robot its own copy at its first
-    sealed observation, so only robots with history cost a row of n entries.
+    observations, one of the eleven levels in `_IMPORTANCE`. `alpha` maps
+    robot -> {partner: level} for each pair `record` has counted, both ways
+    with one level float, and is the run's one record of pair history: any
+    other pair's importance is 0.0. It grows with the pairs that sealed, not
+    with n^2, and the cyclic garbage collector does not track its dicts.
 
     `_rows`, built by `start_loop` from the loop's records, lists each robot
     with live terms once, as (robot, row) ascending by robot id, and
@@ -77,9 +78,8 @@ class SealState:
     row, so `sorted` and `insort` never compare a row or a quality sum.
     """
 
-    def __init__(self, n_robots: int):
-        self._zeros = [0.0] * n_robots
-        self.alpha = [self._zeros] * n_robots
+    def __init__(self):
+        self.alpha: defaultdict[int, dict[int, float]] = defaultdict(dict)
         self._rows: list[tuple[int, list[tuple[int, float]]]] = []
         self._index: dict[int, list[tuple[int, float]]] = {}
         # (i, j) -> pair quality sum of cooperating pairs with no history.
@@ -100,7 +100,7 @@ class SealState:
             total = 0.0
             for _, q in record.matches:
                 total += q
-            if alpha[i][j]:
+            if j in alpha.get(i, ()):
                 rows[i].append((j, total))
                 rows[j].append((i, total))
             else:
@@ -112,20 +112,14 @@ class SealState:
     def record(self, pairs: Iterable[tuple[int, int]]) -> None:
         """Count one sealed observation for each (i, j) pair, i < j."""
         alpha = self.alpha
-        zeros = self._zeros
         cold = self._cold
         for pair in pairs:
             i, j = pair
-            level = alpha[i][j]
-            if not level:  # a first record; a pair with history owns both rows
-                if alpha[i] is zeros:
-                    alpha[i] = zeros[:]
-                if alpha[j] is zeros:
-                    alpha[j] = zeros[:]
-                if pair in cold:
-                    total = cold.pop(pair)
-                    insort(self._row(i), (j, total))
-                    insort(self._row(j), (i, total))
+            level = alpha[i].get(j, 0.0)
+            if not level and pair in cold:  # a cooperating pair's first record
+                total = cold.pop(pair)
+                insort(self._row(i), (j, total))
+                insort(self._row(j), (i, total))
             alpha[i][j] = alpha[j][i] = _NEXT_IMPORTANCE[level]
 
     def _row(self, robot: int) -> list[tuple[int, float]]:
@@ -197,7 +191,7 @@ class ExperimentState:
         self.min_common: int | None = None
         # Pair history and this loop's live navigability terms; sealed
         # averages replay the reference oracle's sums bit for bit.
-        self.seal = SealState(config.n_robots)
+        self.seal = SealState()
         size, self._stride, cells = _landmark_grid(config, landmarks)
         self._grid = size, cells
 

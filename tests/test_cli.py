@@ -82,6 +82,9 @@ def test_config_file_with_a_repeated_key_exits_one(tmp_path, capsys):
         ("long-integer", "Exceeds the limit (4300 digits) for integer string conversion: "
                          "value has 5001 digits; use sys.set_int_max_str_digits() "
                          "to increase the limit"),
+        ("nested", "maximum recursion depth exceeded while decoding a JSON array "
+                   "from a unicode string"),
+        ("empty-path", "cannot read (No such file or directory)"),
     ],
 )
 def test_unreadable_config_file_exits_one_without_traceback(tmp_path, kind, reason):
@@ -92,6 +95,10 @@ def test_unreadable_config_file_exits_one_without_traceback(tmp_path, kind, reas
         path.write_bytes(b"\xff{}")
     elif kind == "long-integer":
         path.write_text('{"width": 1' + "0" * 5000 + "}")
+    elif kind == "nested":
+        path.write_text('{"robots": ' + "[" * 200000 + "]" * 200000 + "}")
+    elif kind == "empty-path":
+        path = ""
     # A separate interpreter, so an uncaught error would print its traceback.
     src = str(Path(__file__).resolve().parents[1] / "src")
     paths = [src, os.environ.get("PYTHONPATH", "")]

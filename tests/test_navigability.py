@@ -20,6 +20,19 @@ from stakenav.sim import SealState
 from tests.test_consensus import random_snapshot
 
 
+def dense_alpha(seal, n):
+    """`seal.alpha` as the n x n list of importances. Checks first that the
+    map holds no empty row and no stored 0.0, and that each pair holds one
+    level float in both directions."""
+    for i, partners in seal.alpha.items():
+        assert partners, f"robot {i} holds an empty row"
+        for j, level in partners.items():
+            assert 0 <= i < n and 0 <= j < n and i != j, (i, j)
+            assert level != 0.0, (i, j)
+            assert seal.alpha.get(j, {}).get(i) is level, (i, j)
+    return [[seal.alpha.get(i, {}).get(j, 0.0) for j in range(n)] for i in range(n)]
+
+
 def random_alpha(rng, n):
     counts = {}
     for i in range(n):
@@ -167,7 +180,7 @@ def test_seal_state_weights_match_matrix_row_sums_bit_for_bit(seed):
     rng = random.Random(seed)
     n, m = rng.randint(2, 8), rng.randint(0, 9)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    seal = SealState(n)
+    seal = SealState()
     counts = {}
 
     def check(snap):
@@ -182,7 +195,7 @@ def test_seal_state_weights_match_matrix_row_sums_bit_for_bit(seed):
         for i in set(range(n)) - live:
             assert matrix.row_sum(i).hex() == (0.0).hex()
         assert average.hex() == average_navigability(matrix).hex()
-        assert seal.alpha == alpha.values
+        assert dense_alpha(seal, n) == alpha.values
 
     for _ in range(4):  # loops
         snap = random_snapshot(rng, n, m)
@@ -201,42 +214,46 @@ def test_seal_state_weights_match_matrix_row_sums_bit_for_bit(seed):
 
 
 def test_seal_state_alpha_steps_through_eleven_shared_levels():
-    seal = SealState(3)
+    seal = SealState()
     for k in range(13):
         expected = min(k, 10) / 10
-        assert seal.alpha[0][2].hex() == seal.alpha[2][0].hex() == expected.hex()
-        assert seal.alpha[0][2] is seal.alpha[1][2]  # one float per level
-        assert seal.alpha[0][1] == 0.0
+        alpha = dense_alpha(seal, 3)
+        assert alpha[0][2].hex() == alpha[2][0].hex() == expected.hex()
+        assert alpha[0][1] == 0.0
+        if k:
+            assert seal.alpha[0][2] is seal.alpha[1][2]  # one float per level
         seal.record([(0, 2), (1, 2)])
 
 
 def test_seal_state_writes_only_the_rows_of_robots_with_history():
-    seal = SealState(4)
+    seal = SealState()
     seal.record([(0, 1)])
-    assert seal.alpha[2] == seal.alpha[3] == [0.0] * 4
-    assert seal.alpha == AlphaMatrix.from_pair_counts({(0, 1): 1}, 4).values
+    assert sorted(seal.alpha) == [0, 1]
+    assert dense_alpha(seal, 4) == AlphaMatrix.from_pair_counts({(0, 1): 1}, 4).values
 
 
-def test_seal_state_holds_one_list_of_pair_history():
-    # Every pair recorded once: one n x n list of pointers to shared floats,
-    # where a second list of counts and a float per pair took 7.4 MB.
+def test_seal_state_holds_pair_history_per_recorded_pair():
+    # Every pair recorded once, the densest history a team can hold: about
+    # 73 B per pair, one dict slot and key for each direction. An n x n list
+    # of shared floats took 16 B per pair, but n pointers for every robot
+    # with history, however few partners it has.
     n = 512
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     tracemalloc.start()
     try:
-        seal = SealState(n)
+        seal = SealState()
         seal.record(pairs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.1 * n * n * 8
+    assert peak <= 80 * len(pairs)
     assert seal.alpha[0][1] == seal.alpha[n - 1][n - 2] == 0.1
 
 
 def test_seal_state_keeps_rows_only_for_robots_with_live_terms():
     # One row per robot would cost n lists on every loop, however few
-    # robots cooperate: that peaked at 641 KiB here. Pair history alone,
-    # the shared zeros, alpha and two robots' own rows, takes 128 KiB.
+    # robots cooperate: that peaked at 641 KiB here. One pair's history and
+    # two robots' rows take under 3 KiB.
     n = 4096
     pairs = [
         Observation((0, 1), [(0, 0.5)], 0),
@@ -245,7 +262,7 @@ def test_seal_state_keeps_rows_only_for_robots_with_live_terms():
     ]
     tracemalloc.start()
     try:
-        seal = SealState(n)
+        seal = SealState()
         seal.start_loop(pairs)
         seal.record([(7, 4000)])  # joins the rows mid-loop
         seal.start_loop(pairs)
@@ -269,7 +286,7 @@ def test_seal_state_keeps_rows_only_for_robots_with_live_terms():
         Observation((7, 11), [(2, 0.25), (5, 0.625)], 0),
         Observation((9, 10), [(3, 0.875)], 0),
     ]
-    seal = SealState(n)
+    seal = SealState()
     seal.record([(7, 11)])
     seal.start_loop(records)
     seal.record([(9, 10), (7, 9), (2, 3), (0, 1)])

@@ -150,14 +150,14 @@ def test_check_determinism_reports_a_dump_that_does_not_load(monkeypatch, capsys
     monkeypatch.setattr(tool, "run_experiment", lambda config, scenario: garbled)
     assert tool.main() == 1
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 10
-    first_seeds = [0] * 6 + [tool.CROSS_CELL_SEED, tool.drawn_runs()[0][0]]
-    for line, seed in zip(lines[:8], first_seeds):
+    assert len(lines) == 11
+    first_seeds = [0] * 6 + [tool.CROSS_CELL_SEED, tool.drawn_runs()[0][0], tool.TEAM_4096_SEED]
+    for line, seed in zip(lines[:9], first_seeds, strict=True):
         assert ": MISMATCH " in line
         assert line.endswith(f"; seed {seed} does not load: block 0: Expecting value: "
                              "line 1 column 1 (char 0)")
     # The exports come from the CLI's own run, which the patch leaves alone.
-    assert lines[8].endswith(": seed-0 exports: ok")
+    assert lines[9].endswith(": seed-0 exports: ok")
 
 
 def test_check_determinism_names_each_primitive_that_moved(monkeypatch, capsys):
@@ -167,9 +167,9 @@ def test_check_determinism_names_each_primitive_that_moved(monkeypatch, capsys):
     monkeypatch.setattr(tool, "canonical_encode", lambda obj: repr(obj).encode())
     assert tool.main() == 1
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 10
-    assert all(line.endswith(": ok") for line in lines[:9])
-    assert lines[9].endswith(": primitives: MISMATCH derive_stream seed, canonical_encode")
+    assert len(lines) == 11
+    assert all(line.endswith(": ok") for line in lines[:10])
+    assert lines[10].endswith(": primitives: MISMATCH derive_stream seed, canonical_encode")
 
 
 def test_check_determinism_runs_the_cli_verify_on_its_ledger_export(monkeypatch, capsys):
@@ -184,8 +184,8 @@ def test_check_determinism_runs_the_cli_verify_on_its_ledger_export(monkeypatch,
     monkeypatch.setattr(tool, "run_and_export", run_and_cut_the_last_newline)
     assert tool.main() == 1
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 10
-    assert all(line.endswith(": ok") for line in lines[:8])
-    assert ": seed-0 exports: MISMATCH ledger.jsonl " in lines[8]
+    assert len(lines) == 11
+    assert all(line.endswith(": ok") for line in lines[:9])
+    assert ": seed-0 exports: MISMATCH ledger.jsonl " in lines[9]
     assert re.search(r"; --verify exits 3: \S+ledger\.jsonl: invalid at block 30: "
-                     r"line does not end with a newline$", lines[8]), lines[8]
+                     r"line does not end with a newline$", lines[9]), lines[9]

@@ -37,6 +37,7 @@ from stakenav.reference import (
 from stakenav.domain import MAX_LENGTH, MIN_RADIUS, RandomStreams, derive_stream
 from stakenav.sim import maybe_seal_blocks, step_movement
 from tests.test_ledger import pair_tx_counts
+from tests.test_navigability import dense_alpha
 
 SMALL = WorldConfig(
     n_robots=4, n_landmarks=8, width=120.0, height=120.0,
@@ -375,30 +376,40 @@ def test_landmark_grid_lists_each_landmark_once():
     assert sum(map(len, cells.values())) == config.n_landmarks
 
 
-# Prints the peak resident set of a run of the largest team in which no pair
-# ever cooperates. It reads the process's own high-water mark, VmHWM: on Linux
-# getrusage's ru_maxrss carries the parent's peak over into a spawned child.
-NO_COOPERATION_PROBE = """
+# Prints the peak resident set of a run of the largest team, in a world given
+# as n_landmarks, extent, loops and the blocks it seals. It reads the
+# process's own high-water mark, VmHWM: on Linux getrusage's ru_maxrss
+# carries the parent's peak over into a spawned child.
+PEAK_PROBE = """
+import sys
 from stakenav import WorldConfig, run_experiment
-state = run_experiment(WorldConfig(n_robots=4096, n_landmarks=100, width=1e5, height=1e5,
-                                   loops=1, seed=0))
-assert not state.chain.blocks
+n_landmarks, extent, loops, blocks = map(int, sys.argv[1:])
+state = run_experiment(WorldConfig(n_robots=4096, n_landmarks=n_landmarks, width=extent,
+                                   height=extent, loops=loops, seed=0))
+assert len(state.chain.blocks) == blocks
 with open("/proc/self/status") as status:
     print(next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")))
 """
+# World -> bound on its peak, in MB.
+PEAK_WORLDS = {
+    # No pair ever cooperates: an n x n list of pair history peaked at 149 MB.
+    (100, 100000, 1, 0): 25,
+    # 200 blocks in 4 loops: a row of n floats per robot with history peaked at 64.6 MB.
+    (20000, 20000, 4, 200): 40,
+}
 
 
 def test_a_team_without_history_holds_no_row_of_pair_history():
-    # An n x n list of pair history made this run peak at 149 MB.
     if not os.path.exists("/proc/self/status"):
         pytest.skip("needs Linux's /proc/self/status")
     src = Path(__file__).resolve().parents[1] / "src"
-    result = subprocess.run(
-        [sys.executable, "-c", NO_COOPERATION_PROBE], capture_output=True, text=True,
-        timeout=120, env=dict(os.environ, PYTHONPATH=str(src)),
-    )
-    assert result.returncode == 0, result.stderr
-    assert int(result.stdout) <= 25 * 1024  # KiB
+    for world, peak_mb in PEAK_WORLDS.items():
+        result = subprocess.run(
+            [sys.executable, "-c", PEAK_PROBE, *map(str, world)], capture_output=True,
+            text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) <= peak_mb * 1024, world  # KiB
 
 
 def test_qualities_drawn_only_for_common_landmarks():
@@ -522,7 +533,7 @@ def test_alpha_mirrors_chain_history():
     state = run_experiment(WorldConfig(seed=9))
     counts = pair_tx_counts(state.chain.blocks)
     alpha = AlphaMatrix.from_pair_counts(counts, state.config.n_robots)
-    assert state.seal.alpha == alpha.values
+    assert dense_alpha(state.seal, state.config.n_robots) == alpha.values
 
 
 def test_degradation_scales_only_target_pair_in_window():

@@ -3,8 +3,8 @@
 Runs the default configuration for seed 0 and for seeds 0-19, plain and
 with pair (2, 7) degraded x0.1 in loops 4-6 (the paper's c10 run), two sparse
 worlds, a dense world and a cold-start world for seeds 0-4, one world whose
-robots change grid cell almost every loop, and 50 small worlds drawn from a
-fixed seed. It compares the SHA-256 of the ledger dumps with pinned values.
+robots change grid cell almost every loop, 50 small worlds drawn from a
+fixed seed, and the largest team in a world where it seals 200 blocks. It compares the SHA-256 of the ledger dumps with pinned values.
 Each dump must also load back with `Chain.loads`, which verifies it, and
 dump to the same bytes. Then exports the default seed-0 run as `stakenav
 --out DIR` does, into a temporary directory, compares the SHA-256 of each of
@@ -90,6 +90,11 @@ CROSS_CELL_DIGEST = "2a521c93e1c6ba231d286fd14425389be299fc20677b345dc6e42f14ae7
 DRAWN_SEED = 2027
 DRAWN_COUNT = 50
 DRAWN_DIGEST = "dfad9094eae750845f164b024689314ccfaafa4afffd110cc4cd1d7595eb2a6e"
+# The largest team, cooperating: 200 blocks in 4 loops give pair history to
+# robots across the team. 4096 robots, 20,000 landmarks, 2e4x2e4, seed 0.
+TEAM_4096_SEED = 0
+TEAM_4096 = dict(n_robots=4096, n_landmarks=20000, width=2e4, height=2e4, loops=4)
+TEAM_4096_DIGEST = "509dabd7deedebcdefbfbd6c2c7947662ea1d502c973553da3eeec27f32cc3a8"
 # SHA-256 of each file that `stakenav --out DIR` writes: the default config, seed 0.
 SEED0_EXPORTS = {
     "ledger.jsonl": GOLDEN_SEED0_LEDGER,
@@ -241,6 +246,9 @@ def main() -> int:
         "cold-start seeds 0-4 ledgers": ([(seed, COLD, None) for seed in COLD_SEEDS], COLD_DIGEST),
         "cross-cell seed 10 ledger": ([(CROSS_CELL_SEED, CROSS_CELL, None)], CROSS_CELL_DIGEST),
         f"{DRAWN_COUNT} drawn-world ledgers": (drawn_runs(), DRAWN_DIGEST),
+        "cooperating 4096-robot ledger": (
+            [(TEAM_4096_SEED, TEAM_4096, None)], TEAM_4096_DIGEST
+        ),
     }
     version = sys.version.split()[0]
     failed = False
