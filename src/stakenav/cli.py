@@ -42,19 +42,11 @@ TIMESERIES_FILE = "timeseries.csv"
 SUMMARY_FILE = "summary.json"
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; this tool reserves 2 for
-    # runtime failures, so remap to 1.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process and shared: parsing
     leaves it unchanged."""
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="stakenav",
         description="Simulate a stake-weighted robot team and export its cooperation ledger.",
     )
@@ -129,7 +121,6 @@ def load_config_file(path: str) -> dict:
 
 class RunRequest(NamedTuple):
     config: WorldConfig
-    scenario: DegradationScenario | None
     out_dir: str
 
 
@@ -138,7 +129,8 @@ def parse_config(args: argparse.Namespace) -> RunRequest:
 
     A key in the config file counts as given whatever its value, JSON null
     included, and a flag that was given overrides it. Every given value is
-    checked, world keys and scenario keys alike.
+    checked, world keys and scenario keys alike; the scenario keys become
+    the config's `degradation`.
     """
     values = load_config_file(args.config) if args.config is not None else {}
     for key in (*CONFIG_KEYS, *SCENARIO_KEYS):
@@ -147,7 +139,6 @@ def parse_config(args: argparse.Namespace) -> RunRequest:
             values[key] = flag
     config = WorldConfig(**{field: values[key] for key, (field, _) in CONFIG_KEYS.items()
                             if key in values})
-    scenario = None
     if any(key in values for key in SCENARIO_KEYS):
         missing = [key for key in SCENARIO_KEYS if key not in values]
         if missing:
@@ -158,8 +149,8 @@ def parse_config(args: argparse.Namespace) -> RunRequest:
         pair = _parse_pair(values["degrade_pair"], "degrade_pair")
         start, end = _parse_pair(values["degrade_loops"], "degrade_loops")
         scenario = DegradationScenario(pair, start, end, values["degrade_factor"])
-        scenario.check_against(config)
-    return RunRequest(config=config, scenario=scenario, out_dir=args.out)
+        config = config._replace(degradation=scenario)
+    return RunRequest(config=config, out_dir=args.out)
 
 
 def summarize(state: ExperimentState) -> dict:
@@ -210,7 +201,7 @@ def run_and_export(request: RunRequest) -> dict:
     leaves the files of an earlier run as they were.
     """
     started = time.perf_counter()
-    state = run_experiment(request.config, request.scenario)
+    state = run_experiment(request.config)
     duration = time.perf_counter() - started
     # Raises ValueError if the last reward made the stake total overflow,
     # before any file is opened.
@@ -252,11 +243,12 @@ def run_and_export(request: RunRequest) -> dict:
     return summary
 
 
-def verify_dump(path: str, n_robots: int = MAX_ROBOTS) -> int:
+def verify_dump(path: str, n_robots: int) -> int:
     """Check a ledger dump file, with robot ids below `n_robots`; report the
     first bad block and its rule if any."""
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as file:  # Path("") would read "."
+            data = file.read()
     except OSError as exc:
         print(f"stakenav: cannot read {path}: {exc}", file=sys.stderr)
         return 2
@@ -276,7 +268,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+        # argparse exits 0 after --help and 2 on bad usage; this tool
+        # reserves 2 for runtime failures.
+        return 1 if exc.code else 0
 
     try:
         request = parse_config(args)

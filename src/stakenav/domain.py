@@ -1,8 +1,9 @@
 """Core value types: world configuration, degradation scenario, random
 streams, world placement.
 
-Every input of a run is checked here, when its `WorldConfig` or
-`DegradationScenario` is built; a bad value raises `ConfigError` naming it.
+A run's one input is its `WorldConfig`, whose `degradation` field holds the
+run's `DegradationScenario`, if any. Every value is checked here, when the
+config or scenario is built; a bad value raises `ConfigError` naming it.
 All randomness in the package flows through :class:`RandomStreams`, a set of
 independent generators derived from a single root seed. Each concern
 (placement, movement, quality, election) gets its own stream, so adding draws
@@ -110,21 +111,23 @@ class _WorldFields(NamedTuple):
     seed: int = 0
     generator_reward: float = 0.1
     initial_stake: float = 1.0
+    degradation: DegradationScenario | None = None
 
 
 class WorldConfig(_WorldFields):
     """Experiment parameters, checked when built. Each setting has the type of
     its default, and a float setting is stored as a float. Defaults mirror the
-    desk-scale setup."""
+    desk-scale setup. `degradation` is None or a `DegradationScenario` that
+    fits the world: its pair's robots and its window's loops exist."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        given = _WorldFields(*args, **kwargs)
+        *settings, degradation = _WorldFields(*args, **kwargs)
         self = super().__new__(cls, *(
             _checked_setting(name, value, type(default))
-            for (name, default), value in zip(_WorldFields._field_defaults.items(), given)
-        ))
+            for (name, default), value in zip(_WorldFields._field_defaults.items(), settings)
+        ), degradation)
         if not self.width > 0:
             raise ConfigError(f"width must be > 0, got {self.width}")
         if not self.height > 0:
@@ -163,6 +166,16 @@ class WorldConfig(_WorldFields):
             raise ConfigError(f"initial_stake must be > 0, got {self.initial_stake}")
         if self.generator_reward < 0:
             raise ConfigError(f"generator_reward must be >= 0, got {self.generator_reward}")
+        if degradation is None:
+            return self
+        if not isinstance(degradation, DegradationScenario):
+            raise ConfigError(
+                f"degradation must be a DegradationScenario or None, got {degradation!r}"
+            )
+        if degradation.end_loop >= self.loops:
+            raise ConfigError(f"end_loop must be < loops ({self.loops}), got {degradation.end_loop}")
+        if degradation.pair[1] >= self.n_robots:
+            raise ConfigError(f"pair {degradation.pair} out of range for {self.n_robots} robots")
         return self
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so `_replace` checks too
@@ -211,12 +224,6 @@ class DegradationScenario(_ScenarioFields):
 
     def active(self, loop_index: int) -> bool:
         return self.start_loop <= loop_index <= self.end_loop
-
-    def check_against(self, config: WorldConfig) -> None:
-        if self.end_loop >= config.loops:
-            raise ConfigError(f"end_loop must be < loops ({config.loops}), got {self.end_loop}")
-        if self.pair[1] >= config.n_robots:
-            raise ConfigError(f"pair {self.pair} out of range for {config.n_robots} robots")
 
 
 def derive_stream(seed: int, label: str) -> random.Random:

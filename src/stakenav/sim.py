@@ -3,11 +3,12 @@
 Each loop moves every robot by a random bounded step, recomputes which
 landmarks each robot recognizes (Euclidean distance within the sensing
 radius), draws a fresh match quality for every pairwise common landmark,
-emits one observation transaction per pair that shares at least one landmark,
-and seals blocks whenever enough transactions are pending. Sealing elects the
-generator by navigability (stake weights as cold-start fallback;
-`elect_generator`), appends a reward transaction, and credits the
-generator's stake. This module owns the loop's state (`ExperimentState`,
+scales one pair's qualities while the config's `degradation`, if any, is
+active, emits one observation transaction per pair that shares at least one
+landmark, and seals blocks whenever enough transactions are pending. Sealing
+elects the generator by navigability (stake weights as cold-start fallback;
+`elect_generator`), appends a reward transaction, and credits the generator's
+stake. This module owns the loop's state (`ExperimentState`,
 which holds the robots' positions in its trajectory and their stakes in one
 list, both indexed by robot id), the seal-time navigability (`SealState`)
 and the election. The paper's formulas, one pair at a time, are in
@@ -45,7 +46,7 @@ from collections.abc import Iterable, Sequence
 from itertools import accumulate
 from random import Random
 
-from .domain import DegradationScenario, RandomStreams, WorldConfig, init_world, ordered_sum
+from .domain import RandomStreams, WorldConfig, init_world, ordered_sum
 from .ledger import Block, Chain, Observation, Reward
 
 # Shared-transaction count at which a pair's importance saturates; counts are
@@ -174,13 +175,11 @@ class ExperimentState:
     def __init__(
         self,
         config: WorldConfig,
-        scenario: DegradationScenario | None,
         positions: list[tuple[float, float]],
         landmarks: list[tuple[float, float]],
         streams: RandomStreams,
     ):
         self.config = config
-        self.scenario = scenario
         self.stakes = [config.initial_stake] * config.n_robots
         self.streams = streams
         self.chain = Chain(n_robots=config.n_robots)
@@ -192,8 +191,7 @@ class ExperimentState:
         # Pair history and this loop's live navigability terms; sealed
         # averages replay the reference oracle's sums bit for bit.
         self.seal = SealState()
-        size, self._stride, cells = _landmark_grid(config, landmarks)
-        self._grid = size, cells
+        self._grid = _landmark_grid(config, landmarks)
 
     def total_stake(self) -> float:
         """Left-to-right total of the stakes; ValueError once it has overflowed.
@@ -285,14 +283,14 @@ def compute_visibility(state: ExperimentState) -> list[Observation]:
     ascending pair-then-landmark order; pairs that share nothing draw
     nothing, exactly as in a full pass. Each record is built in one
     expression around its ascending (landmark id, quality) tuples, and the
-    records ascend by pair. After the walk, an active degradation scenario
-    rescales its pair's record in place, and the seal state starts its loop
-    and the common-count extremes are read from the records' match counts.
+    records ascend by pair. After the walk, the config's degradation, if
+    active this loop, rescales its pair's record in place, and the seal
+    state starts its loop and the common-count extremes are read from the
+    records' match counts.
     """
     config = state.config
     radius_sq = config.sensing_radius * config.sensing_radius
-    size, cells = state._grid
-    stride = state._stride
+    size, stride, cells = state._grid
     around = [nx * stride + ny for nx in (-1, 0, 1) for ny in (-1, 0, 1)]
     recognized: list[set[int]] = []
     # Seen landmark id -> mask of the robots that see it.
@@ -326,7 +324,7 @@ def compute_visibility(state: ExperimentState) -> list[Observation]:
             j += step
             common = sorted(rec_i & recognized[j])
             observations.append(Observation((i, j), [(k, random()) for k in common], loop))
-    scenario = state.scenario
+    scenario = config.degradation
     if scenario is not None and scenario.active(loop):
         for record in observations:
             if record.pair == scenario.pair:
@@ -421,18 +419,14 @@ def maybe_seal_blocks(state: ExperimentState, finalize: bool = False) -> list[Bl
     return sealed
 
 
-def run_experiment(
-    config: WorldConfig, scenario: DegradationScenario | None = None
-) -> ExperimentState:
+def run_experiment(config: WorldConfig) -> ExperimentState:
     """Run the full experiment: place, then loop move/see/emit/seal.
 
-    Deterministic: equal (config, scenario) give bit-identical final states,
-    ledgers, and series.
+    Deterministic: equal configs, `degradation` included, give bit-identical
+    final states, ledgers, and series.
     """
-    if scenario is not None:
-        scenario.check_against(config)
     positions, landmarks, streams = init_world(config)
-    state = ExperimentState(config, scenario, positions, landmarks, streams)
+    state = ExperimentState(config, positions, landmarks, streams)
     for loop in range(config.loops):
         state.loop_index = loop
         step_movement(state)

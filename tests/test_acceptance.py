@@ -88,7 +88,7 @@ def degraded_runs(default_runs):
     runs = []
     for rec in default_runs:
         scenario = DegradationScenario(rec["busiest_pair"], WINDOW[0], WINDOW[1], 0.1)
-        state = run_experiment(WorldConfig(seed=rec["seed"]), scenario)
+        state = run_experiment(WorldConfig(seed=rec["seed"], degradation=scenario))
         runs.append({"splits": window_splits(state)})
     return runs
 

@@ -36,7 +36,7 @@ def parse(argv):
 def test_defaults_without_flags(tmp_path):
     req = parse(["--out", str(tmp_path)])
     assert req.config.n_robots == 10
-    assert req.scenario is None
+    assert req.config.degradation is None
     assert req.out_dir == str(tmp_path)
 
 
@@ -120,14 +120,14 @@ def test_config_file_scenario(tmp_path):
         "degrade_pair": [0, 3], "degrade_loops": "4,6", "degrade_factor": 0.1,
     }))
     req = parse(["--config", str(cfg)])
-    assert req.scenario.pair == (0, 3)
-    assert (req.scenario.start_loop, req.scenario.end_loop) == (4, 6)
-    assert req.scenario.multiplier == 0.1
+    assert req.config.degradation.pair == (0, 3)
+    assert (req.config.degradation.start_loop, req.config.degradation.end_loop) == (4, 6)
+    assert req.config.degradation.multiplier == 0.1
 
 
 def test_scenario_flags():
     req = parse(["--degrade-pair", "7,2", "--degrade-loops", "4,6", "--degrade-factor", "0.1"])
-    assert req.scenario.pair == (2, 7)
+    assert req.config.degradation.pair == (2, 7)
 
 
 def test_partial_scenario_is_usage_error(capsys):
@@ -460,7 +460,7 @@ def test_equal_configs_write_identical_exports(tmp_path):
     exports = []
     for n, config in enumerate((whole, floats, from_file)):
         out = tmp_path / str(n)
-        run_and_export(RunRequest(config, None, str(out)))
+        run_and_export(RunRequest(config, str(out)))
         exports.append({name: (out / name).read_bytes() for name in EXPORTS})
     assert exports[0] == exports[1] == exports[2]
     assert verify_dump_bytes(exports[0][LEDGER_FILE]) is None
@@ -469,7 +469,7 @@ def test_equal_configs_write_identical_exports(tmp_path):
 @pytest.mark.parametrize("flags, stored", [
     (["--reward"], lambda request: request.config.generator_reward),
     (["--degrade-pair", "2,7", "--degrade-loops", "1,4", "--degrade-factor"],
-     lambda request: request.scenario.multiplier),
+     lambda request: request.config.degradation.multiplier),
 ])
 def test_negative_zero_settings_write_the_bytes_of_zero(tmp_path, flags, stored):
     # -0.0 == 0.0, yet a stored -0.0 was written as "reward":-0.0 or as
@@ -531,8 +531,9 @@ def test_verify_mode(tmp_path, capsys):
     assert main(["--verify", str(ledger)]) == 3
     assert "invalid at block" in capsys.readouterr().out
 
-    assert main(["--verify", str(tmp_path / "missing.jsonl")]) == 2
-    capsys.readouterr()
+    for missing in (str(tmp_path / "missing.jsonl"), ""):
+        assert main(["--verify", missing]) == 2
+        assert "No such file or directory" in capsys.readouterr().err
 
 
 def test_verify_reports_non_finite_numbers_as_invalid(tmp_path, capsys):

@@ -170,7 +170,7 @@ def test_init_world_places_everything_in_bounds():
         x, y = place
         assert type(x) is float and type(y) is float
         assert 0.0 <= x <= cfg.width and 0.0 <= y <= cfg.height
-    state = ExperimentState(cfg, None, positions, landmarks, streams)
+    state = ExperimentState(cfg, positions, landmarks, streams)
     assert state.stakes == [2.5] * cfg.n_robots
     assert state.trajectory == [positions]
 

@@ -345,7 +345,7 @@ def test_verify_checks_robot_ids_against_the_chain_team():
 
 def test_verify_reports_first_tampered_block():
     config = WorldConfig()
-    state = ExperimentState(config, None, *init_world(config))
+    state = ExperimentState(config, *init_world(config))
     step_movement(state)
     emitted = emit_transactions(state, compute_visibility(state))[0]
     chain = build_chain(blocks=5)

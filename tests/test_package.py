@@ -147,7 +147,7 @@ def _load_tool(monkeypatch):
 def test_check_determinism_reports_a_dump_that_does_not_load(monkeypatch, capsys):
     tool = _load_tool(monkeypatch)
     garbled = types.SimpleNamespace(chain=types.SimpleNamespace(dumps=lambda: b"not json\n"))
-    monkeypatch.setattr(tool, "run_experiment", lambda config, scenario: garbled)
+    monkeypatch.setattr(tool, "run_experiment", lambda config: garbled)
     assert tool.main() == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 11

@@ -49,9 +49,9 @@ SPARSE = WorldConfig(
 )
 
 
-def fresh_state(config=SMALL, scenario=None):
+def fresh_state(config=SMALL):
     positions, landmarks, streams = init_world(config)
-    return ExperimentState(config, scenario, positions, landmarks, streams)
+    return ExperimentState(config, positions, landmarks, streams)
 
 
 def test_scenario_validation():
@@ -66,10 +66,16 @@ def test_scenario_validation():
         DegradationScenario((0, 1), 0, 2, 1.0)
     with pytest.raises(ConfigError, match="two distinct robots"):
         DegradationScenario((3, 3), 0, 2, 0.1)
-    with pytest.raises(ConfigError):
-        DegradationScenario((0, 9), 0, 2, 0.5).check_against(SMALL)
-    with pytest.raises(ConfigError):
-        DegradationScenario((0, 1), 0, 99, 0.5).check_against(SMALL)
+    with pytest.raises(ConfigError, match=r"^pair \(0, 9\) out of range for 4 robots$"):
+        SMALL._replace(degradation=DegradationScenario((0, 9), 0, 2, 0.5))
+    with pytest.raises(ConfigError, match=r"^end_loop must be < loops \(4\), got 99$"):
+        WorldConfig(loops=4, degradation=DegradationScenario((0, 1), 0, 99, 0.5))
+    fits = SMALL._replace(degradation=DegradationScenario((0, 1), 0, 3, 0.5))
+    with pytest.raises(ConfigError, match=r"^end_loop must be < loops \(3\), got 3$"):
+        fits._replace(loops=3)
+    for bad in (((0, 1), 0, 3, 0.5), [(0, 1), 0, 3, 0.5], 0.5, "none", False):
+        with pytest.raises(ConfigError, match="^degradation must be a DegradationScenario or None"):
+            WorldConfig(degradation=bad)
     for bad in (math.nan, math.inf, 10**400):
         with pytest.raises(ConfigError, match="multiplier"):
             DegradationScenario((0, 1), 0, 2, bad)
@@ -84,7 +90,7 @@ def test_degradation_window_must_end_before_the_last_loop():
     # nothing and write the baseline's bytes.
     config = WorldConfig(seed=2)  # pair (2, 7) cooperates in every loop
     with pytest.raises(ConfigError, match=r"^end_loop must be < loops \(10\), got 10$"):
-        run_experiment(config, DegradationScenario((2, 7), 10, 10, 0.1))
+        config._replace(degradation=DegradationScenario((2, 7), 10, 10, 0.1))
 
     def pair_matches(state):
         return {
@@ -94,7 +100,9 @@ def test_degradation_window_must_end_before_the_last_loop():
         }
 
     base = pair_matches(run_experiment(config))
-    degraded = pair_matches(run_experiment(config, DegradationScenario((2, 7), 4, 9, 0.1)))
+    degraded = pair_matches(
+        run_experiment(config._replace(degradation=DegradationScenario((2, 7), 4, 9, 0.1)))
+    )
     assert sorted(degraded) == list(range(10))
     for loop, matches in degraded.items():
         factor = 0.1 if loop >= 4 else 1.0
@@ -165,7 +173,7 @@ def assert_distance_rule(state, observations, landmarks=None):
 
 def hand_placed_state(config, robots_xy, landmarks_xy):
     _, _, streams = init_world(config)
-    return ExperimentState(config, None, list(robots_xy), list(landmarks_xy), streams)
+    return ExperimentState(config, list(robots_xy), list(landmarks_xy), streams)
 
 
 def test_compute_visibility_matches_distance_rule():
@@ -264,7 +272,7 @@ def test_a_landmark_just_inside_the_radius_is_seen_from_anywhere_in_a_cell(direc
     for step in range(129):
         x = y = 400.0 + step * radius / 64
         state = ExperimentState(
-            config, None, [(x, y), (x, y)], [(x + dx, y + dy)], RandomStreams.from_seed(0)
+            config, [(x, y), (x, y)], [(x + dx, y + dy)], RandomStreams.from_seed(0)
         )
         observations = compute_visibility(state)
         assert [(tx.pair, [k for k, _ in tx.matches]) for tx in observations] == [((0, 1), [0])], x
@@ -351,7 +359,7 @@ def test_cross_cell_world_ledger_is_pinned():
     state = run_experiment(config)
     digest = hashlib.sha256(state.chain.dumps()).hexdigest()
     assert digest == "2a521c93e1c6ba231d286fd14425389be299fc20677b345dc6e42f14ae7a4fcd"
-    size, _ = state._grid
+    size, _, _ = state._grid
     visits = [[(x // size, y // size) for x, y in positions] for positions in state.trajectory]
     stays = sum(a == b for before, after in zip(visits, visits[1:]) for a, b in zip(before, after))
     assert stays < 50  # of 800 robot steps
@@ -365,14 +373,14 @@ def test_landmark_grid_lists_each_landmark_once():
     positions, landmarks, streams = init_world(config)
     tracemalloc.start()
     try:
-        state = ExperimentState(config, None, positions, landmarks, streams)
+        state = ExperimentState(config, positions, landmarks, streams)
         step_movement(state)
         compute_visibility(state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 40e6
-    _, cells = state._grid
+    _, _, cells = state._grid
     assert sum(map(len, cells.values())) == config.n_landmarks
 
 
@@ -427,7 +435,7 @@ def test_qualities_drawn_only_for_common_landmarks():
 
 def test_snapshot_qualities_are_the_drawn_qualities():
     scenario = DegradationScenario((1, 3), 0, 2, 0.5)
-    state = fresh_state(SMALL, scenario)
+    state = fresh_state(SMALL._replace(degradation=scenario))
     step_movement(state)
     replay = random.Random()
     replay.setstate(state.streams.quality.getstate())
@@ -540,7 +548,7 @@ def test_degradation_scales_only_target_pair_in_window():
     cfg = WorldConfig(seed=21)
     scenario = DegradationScenario((0, 1), 2, 4, 0.0)
     base = run_experiment(cfg)
-    deg = run_experiment(cfg, scenario)
+    deg = run_experiment(cfg._replace(degradation=scenario))
     assert base.trajectory == deg.trajectory  # movement untouched
     base_txs = {
         (tx.pair, tx.loop_index): tx.matches
@@ -621,10 +629,10 @@ def replay_from_ledger(config, state):
     return replayed, stakes
 
 
-def replayed_run(config, scenario=None):
+def replayed_run(config):
     """Run the engine and require the oracle's replay of its ledger to give
     every block's average and generator and the final stakes."""
-    state = run_experiment(config, scenario)
+    state = run_experiment(config)
     replayed, stakes = replay_from_ledger(config, state)
     assert replayed == [(b.avg_navigability.hex(), b.generator) for b in state.chain.blocks]
     assert stakes == state.stakes
@@ -637,12 +645,12 @@ def test_sealed_averages_replay_bit_identically(seed):
 
 
 def test_replay_equivalence_holds_under_scenario():
-    replayed_run(WorldConfig(seed=2), DegradationScenario((2, 6), 3, 7, 0.25))
+    replayed_run(WorldConfig(seed=2, degradation=DegradationScenario((2, 6), 3, 7, 0.25)))
 
 
 @st.composite
 def drawn_runs(draw):
-    """(config, scenario): a small world of shapes nobody picked, with block
+    """A config: a small world of shapes nobody picked, with block
     size 1, a single robot, no landmarks or loops, a radius up to five times
     the world, no step and no reward all allowed, and an optional
     degradation that the world admits, multiplier 0.0 included."""
@@ -662,23 +670,23 @@ def drawn_runs(draw):
         generator_reward=draw(st.floats(0.0, 1.0)),
     )
     if config.n_robots < 2 or config.loops < 1 or not draw(st.booleans()):
-        return config, None
+        return config
     robot = st.integers(0, config.n_robots - 1)
     pair = draw(st.lists(robot, min_size=2, max_size=2, unique=True))
     start = draw(st.integers(0, config.loops - 1))
     end = draw(st.integers(start, config.loops - 1))
     multiplier = draw(st.floats(0.0, 1.0, exclude_max=True))
-    return config, DegradationScenario(tuple(pair), start, end, multiplier)
+    return config._replace(degradation=DegradationScenario(tuple(pair), start, end, multiplier))
 
 
 @settings(deadline=None, max_examples=200)
 @given(drawn_runs())
-def test_drawn_worlds_replay_through_the_oracle(run):
+def test_drawn_worlds_replay_through_the_oracle(config):
     # Every skip the engine makes (grid prune, masks of seers, live terms
     # only, cold pairs held apart, records pending across loops, robots
     # without a live term left out of the election) must give the oracle's
     # averages, generators and stakes on worlds that no test placed by hand.
-    replayed_run(*run)
+    replayed_run(config)
 
 
 # Every pair starts with no history, and 7 does not divide a loop's pairs, so
@@ -744,7 +752,7 @@ def test_loop_snapshots_read_back_from_the_ledger(monkeypatch, world, seed):
 
 @pytest.mark.parametrize("scenario", [None, DegradationScenario((2, 10), 1, 3, 0.0)])
 def test_replay_equivalence_holds_in_a_sparse_world(scenario):
-    fast = replayed_run(SPARSE, scenario)
+    fast = replayed_run(SPARSE._replace(degradation=scenario))
     assert fast.min_common == 0
     assert any(b.avg_navigability > 0.0 for b in fast.chain.blocks)
     if scenario is not None:
@@ -756,17 +764,17 @@ def test_replay_equivalence_holds_in_a_sparse_world(scenario):
         assert zeroed and all(q == 0.0 for matches in zeroed for _, q in matches)
 
 
-@pytest.mark.parametrize("config, scenario", [
-    *((WorldConfig(seed=seed), None) for seed in range(5)),
-    (WorldConfig(seed=3), DegradationScenario((2, 7), 4, 6, 0.1)),
-    (WorldConfig(**COLD_START, seed=0), None),
-    (WorldConfig(**COLD_START, seed=1), None),
+@pytest.mark.parametrize("config", [
+    *(WorldConfig(seed=seed) for seed in range(5)),
+    WorldConfig(seed=3, degradation=DegradationScenario((2, 7), 4, 6, 0.1)),
+    WorldConfig(**COLD_START, seed=0),
+    WorldConfig(**COLD_START, seed=1),
 ], ids=["seed0", "seed1", "seed2", "seed3", "seed4", "degraded", "cold0", "cold1"])
-def test_the_ledger_replays_through_the_seal_state(config, scenario):
+def test_the_ledger_replays_through_the_seal_state(config):
     # The state each seal starts from (stakes, pair history, the loop's
     # snapshot) is re-derived from the ledger alone. Some block carries
     # records over from an earlier loop, and the last block seals a remainder.
-    blocks = replayed_run(config, scenario).chain.blocks
+    blocks = replayed_run(config).chain.blocks
     assert any(len({tx.loop_index for tx in b.transactions[:-1]}) > 1 for b in blocks)
     assert blocks[-1].transactions[-1].loop_index == config.loops
     assert any(block.avg_navigability > 0.0 for block in blocks)

@@ -172,8 +172,8 @@ def world_digest(runs) -> tuple[str, str | None]:
     digest = hashlib.sha256()
     problem = None
     for seed, shape, scenario in runs:
-        config = WorldConfig(seed=seed, **shape)
-        data = run_experiment(config, scenario).chain.dumps()
+        config = WorldConfig(seed=seed, degradation=scenario, **shape)
+        data = run_experiment(config).chain.dumps()
         digest.update(data)
         if problem is not None:
             continue
