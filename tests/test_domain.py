@@ -5,12 +5,20 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stakenav import ConfigError, DegradationScenario, ExperimentState, WorldConfig, init_world
+from stakenav import (
+    ConfigError,
+    DegradationScenario,
+    ExperimentState,
+    WorldConfig,
+    init_world,
+    run_experiment,
+)
 from stakenav.domain import (
     MAX_LANDMARKS,
     MAX_LENGTH,
     MAX_POSITIONS,
     MAX_ROBOTS,
+    MAX_SEED,
     MIN_RADIUS,
     InvalidPairError,
     RandomStreams,
@@ -41,6 +49,7 @@ def test_default_config_values():
         ("n_robots", 0),
         ("n_landmarks", -1),
         ("width", 0.0),
+        ("height", 0.0),
         ("height", -3.0),
         ("loops", -1),
         ("sensing_radius", -0.5),
@@ -111,6 +120,12 @@ def test_team_and_landmark_bounds_are_inclusive():
     # alone would hold billions of sightings.
     config = WorldConfig(n_robots=MAX_ROBOTS, n_landmarks=MAX_LANDMARKS)
     assert (config.n_robots, config.n_landmarks) == (4096, 2**20)
+
+
+def test_the_largest_seed_runs_and_verifies():
+    state = run_experiment(WorldConfig(seed=MAX_SEED))
+    assert state.chain.blocks
+    assert state.chain.verify() is None
 
 
 def test_loops_bound_holds_the_trajectory_to_max_positions():

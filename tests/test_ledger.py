@@ -92,6 +92,14 @@ def test_block_transactions_are_the_appended_records():
     assert Chain.loads(chain.dumps()).blocks[1].transactions == appended
 
 
+def test_a_quality_of_one_is_sealed_and_read_back():
+    chain = Chain(n_robots=2)
+    sealed = [obs((0, 1), 0, [(0, 1.0)]), Reward(0, 0.1, 0)]
+    chain.append_block(sealed, 0.5)
+    assert verify_dump_bytes(chain.dumps(), 2) is None
+    assert Chain.loads(chain.dumps(), 2).blocks[0].transactions == sealed
+
+
 def test_reader_rejects_a_bad_transaction_record_at_its_block():
     records = seed_records()
     for breakage in (
@@ -160,6 +168,11 @@ UNSEALABLE = {
     ),
     "empty matches": (
         [Observation((0, 1), [], 0), VALID_REWARD], 0.5, "matches must be a non-empty list"
+    ),
+    "landmark 0 twice": (
+        [Observation((0, 1), [(0, 0.5), (0, 0.25)], 0), VALID_REWARD], 0.5,
+        "match entries must be (landmark id >= 0, float quality in [0, 1]) with ids strictly "
+        "ascending, got (0, 0.25) after landmark 0",
     ),
     "quality 1.5": (
         [Observation((0, 1), [(0, 1.5)], 0), VALID_REWARD], 0.5, "match entries must be"

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import stakenav
+import stakenav.cli
 import stakenav.reference
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -189,3 +190,19 @@ def test_check_determinism_runs_the_cli_verify_on_its_ledger_export(monkeypatch,
     assert ": seed-0 exports: MISMATCH ledger.jsonl " in lines[9]
     assert re.search(r"; --verify exits 3: \S+ledger\.jsonl: invalid at block 30: "
                      r"line does not end with a newline$", lines[9]), lines[9]
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps(tmp_path, capsys):
+    # The benchmark times each layer through the names its tracer wraps; a
+    # wrapped name that is gone or never called would read as a zero there.
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "benchmark" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert stakenav.cli.main(["--out", str(tmp_path)]) == 0
+        assert stakenav.cli.main(["--verify", str(tmp_path / "ledger.jsonl")]) == 0
+    capsys.readouterr()
+    assert len(tracing.HOOKS) == 14
+    assert tracer.hook_status() == dict.fromkeys(tracing.HOOKS, "ok")
+    assert tracer.errors == {}

@@ -68,6 +68,8 @@ def test_scenario_validation():
         DegradationScenario((3, 3), 0, 2, 0.1)
     with pytest.raises(ConfigError, match=r"^pair \(0, 9\) out of range for 4 robots$"):
         SMALL._replace(degradation=DegradationScenario((0, 9), 0, 2, 0.5))
+    with pytest.raises(ConfigError, match=r"^pair \(2, 10\) out of range for 10 robots$"):
+        WorldConfig(degradation=DegradationScenario((2, 10), 0, 2, 0.5))
     with pytest.raises(ConfigError, match=r"^end_loop must be < loops \(4\), got 99$"):
         WorldConfig(loops=4, degradation=DegradationScenario((0, 1), 0, 99, 0.5))
     fits = SMALL._replace(degradation=DegradationScenario((0, 1), 0, 3, 0.5))
@@ -778,3 +780,44 @@ def test_the_ledger_replays_through_the_seal_state(config):
     assert any(len({tx.loop_index for tx in b.transactions[:-1]}) > 1 for b in blocks)
     assert blocks[-1].transactions[-1].loop_index == config.loops
     assert any(block.avg_navigability > 0.0 for block in blocks)
+
+
+# The default and cold-start worlds, each plain and with pair (2, 7) degraded
+# in loops 0-1.
+STAGE_WORLDS = [
+    pytest.param(world, scenario, id=f"{name}-{'degraded' if scenario else 'plain'}")
+    for name, world in (("default", {}), ("cold_start", COLD_START))
+    for scenario in (None, DegradationScenario((2, 7), 0, 1, 0.1))
+]
+
+
+def sealed_observations(chain):
+    return [tx for block in chain.blocks for tx in block.transactions if isinstance(tx, Observation)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("world,scenario", STAGE_WORLDS)
+def test_no_consensus_setting_changes_what_the_robots_observe(world, scenario, seed):
+    # No world draw reads a stake, a block or an election.
+    config = WorldConfig(**world, seed=seed, degradation=scenario)
+    observed = sealed_observations(run_experiment(config).chain)
+    for change in ({"block_size": 1}, {"block_size": 7}, {"generator_reward": 5.0},
+                   {"initial_stake": 1e-3}):
+        assert sealed_observations(run_experiment(config._replace(**change)).chain) == observed
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("world,scenario", STAGE_WORLDS)
+def test_a_shorter_run_is_the_start_of_a_longer_one(world, scenario, seed):
+    # The blocks an L-loop run seals before its end-of-run remainder, and its
+    # trajectory, are the first ones of the (L + 1)-loop run.
+    config = WorldConfig(**world, seed=seed, degradation=scenario)
+    for loops in (3, 7):
+        short = run_experiment(config._replace(loops=loops))
+        longer = run_experiment(config._replace(loops=loops + 1))
+        blocks = short.chain.blocks
+        if blocks and blocks[-1].transactions[-1].loop_index == loops:
+            blocks = blocks[:-1]
+        assert blocks
+        assert [b.line for b in blocks] == [b.line for b in longer.chain.blocks[:len(blocks)]]
+        assert longer.trajectory[:loops + 1] == short.trajectory
