@@ -7,11 +7,13 @@ a robot's navigability aggregates those agreements over all partners,
 weighted by how often each pair has cooperated on the ledger. Block
 generators are elected by navigability and earn stake, closing the loop.
 
-`sim` is the engine a run executes. `stakenav.reference` holds the paper's
-formulas one pair at a time, as the oracle the engine is tested against; it
-is imported from there, and nothing here loads it. This package exports the
-names a library user needs to run, inspect and verify an experiment; every
-other name is imported from its module.
+`sim` is the engine a run executes, in two stages: a world part that
+observes and a consensus part that seals what it is fed.
+`stakenav.reference` holds the paper's formulas one pair at a time, as the
+oracle the engine is tested against; it is imported from there, and nothing
+here loads it. This package exports the names a library user needs to run,
+inspect and verify an experiment; every other name is imported from its
+module.
 """
 from __future__ import annotations
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from . import ledger
 from .domain import MAX_ROBOTS, ConfigError, DegradationScenario, WorldConfig
-from .sim import ExperimentState, run_experiment
+from .sim import Consensus, World, run_experiment
 
 # Flag/config-file key -> (WorldConfig field, --help text); the flag is the
 # key with "-" for "_", and its value has the type of the field's default.
@@ -153,10 +153,10 @@ def parse_config(args: argparse.Namespace) -> RunRequest:
     return RunRequest(config=config, out_dir=args.out)
 
 
-def summarize(state: ExperimentState) -> dict:
+def summarize(consensus: Consensus) -> dict:
     """The run totals `summary.json` holds, recounted from the chain; a
     ledger block holds exactly one reward, so the rewards are the blocks."""
-    chain = state.chain
+    chain = consensus.chain
     blocks = len(chain.blocks)
     total = chain.next_tx_id
     return {
@@ -164,25 +164,25 @@ def summarize(state: ExperimentState) -> dict:
         "transactions": total,
         "observation_transactions": total - blocks,
         "reward_transactions": blocks,
-        "max_common_landmarks": state.max_common,
-        "min_common_landmarks": state.min_common if state.min_common is not None else 0,
+        "max_common_landmarks": consensus.max_common,
+        "min_common_landmarks": consensus.min_common if consensus.min_common is not None else 0,
         "generator_histogram": chain.generator_histogram(),
-        "final_stakes": list(state.stakes),
-        "total_stake": state.total_stake(),
+        "final_stakes": list(consensus.stakes),
+        "total_stake": consensus.total_stake(),
     }
 
 
-def _trajectories_csv(state: ExperimentState) -> str:
+def _trajectories_csv(world: World) -> str:
     lines = ["loop,robot_id,x,y"]
-    for loop, positions in enumerate(state.trajectory):
+    for loop, positions in enumerate(world.trajectory):
         for robot_id, (x, y) in enumerate(positions):
             lines.append(f"{loop},{robot_id},{x!r},{y!r}")
     return "\n".join(lines) + "\n"
 
 
-def _timeseries_csv(state: ExperimentState) -> str:
+def _timeseries_csv(chain: ledger.Chain) -> str:
     lines = ["block_index,first_tx_id,last_tx_id,avg_navigability,generator"]
-    for block in state.chain.blocks:
+    for block in chain.blocks:
         first = block.first_tx_id
         last = first + block.transaction_count - 1
         lines.append(
@@ -201,19 +201,19 @@ def run_and_export(request: RunRequest) -> dict:
     leaves the files of an earlier run as they were.
     """
     started = time.perf_counter()
-    state = run_experiment(request.config)
+    world, consensus = run_experiment(request.config)
     duration = time.perf_counter() - started
     # Raises ValueError if the last reward made the stake total overflow,
     # before any file is opened.
-    summary = summarize(state)
+    summary = summarize(consensus)
 
     out = Path(request.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     exports = {
-        LEDGER_FILE: state.chain.dumps(),
-        TRAJECTORIES_FILE: _trajectories_csv(state).encode("ascii"),
-        TIMESERIES_FILE: _timeseries_csv(state).encode("ascii"),
+        LEDGER_FILE: consensus.chain.dumps(),
+        TRAJECTORIES_FILE: _trajectories_csv(world).encode("ascii"),
+        TIMESERIES_FILE: _timeseries_csv(consensus.chain).encode("ascii"),
         SUMMARY_FILE: summary_text.encode("ascii"),
     }
     temporaries = {name: out / f".{name}.tmp" for name in exports}

@@ -4,13 +4,14 @@ streams, world placement.
 A run's one input is its `WorldConfig`, whose `degradation` field holds the
 run's `DegradationScenario`, if any. Every value is checked here, when the
 config or scenario is built; a bad value raises `ConfigError` naming it.
-All randomness in the package flows through :class:`RandomStreams`, a set of
-independent generators derived from a single root seed. Each concern
-(placement, movement, quality, election) gets its own stream, so adding draws
-to one concern never perturbs the others. `derive_stream` is the only seeding,
-and every draw of a run is `Random.random()`, so that no other stdlib
-algorithm shapes the bytes. A robot or landmark is its index in the lists of
-positions that `init_world` returns.
+All randomness in the package flows through generators derived from a
+single root seed by `derive_stream`, one per concern: the world's placement,
+movement and quality streams (:class:`RandomStreams`) and the consensus
+layer's election stream. Adding draws to one concern never perturbs the
+others. `derive_stream` is the only seeding, and every draw of a run is
+`Random.random()`, so that no other stdlib algorithm shapes the bytes. A
+robot or landmark is its index in the lists of positions that `init_world`
+returns.
 """
 from __future__ import annotations
 
@@ -237,12 +238,11 @@ def derive_stream(seed: int, label: str) -> random.Random:
 
 
 class RandomStreams(NamedTuple):
-    """Per-concern random generators derived from one root seed."""
+    """The world's random generators, each derived from one root seed."""
 
     placement: random.Random
     movement: random.Random
     quality: random.Random
-    election: random.Random
 
     @classmethod
     def from_seed(cls, seed: int) -> "RandomStreams":
@@ -250,7 +250,6 @@ class RandomStreams(NamedTuple):
             placement=derive_stream(seed, "placement"),
             movement=derive_stream(seed, "movement"),
             quality=derive_stream(seed, "quality"),
-            election=derive_stream(seed, "election"),
         )
 
 

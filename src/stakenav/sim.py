@@ -1,37 +1,64 @@
-"""The engine: everything a run executes, from motion to sealed block.
+"""The engine: a run in two stages, the world's and the consensus layer's.
 
-Each loop moves every robot by a random bounded step, recomputes which
-landmarks each robot recognizes (Euclidean distance within the sensing
-radius), draws a fresh match quality for every pairwise common landmark,
-scales one pair's qualities while the config's `degradation`, if any, is
-active, emits one observation transaction per pair that shares at least one
-landmark, and seals blocks whenever enough transactions are pending. Sealing
-elects the generator by navigability (stake weights as cold-start fallback;
-`elect_generator`), appends a reward transaction, and credits the generator's
-stake. This module owns the loop's state (`ExperimentState`,
-which holds the robots' positions in its trajectory and their stakes in one
-list, both indexed by robot id), the seal-time navigability (`SealState`)
-and the election. The paper's formulas, one pair at a time, are in
-`stakenav.reference`, which only tests call; nothing here imports it.
+The world stage observes. Each loop `step_movement` moves every robot by a
+random bounded step, and `compute_visibility` finds which landmarks each
+robot recognizes (Euclidean distance within the sensing radius), draws a
+fresh match quality for every pairwise common landmark, scales one pair's
+qualities while the config's `degradation`, if any, is active, and returns
+the loop's observation records, one per pair that shares at least one
+landmark. Its state is a `World`: the config, the placement, movement and
+quality streams, the trajectory, the landmark grid and the loop index its
+records carry. It reads no stake, block or election.
 
-The loop does work in proportion to the pairs that cooperate, not to all n^2
-pairs. Each landmark is bucketed once per run into its cell of a grid of
-cells wider than the sensing radius, so a robot measures distances only to
-the landmarks of its own cell and the eight around it. Each sighting also
-sets the robot's bit in the landmark's mask of seers, and a robot's partners
-are the OR of the masks of the landmarks it sees, so a pair that shares
-nothing is never visited. A seal sums navigability over live terms only:
-pairs that share a landmark this loop and have sealed history, which is
-kept only for pairs that sealed together (see `SealState`). The election
-sees only robots with a live term. A skipped distance test could only have
-failed, and a skipped pair, term or robot could only have added an exact
-zero: the bytes are the full quadratic pass's.
+The consensus stage seals whatever records it is fed. Its state is a
+`Consensus`, built from a `WorldConfig` alone with no world placed: the
+stakes, the chain, the pending list, the seal-time navigability
+(`SealState`), the election stream, the loop index its rewards carry and
+the common-landmark extremes. `emit_transactions` is its one per-loop
+entry: it starts the seal state's loop on the records, reads the extremes
+from their match counts and queues them. `maybe_seal_blocks` then seals
+every full batch: it elects the generator by navigability (stake weights
+as cold-start fallback; `elect_generator`), appends a reward transaction
+and credits the generator's stake. `run_experiment` feeds it the world's
+records loop by loop and returns both parts as an `ExperimentState`. Any
+other stream of records, one ascending list per loop with empty loops
+included, such as a ledger's records read back, is sealed the same way:
 
-A loop's observation records are all that `compute_visibility` hands on,
-each built once around its drawn (landmark id, quality) tuples. The seal
-state sums their qualities, emission queues them as they are, and sealing
-encodes the tuples straight into the block's dump line, which the block
-keeps instead of the records.
+    consensus = Consensus(config)
+    for loop, records in enumerate(stream):
+        consensus.loop_index = loop
+        emit_transactions(consensus, records)
+        maybe_seal_blocks(consensus)
+    consensus.loop_index = config.loops
+    maybe_seal_blocks(consensus, finalize=True)
+
+Robots are indexed by id in the trajectory's positions and in the stakes.
+The paper's formulas, one pair at a time, are in `stakenav.reference`,
+which only tests call; nothing here imports it.
+
+Cost model. Per loop, the world stage works in proportion to sightings and
+cooperating pairs, never to all n^2 pairs or all landmarks. Each landmark
+is bucketed once per run into its cell of a grid of cells wider than the
+sensing radius, so a robot measures distances only to the landmarks of its
+own cell and the eight around it. Each sighting also sets the robot's bit
+in the landmark's mask of seers, and a robot's partners are the OR of the
+masks of the landmarks it sees, so a pair that shares nothing is never
+visited. The consensus stage's per-loop entry is linear in the records.
+Per seal, it works in proportion to the live terms, plus one O(n)
+`total_stake()`: navigability sums only pairs that share a landmark this
+loop and have sealed history, which is kept only for pairs that sealed
+together (see `SealState`), and the election sees only robots with a live
+term. A skipped distance test could only have failed, and a skipped pair,
+term or robot could only have added an exact zero: the bytes are the full
+quadratic pass's. Every seal raises the total stake and so every stake
+weight, and float order forbids keeping row sums across seals. A team that
+keeps a fixed density seals O(n) blocks, so its run time grows at least
+as n^2.
+
+A loop's records are each built once around their drawn (landmark id,
+quality) tuples. The seal state sums their qualities, emission queues them
+as they are, and sealing encodes the tuples straight into the block's dump
+line, which the block keeps instead of the records.
 
 `Chain.append_block` numbers transactions as it seals them, in pending
 order, so ids across the chain are gapless even though reward transactions
@@ -45,8 +72,9 @@ from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from itertools import accumulate
 from random import Random
+from typing import NamedTuple
 
-from .domain import RandomStreams, WorldConfig, init_world, ordered_sum
+from .domain import RandomStreams, WorldConfig, derive_stream, init_world, ordered_sum
 from .ledger import Block, Chain, Observation, Reward
 
 # Shared-transaction count at which a pair's importance saturates; counts are
@@ -163,13 +191,14 @@ class SealState:
         return robots, weights, total / (n * (n - 1))
 
 
-class ExperimentState:
-    """Everything one run accumulates: world, chain, pending, logs, seal state.
+class World:
+    """The world part of a run: config, streams, trajectory, landmark grid,
+    and the loop index that `compute_visibility` stamps on its records.
 
-    `stakes[i]` is robot i's stake, and `trajectory[t][i]` its (x, y)
-    position after t movement steps: `trajectory[0]` is the placement and
-    `trajectory[-1]` where the robots are now. Landmark k's (x, y) position
-    is held only in the landmark grid (see `_landmark_grid`).
+    `trajectory[t][i]` is robot i's (x, y) position after t movement steps:
+    `trajectory[0]` is the placement and `trajectory[-1]` where the robots
+    are now. Landmark k's (x, y) position is held only in the landmark grid
+    (see `_landmark_grid`).
     """
 
     def __init__(
@@ -180,18 +209,34 @@ class ExperimentState:
         streams: RandomStreams,
     ):
         self.config = config
-        self.stakes = [config.initial_stake] * config.n_robots
         self.streams = streams
-        self.chain = Chain(n_robots=config.n_robots)
-        self.pending: list[Observation] = []
         self.loop_index = 0
         self.trajectory = [positions]
+        self._grid = _landmark_grid(config, landmarks)
+
+
+class Consensus:
+    """The consensus part of a run, built from its config alone.
+
+    `stakes[i]` is robot i's stake. `seal` holds the pair history and this
+    loop's live navigability terms, and its sealed averages replay the
+    reference oracle's sums bit for bit. `election` is the stream
+    `derive_stream(seed, "election")`, and `loop_index` is stamped on each
+    reward. `max_common` and `min_common` are the most and the fewest
+    landmarks a pair has shared in one loop fed so far; `min_common` is
+    None until a team of two or more robots is fed a loop.
+    """
+
+    def __init__(self, config: WorldConfig):
+        self.config = config
+        self.stakes = [config.initial_stake] * config.n_robots
+        self.chain = Chain(n_robots=config.n_robots)
+        self.pending: list[Observation] = []
+        self.seal = SealState()
+        self.election = derive_stream(config.seed, "election")
+        self.loop_index = 0
         self.max_common = 0
         self.min_common: int | None = None
-        # Pair history and this loop's live navigability terms; sealed
-        # averages replay the reference oracle's sums bit for bit.
-        self.seal = SealState()
-        self._grid = _landmark_grid(config, landmarks)
 
     def total_stake(self) -> float:
         """Left-to-right total of the stakes; ValueError once it has overflowed.
@@ -205,24 +250,31 @@ class ExperimentState:
         return total
 
 
-def step_movement(state: ExperimentState) -> list[tuple[float, float]]:
+class ExperimentState(NamedTuple):
+    """A finished run: its world part and its consensus part."""
+
+    world: World
+    consensus: Consensus
+
+
+def step_movement(world: World) -> list[tuple[float, float]]:
     """Move every robot by a uniform step in [-step_size, +step_size] per axis,
     x before y, robot by robot, clamped to the world bounds. Appends the new
     positions to the trajectory.
     """
-    config = state.config
-    random = state.streams.movement.random
+    config = world.config
+    random = world.streams.movement.random
     step = config.step_size
     low = -step
     span = step - low
     positions = []
-    for x, y in state.trajectory[-1]:
+    for x, y in world.trajectory[-1]:
         dx = low + span * random()
         dy = low + span * random()
         positions.append(
             (min(max(x + dx, 0.0), config.width), min(max(y + dy, 0.0), config.height))
         )
-    state.trajectory.append(positions)
+    world.trajectory.append(positions)
     return positions
 
 
@@ -268,7 +320,7 @@ def _landmark_grid(
     return size, stride, cells
 
 
-def compute_visibility(state: ExperimentState) -> list[Observation]:
+def compute_visibility(world: World) -> list[Observation]:
     """This loop's observation records: one per pair sharing a landmark.
 
     A robot recognizes a landmark iff their Euclidean distance is within the
@@ -282,20 +334,19 @@ def compute_visibility(state: ExperimentState) -> list[Observation]:
     Qualities are drawn uniformly in [0, 1) per (pair, common landmark), in
     ascending pair-then-landmark order; pairs that share nothing draw
     nothing, exactly as in a full pass. Each record is built in one
-    expression around its ascending (landmark id, quality) tuples, and the
-    records ascend by pair. After the walk, the config's degradation, if
-    active this loop, rescales its pair's record in place, and the seal
-    state starts its loop and the common-count extremes are read from the
-    records' match counts.
+    expression around its ascending (landmark id, quality) tuples, carries
+    `world.loop_index`, and the records ascend by pair. After the walk, the
+    config's degradation, if active this loop, rescales its pair's record
+    in place.
     """
-    config = state.config
+    config = world.config
     radius_sq = config.sensing_radius * config.sensing_radius
-    size, stride, cells = state._grid
+    size, stride, cells = world._grid
     around = [nx * stride + ny for nx in (-1, 0, 1) for ny in (-1, 0, 1)]
     recognized: list[set[int]] = []
     # Seen landmark id -> mask of the robots that see it.
     seers: defaultdict[int, int] = defaultdict(int)
-    for i, (rx, ry) in enumerate(state.trajectory[-1]):
+    for i, (rx, ry) in enumerate(world.trajectory[-1]):
         key = int(rx // size) * stride + int(ry // size)
         seen = set()
         bit = 1 << i
@@ -308,8 +359,8 @@ def compute_visibility(state: ExperimentState) -> list[Observation]:
                     seers[k] |= bit
         recognized.append(seen)
 
-    loop = state.loop_index
-    random = state.streams.quality.random
+    loop = world.loop_index
+    random = world.streams.quality.random
     observations: list[Observation] = []
     for i, rec_i in enumerate(recognized):
         partners = 0
@@ -329,27 +380,33 @@ def compute_visibility(state: ExperimentState) -> list[Observation]:
         for record in observations:
             if record.pair == scenario.pair:
                 record.matches[:] = [(k, q * scenario.multiplier) for k, q in record.matches]
-    state.seal.start_loop(observations)
-    counts = [len(record.matches) for record in observations]
-    n = len(recognized)
-    if len(observations) < n * (n - 1) // 2:
-        counts.append(0)  # some pair shares no landmark
-    if counts:
-        least = min(counts)
-        state.max_common = max(state.max_common, *counts)
-        state.min_common = least if state.min_common is None else min(state.min_common, least)
     return observations
 
 
 def emit_transactions(
-    state: ExperimentState, observations: list[Observation]
+    consensus: Consensus, observations: list[Observation]
 ) -> list[Observation]:
-    """Queue one loop's observations, as `compute_visibility` returned them.
+    """The consensus stage's per-loop entry: take one loop's records.
 
-    The records go to the pending list as they are, neither copied nor
-    re-checked, and the same list is returned.
+    The records ascend by pair, as `compute_visibility` returns them. The
+    seal state starts its loop on them, and the common-landmark extremes
+    are read from their match counts; a team with fewer records than pairs
+    has a pair that shares nothing, which counts 0. The records then go to
+    the pending list as they are, neither copied nor re-checked, and the
+    same list is returned.
     """
-    state.pending.extend(observations)
+    consensus.seal.start_loop(observations)
+    counts = [len(record.matches) for record in observations]
+    n = consensus.config.n_robots
+    if len(observations) < n * (n - 1) // 2:
+        counts.append(0)  # some pair shares no landmark
+    if counts:
+        least = min(counts)
+        consensus.max_common = max(consensus.max_common, *counts)
+        if consensus.min_common is not None:
+            least = min(consensus.min_common, least)
+        consensus.min_common = least
+    consensus.pending.extend(observations)
     return observations
 
 
@@ -393,45 +450,46 @@ def _draw(weights: list[float], rng: Random) -> int | None:
     return k
 
 
-def maybe_seal_blocks(state: ExperimentState, finalize: bool = False) -> list[Block]:
+def maybe_seal_blocks(consensus: Consensus, finalize: bool = False) -> list[Block]:
     """Seal full batches while enough transactions are pending.
 
     Each seal elects the generator by navigability, appends the batch and its
     reward, records the batch's pairs and credits the generator's stake.
     With `finalize`, also seal any non-empty remainder (end of experiment).
     """
-    config = state.config
-    stakes = state.stakes
+    config = consensus.config
+    stakes = consensus.stakes
     sealed = []
-    pending = state.pending
+    pending = consensus.pending
     block_size = config.block_size
     while len(pending) >= block_size or (finalize and pending):
         batch = pending[:block_size]
         del pending[:block_size]
         # Importance comes from the chain before this block, so a block's own
         # transactions only influence later elections.
-        robots, weights, avg_nav = state.seal.weights(stakes, state.total_stake())
-        generator = elect_generator(weights, state.streams.election, stakes, robots)
-        reward = Reward(generator, config.generator_reward, state.loop_index)
-        sealed.append(state.chain.append_block(batch + [reward], avg_nav))
-        state.seal.record([tx.pair for tx in batch])
+        robots, weights, avg_nav = consensus.seal.weights(stakes, consensus.total_stake())
+        generator = elect_generator(weights, consensus.election, stakes, robots)
+        reward = Reward(generator, config.generator_reward, consensus.loop_index)
+        sealed.append(consensus.chain.append_block(batch + [reward], avg_nav))
+        consensus.seal.record([tx.pair for tx in batch])
         stakes[generator] += config.generator_reward
     return sealed
 
 
 def run_experiment(config: WorldConfig) -> ExperimentState:
-    """Run the full experiment: place, then loop move/see/emit/seal.
+    """Run the full experiment: place the world, then per loop the world part
+    moves and sees, and the consensus part takes the records and seals.
 
     Deterministic: equal configs, `degradation` included, give bit-identical
     final states, ledgers, and series.
     """
-    positions, landmarks, streams = init_world(config)
-    state = ExperimentState(config, positions, landmarks, streams)
+    world = World(config, *init_world(config))
+    consensus = Consensus(config)
     for loop in range(config.loops):
-        state.loop_index = loop
-        step_movement(state)
-        emit_transactions(state, compute_visibility(state))
-        maybe_seal_blocks(state)
-    state.loop_index = config.loops
-    maybe_seal_blocks(state, finalize=True)
-    return state
+        world.loop_index = consensus.loop_index = loop
+        step_movement(world)
+        emit_transactions(consensus, compute_visibility(world))
+        maybe_seal_blocks(consensus)
+    consensus.loop_index = config.loops
+    maybe_seal_blocks(consensus, finalize=True)
+    return ExperimentState(world, consensus)

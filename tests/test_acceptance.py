@@ -46,10 +46,10 @@ def busiest_pair(chain):
     return max(sorted(counts), key=lambda p: counts[p])
 
 
-def window_splits(state):
+def window_splits(chain):
     """Block averages bucketed by seal loop: before/inside/after the window."""
     pre, win, post = [], [], []
-    for block in state.chain.blocks:
+    for block in chain.blocks:
         loop = block.transactions[-1].loop_index  # reward tx marks the seal loop
         if loop < WINDOW[0]:
             pre.append(block.avg_navigability)
@@ -66,19 +66,19 @@ def default_runs():
     runs = []
     for seed in range(N_SEEDS):
         started = time.perf_counter()
-        state = run_experiment(WorldConfig(seed=seed))
+        consensus = run_experiment(WorldConfig(seed=seed)).consensus
         seconds = time.perf_counter() - started
         runs.append({
             "seed": seed,
             "seconds": seconds,
-            "transactions": state.chain.next_tx_id,
-            "blocks": len(state.chain.blocks),
-            "series": [b.avg_navigability for b in state.chain.blocks],
-            "splits": window_splits(state),
-            "busiest_pair": busiest_pair(state.chain),
-            "total_stake": state.total_stake(),
-            "max_common": state.max_common,
-            "min_common": state.min_common,
+            "transactions": consensus.chain.next_tx_id,
+            "blocks": len(consensus.chain.blocks),
+            "series": [b.avg_navigability for b in consensus.chain.blocks],
+            "splits": window_splits(consensus.chain),
+            "busiest_pair": busiest_pair(consensus.chain),
+            "total_stake": consensus.total_stake(),
+            "max_common": consensus.max_common,
+            "min_common": consensus.min_common,
         })
     return runs
 
@@ -88,8 +88,8 @@ def degraded_runs(default_runs):
     runs = []
     for rec in default_runs:
         scenario = DegradationScenario(rec["busiest_pair"], WINDOW[0], WINDOW[1], 0.1)
-        state = run_experiment(WorldConfig(seed=rec["seed"], degradation=scenario))
-        runs.append({"splits": window_splits(state)})
+        run = run_experiment(WorldConfig(seed=rec["seed"], degradation=scenario))
+        runs.append({"splits": window_splits(run.consensus.chain)})
     return runs
 
 
@@ -286,8 +286,8 @@ def test_c10b_valley_and_recovery_against_baseline(default_runs, degraded_runs):
 
 
 def test_c11_determinism_golden(tmp_path, capsys):
-    state = run_experiment(WorldConfig())
-    assert hashlib.sha256(state.chain.dumps()).hexdigest() == GOLDEN_SEED0_LEDGER
+    chain = run_experiment(WorldConfig()).consensus.chain
+    assert hashlib.sha256(chain.dumps()).hexdigest() == GOLDEN_SEED0_LEDGER
 
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["--seed", "0", "--out", str(a)]) == 0
@@ -301,17 +301,17 @@ def test_c11_determinism_golden(tmp_path, capsys):
 def test_c12_scale_smoke_under_30s_with_invariants():
     cfg = WorldConfig(n_robots=50, n_landmarks=100, loops=100, seed=1)
     started = time.perf_counter()
-    state = run_experiment(cfg)
+    world, consensus = run_experiment(cfg)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, elapsed
 
-    chain = state.chain
+    chain = consensus.chain
     assert chain.verify() is None
-    assert state.pending == []
-    assert len(state.trajectory) == cfg.loops + 1
+    assert consensus.pending == []
+    assert len(world.trajectory) == cfg.loops + 1
     expected_stake = 50 * 1.0 + 0.1 * len(chain.blocks)
-    assert abs(state.total_stake() - expected_stake) <= 1e-12
+    assert abs(consensus.total_stake() - expected_stake) <= 1e-12
     alpha = AlphaMatrix.from_pair_counts(pair_tx_counts(chain.blocks), 50)
-    assert dense_alpha(state.seal, 50) == alpha.values
+    assert dense_alpha(consensus.seal, 50) == alpha.values
     pairs_cap = 50 * 49 // 2 * cfg.loops
     assert chain.next_tx_id <= pairs_cap + len(chain.blocks)

@@ -5,14 +5,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stakenav import (
-    ConfigError,
-    DegradationScenario,
-    ExperimentState,
-    WorldConfig,
-    init_world,
-    run_experiment,
-)
+from stakenav import ConfigError, DegradationScenario, WorldConfig, init_world, run_experiment
 from stakenav.domain import (
     MAX_LANDMARKS,
     MAX_LENGTH,
@@ -25,6 +18,7 @@ from stakenav.domain import (
     derive_stream,
     normalize_pair,
 )
+from stakenav.sim import Consensus, World
 from tests.test_cli import CONFIG_VALUES
 
 
@@ -123,9 +117,9 @@ def test_team_and_landmark_bounds_are_inclusive():
 
 
 def test_the_largest_seed_runs_and_verifies():
-    state = run_experiment(WorldConfig(seed=MAX_SEED))
-    assert state.chain.blocks
-    assert state.chain.verify() is None
+    chain = run_experiment(WorldConfig(seed=MAX_SEED)).consensus.chain
+    assert chain.blocks
+    assert chain.verify() is None
 
 
 def test_loops_bound_holds_the_trajectory_to_max_positions():
@@ -185,9 +179,8 @@ def test_init_world_places_everything_in_bounds():
         x, y = place
         assert type(x) is float and type(y) is float
         assert 0.0 <= x <= cfg.width and 0.0 <= y <= cfg.height
-    state = ExperimentState(cfg, positions, landmarks, streams)
-    assert state.stakes == [2.5] * cfg.n_robots
-    assert state.trajectory == [positions]
+    assert World(cfg, positions, landmarks, streams).trajectory == [positions]
+    assert Consensus(cfg).stakes == [2.5] * cfg.n_robots
 
 
 def test_init_world_is_deterministic_per_seed():

@@ -12,7 +12,6 @@ from hypothesis import example, given, strategies as st
 from stakenav import (
     Chain,
     ConfigError,
-    ExperimentState,
     LedgerError,
     WorldConfig,
     compute_visibility,
@@ -24,7 +23,7 @@ from stakenav import (
 from stakenav import ledger
 from stakenav.domain import MAX_ROBOTS
 from stakenav.ledger import GENESIS_PREV_HASH, Observation, Reward, canonical_encode
-from stakenav.sim import step_movement
+from stakenav.sim import Consensus, World, step_movement
 
 
 def obs(pair, loop, matches=((0, 0.5),)):
@@ -86,19 +85,10 @@ def test_reward_and_avg_navigability_must_be_finite(value):
 def test_block_transactions_are_the_appended_records():
     chain = Chain(n_robots=4)
     chain.append_block([obs((0, 1), 0), Reward(0, 0.1, 0)], 0.0)
-    appended = [obs((0, 2), 4, [(1, 0.25), (3, 0.75)]), Reward(1, 0.1, 2)]
+    appended = [obs((0, 2), 4, [(1, 0.25), (3, 0.75), (4, 1.0)]), Reward(1, 0.1, 2)]
     chain.append_block(appended, 0.5)
     assert chain.blocks[1].transactions == appended  # tuples, not lists, for pair and matches
     assert Chain.loads(chain.dumps()).blocks[1].transactions == appended
-
-
-def test_a_quality_of_one_is_sealed_and_read_back():
-    chain = Chain(n_robots=2)
-    sealed = [obs((0, 1), 0, [(0, 1.0)]), Reward(0, 0.1, 0)]
-    chain.append_block(sealed, 0.5)
-    assert verify_dump_bytes(chain.dumps(), 2) is None
-    assert Chain.loads(chain.dumps(), 2).blocks[0].transactions == sealed
-
 
 def test_reader_rejects_a_bad_transaction_record_at_its_block():
     records = seed_records()
@@ -358,9 +348,9 @@ def test_verify_checks_robot_ids_against_the_chain_team():
 
 def test_verify_reports_first_tampered_block():
     config = WorldConfig()
-    state = ExperimentState(config, *init_world(config))
-    step_movement(state)
-    emitted = emit_transactions(state, compute_visibility(state))[0]
+    world = World(config, *init_world(config))
+    step_movement(world)
+    emitted = emit_transactions(Consensus(config), compute_visibility(world))[0]
     chain = build_chain(blocks=5)
     for record, name in (
         (emitted, "loop_index"),
@@ -410,7 +400,8 @@ def test_dump_round_trip_is_byte_identical():
 
 def dense_chain():
     """106 dense blocks: 50 robots, 100 landmarks, 1 loop, seed 0."""
-    chain = run_experiment(WorldConfig(n_robots=50, n_landmarks=100, loops=1, seed=0)).chain
+    config = WorldConfig(n_robots=50, n_landmarks=100, loops=1, seed=0)
+    chain = run_experiment(config).consensus.chain
     assert (len(chain.blocks), len(chain.dumps())) == (106, 644_207)
     return chain
 
@@ -537,7 +528,7 @@ def test_single_bit_flips_are_detected_no_later_than_the_block():
 
 
 def seed_dump(seed=0):
-    return run_experiment(WorldConfig(seed=seed)).chain.dumps()
+    return run_experiment(WorldConfig(seed=seed)).consensus.chain.dumps()
 
 
 def rehash(line):
@@ -558,7 +549,7 @@ def replace_line(data, index, line):
 
 def test_sealed_lines_match_a_fresh_encoding():
     for seed in range(5):
-        chain = run_experiment(WorldConfig(seed=seed)).chain
+        chain = run_experiment(WorldConfig(seed=seed)).consensus.chain
         for block in chain.blocks:
             assert block.line.endswith(b"\n")
             assert canonical_encode(json.loads(block.line)) + b"\n" == block.line

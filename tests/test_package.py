@@ -147,7 +147,8 @@ def _load_tool(monkeypatch):
 
 def test_check_determinism_reports_a_dump_that_does_not_load(monkeypatch, capsys):
     tool = _load_tool(monkeypatch)
-    garbled = types.SimpleNamespace(chain=types.SimpleNamespace(dumps=lambda: b"not json\n"))
+    chain = types.SimpleNamespace(dumps=lambda: b"not json\n")
+    garbled = types.SimpleNamespace(consensus=types.SimpleNamespace(chain=chain))
     monkeypatch.setattr(tool, "run_experiment", lambda config: garbled)
     assert tool.main() == 1
     lines = capsys.readouterr().out.splitlines()

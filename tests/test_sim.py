@@ -18,7 +18,6 @@ from hypothesis import example, given, settings, strategies as st
 from stakenav import (
     ConfigError,
     DegradationScenario,
-    ExperimentState,
     WorldConfig,
     compute_visibility,
     emit_transactions,
@@ -35,7 +34,7 @@ from stakenav.reference import (
     navigability_matrix,
 )
 from stakenav.domain import MAX_LENGTH, MIN_RADIUS, RandomStreams, derive_stream
-from stakenav.sim import maybe_seal_blocks, step_movement
+from stakenav.sim import Consensus, World, maybe_seal_blocks, step_movement
 from tests.test_ledger import pair_tx_counts
 from tests.test_navigability import dense_alpha
 
@@ -49,9 +48,8 @@ SPARSE = WorldConfig(
 )
 
 
-def fresh_state(config=SMALL):
-    positions, landmarks, streams = init_world(config)
-    return ExperimentState(config, positions, landmarks, streams)
+def fresh_world(config=SMALL):
+    return World(config, *init_world(config))
 
 
 def test_scenario_validation():
@@ -97,7 +95,7 @@ def test_degradation_window_must_end_before_the_last_loop():
     def pair_matches(state):
         return {
             tx.loop_index: tx.matches
-            for block in state.chain.blocks for tx in block.transactions
+            for block in state.consensus.chain.blocks for tx in block.transactions
             if isinstance(tx, Observation) and tx.pair == (2, 7)
         }
 
@@ -136,16 +134,16 @@ def test_scenario_stores_a_pair_tuple_and_a_float_multiplier():
 
 
 def test_step_movement_stays_in_bounds_and_logs_trajectory():
-    state = fresh_state()
-    cfg = state.config
-    before = state.trajectory[-1]
+    world = fresh_world()
+    cfg = world.config
+    before = world.trajectory[-1]
     for _ in range(50):
-        positions = step_movement(state)
+        positions = step_movement(world)
         for (x, y), (px, py) in zip(positions, before):
             assert 0.0 <= x <= cfg.width and 0.0 <= y <= cfg.height
             assert abs(x - px) <= cfg.step_size and abs(y - py) <= cfg.step_size
         before = positions
-    assert len(state.trajectory) == 51
+    assert len(world.trajectory) == 51
 
 
 def brute_common(config, positions, landmarks=None):
@@ -165,8 +163,8 @@ def brute_common(config, positions, landmarks=None):
     return {pair: ks for pair, ks in common.items() if ks}
 
 
-def assert_distance_rule(state, observations, landmarks=None):
-    expected = brute_common(state.config, state.trajectory[-1], landmarks)
+def assert_distance_rule(world, observations, landmarks=None):
+    expected = brute_common(world.config, world.trajectory[-1], landmarks)
     assert [tx.pair for tx in observations] == list(expected)
     for tx in observations:
         assert [k for k, _ in tx.matches] == expected[tx.pair]
@@ -175,17 +173,17 @@ def assert_distance_rule(state, observations, landmarks=None):
 
 def hand_placed_state(config, robots_xy, landmarks_xy):
     _, _, streams = init_world(config)
-    return ExperimentState(config, list(robots_xy), list(landmarks_xy), streams)
+    return World(config, list(robots_xy), list(landmarks_xy), streams)
 
 
 def test_compute_visibility_matches_distance_rule():
-    state = fresh_state()
-    step_movement(state)
-    observations = compute_visibility(state)
+    world = fresh_world()
+    step_movement(world)
+    observations = compute_visibility(world)
     assert observations
     # Building the snapshot checks its pairwise intersections.
-    VisibilitySnapshot.of(state.config.n_robots, state.config.n_landmarks, observations)
-    assert_distance_rule(state, observations)
+    VisibilitySnapshot.of(world.config.n_robots, world.config.n_landmarks, observations)
+    assert_distance_rule(world, observations)
 
 
 def test_compute_visibility_grid_boundaries():
@@ -197,11 +195,13 @@ def test_compute_visibility_grid_boundaries():
     cfg = WorldConfig(n_robots=3, n_landmarks=4, width=50.0, height=50.0,
                       sensing_radius=5.0, seed=1)
     landmarks = [(8.0, 9.0), (8.0, 9.0 + 2**-20), (10.0, 5.0), (11.0, 5.0)]
-    state = hand_placed_state(cfg, [(5.0, 5.0), (5.0, 5.0), (40.0, 40.0)], landmarks)
-    observations = compute_visibility(state)
+    world = hand_placed_state(cfg, [(5.0, 5.0), (5.0, 5.0), (40.0, 40.0)], landmarks)
+    observations = compute_visibility(world)
     assert [(tx.pair, [k for k, _ in tx.matches]) for tx in observations] == [((0, 1), [0, 2])]
-    assert_distance_rule(state, observations, landmarks)
-    assert state.min_common == 0 and state.max_common == 2
+    assert_distance_rule(world, observations, landmarks)
+    consensus = Consensus(cfg)
+    emit_transactions(consensus, observations)
+    assert consensus.min_common == 0 and consensus.max_common == 2
 
 
 # Robots a quarter step off the landmarks' grid of eighths, so that no squared
@@ -249,8 +249,8 @@ def test_compute_visibility_grid_in_a_huge_world():
     x = 4904401271609417.0
     cfg = WorldConfig(n_robots=2, n_landmarks=1, width=5e15, height=5e15,
                       sensing_radius=1.5, seed=1)
-    state = hand_placed_state(cfg, [(x, 7.0), (x, 7.0)], [(x + 1.0, 7.0)])
-    observations = compute_visibility(state)
+    world = hand_placed_state(cfg, [(x, 7.0), (x, 7.0)], [(x + 1.0, 7.0)])
+    observations = compute_visibility(world)
     assert [(tx.pair, [k for k, _ in tx.matches]) for tx in observations] == [((0, 1), [0])]
 
 
@@ -273,24 +273,24 @@ def test_a_landmark_just_inside_the_radius_is_seen_from_anywhere_in_a_cell(direc
     dx, dy = (radius * (1 - 2**-20) * d / math.hypot(*direction) for d in direction)
     for step in range(129):
         x = y = 400.0 + step * radius / 64
-        state = ExperimentState(
-            config, [(x, y), (x, y)], [(x + dx, y + dy)], RandomStreams.from_seed(0)
-        )
-        observations = compute_visibility(state)
+        world = World(config, [(x, y), (x, y)], [(x + dx, y + dy)], RandomStreams.from_seed(0))
+        observations = compute_visibility(world)
         assert [(tx.pair, [k for k, _ in tx.matches]) for tx in observations] == [((0, 1), [0])], x
 
 
 def test_compute_visibility_in_a_sparse_world():
-    state = fresh_state(SPARSE)
+    world = fresh_world(SPARSE)
+    consensus = Consensus(SPARSE)
     for _ in range(SPARSE.loops):
-        step_movement(state)
-        observations = compute_visibility(state)
+        step_movement(world)
+        observations = compute_visibility(world)
         # Building the snapshot checks its pairwise intersections.
         VisibilitySnapshot.of(SPARSE.n_robots, SPARSE.n_landmarks, observations)
-        expected = assert_distance_rule(state, observations)
+        expected = assert_distance_rule(world, observations)
         n = SPARSE.n_robots
         assert 0 < len(expected) < n * (n - 1) // 2 // 10
-    assert state.min_common == 0
+        emit_transactions(consensus, observations)
+    assert consensus.min_common == 0
 
 
 @st.composite
@@ -328,10 +328,10 @@ def hand_placed_world(robots, landmarks, radius=5.0):
 @given(hand_placed_worlds())
 def test_cooperating_pairs_equal_an_all_pairs_intersection(world):
     config, robots, landmarks = world
-    state = hand_placed_state(config, robots, landmarks)
+    world = hand_placed_state(config, robots, landmarks)
     replay = random.Random()
-    replay.setstate(state.streams.quality.getstate())
-    observations = compute_visibility(state)
+    replay.setstate(world.streams.quality.getstate())
+    observations = compute_visibility(world)
     common = brute_common(config, robots, landmarks)
     expected = [
         Observation(pair, [(k, replay.random()) for k in ks], 0) for pair, ks in common.items()
@@ -341,15 +341,17 @@ def test_cooperating_pairs_equal_an_all_pairs_intersection(world):
     counts = [len(ks) for ks in common.values()]
     if len(common) < n * (n - 1) // 2:
         counts.append(0)  # some pair shares no landmark
-    assert state.max_common == max(counts, default=0)
-    assert state.min_common == min(counts, default=None)
+    consensus = Consensus(config)
+    emit_transactions(consensus, observations)
+    assert consensus.max_common == max(counts, default=0)
+    assert consensus.min_common == min(counts, default=None)
 
 
 def test_large_sparse_world_ledger_is_pinned():
     # 1,000 robots, of whose 499,500 pairs about 50 share a landmark per loop.
     config = WorldConfig(n_robots=1000, n_landmarks=2000, width=10000.0, height=10000.0,
                          loops=3, seed=4)
-    digest = hashlib.sha256(run_experiment(config).chain.dumps()).hexdigest()
+    digest = hashlib.sha256(run_experiment(config).consensus.chain.dumps()).hexdigest()
     assert digest == "5b5bb5399d09e67fe5ce1444386e1838d7dda272e0e2b25a414f99f04417e257"
 
 
@@ -358,11 +360,11 @@ def test_cross_cell_world_ledger_is_pinned():
     # and a few land in a 3x3 neighbourhood that holds no landmark.
     config = WorldConfig(n_robots=100, n_landmarks=2000, width=3000.0, height=3000.0,
                          sensing_radius=60.0, step_size=150.0, loops=8, seed=10)
-    state = run_experiment(config)
-    digest = hashlib.sha256(state.chain.dumps()).hexdigest()
+    world, consensus = run_experiment(config)
+    digest = hashlib.sha256(consensus.chain.dumps()).hexdigest()
     assert digest == "2a521c93e1c6ba231d286fd14425389be299fc20677b345dc6e42f14ae7a4fcd"
-    size, _, _ = state._grid
-    visits = [[(x // size, y // size) for x, y in positions] for positions in state.trajectory]
+    size, _, _ = world._grid
+    visits = [[(x // size, y // size) for x, y in positions] for positions in world.trajectory]
     stays = sum(a == b for before, after in zip(visits, visits[1:]) for a, b in zip(before, after))
     assert stays < 50  # of 800 robot steps
 
@@ -375,14 +377,14 @@ def test_landmark_grid_lists_each_landmark_once():
     positions, landmarks, streams = init_world(config)
     tracemalloc.start()
     try:
-        state = ExperimentState(config, positions, landmarks, streams)
-        step_movement(state)
-        compute_visibility(state)
+        world = World(config, positions, landmarks, streams)
+        step_movement(world)
+        compute_visibility(world)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 40e6
-    _, _, cells = state._grid
+    _, _, cells = world._grid
     assert sum(map(len, cells.values())) == config.n_landmarks
 
 
@@ -396,7 +398,7 @@ from stakenav import WorldConfig, run_experiment
 n_landmarks, extent, loops, blocks = map(int, sys.argv[1:])
 state = run_experiment(WorldConfig(n_robots=4096, n_landmarks=n_landmarks, width=extent,
                                    height=extent, loops=loops, seed=0))
-assert len(state.chain.blocks) == blocks
+assert len(state.consensus.chain.blocks) == blocks
 with open("/proc/self/status") as status:
     print(next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")))
 """
@@ -423,10 +425,10 @@ def test_a_team_without_history_holds_no_row_of_pair_history():
 
 
 def test_qualities_drawn_only_for_common_landmarks():
-    state = fresh_state()
-    step_movement(state)
-    observations = compute_visibility(state)
-    common = assert_distance_rule(state, observations)
+    world = fresh_world()
+    step_movement(world)
+    observations = compute_visibility(world)
+    common = assert_distance_rule(world, observations)
     for tx in observations:
         i, j = tx.pair
         assert i < j
@@ -437,14 +439,14 @@ def test_qualities_drawn_only_for_common_landmarks():
 
 def test_snapshot_qualities_are_the_drawn_qualities():
     scenario = DegradationScenario((1, 3), 0, 2, 0.5)
-    state = fresh_state(SMALL._replace(degradation=scenario))
-    step_movement(state)
+    world = fresh_world(SMALL._replace(degradation=scenario))
+    step_movement(world)
     replay = random.Random()
-    replay.setstate(state.streams.quality.getstate())
-    observations = compute_visibility(state)
+    replay.setstate(world.streams.quality.getstate())
+    observations = compute_visibility(world)
     assert (1, 3) in [tx.pair for tx in observations]
     expected = {}
-    for (i, j), ks in brute_common(SMALL, state.trajectory[-1]).items():
+    for (i, j), ks in brute_common(SMALL, world.trajectory[-1]).items():
         for k in ks:
             q = replay.random()
             if (i, j) == scenario.pair:
@@ -455,95 +457,102 @@ def test_snapshot_qualities_are_the_drawn_qualities():
 
 
 def test_emit_one_transaction_per_cooperating_pair():
-    state = fresh_state()
-    state.loop_index = 2
-    step_movement(state)
-    observations = compute_visibility(state)
+    world = fresh_world()
+    world.loop_index = 2
+    step_movement(world)
+    observations = compute_visibility(world)
     records = list(observations)
-    added = emit_transactions(state, observations)
+    consensus = Consensus(SMALL)
+    added = emit_transactions(consensus, observations)
     # The records are queued as they are: the same list, unchanged.
     assert added is observations and added == records
     assert all(a is b for a, b in zip(added, records))
     assert added
-    assert_distance_rule(state, added)
+    assert_distance_rule(world, added)
     for tx in added:
         i, j = tx.pair
         assert i < j
         assert isinstance(tx, Observation)
         assert tx.loop_index == 2
-    assert state.pending == added
-    assert all(a is b for a, b in zip(state.pending, added))
+    assert consensus.pending == added
+    assert all(a is b for a, b in zip(consensus.pending, added))
+
+
+def first_loop_emitted(config=SMALL):
+    """A consensus part that has taken the first loop's records of `config`'s world."""
+    world = fresh_world(config)
+    step_movement(world)
+    consensus = Consensus(config)
+    emit_transactions(consensus, compute_visibility(world))
+    return consensus
 
 
 def test_sealing_assigns_contiguous_ids_and_credits_generator():
-    state = fresh_state()
-    step_movement(state)
-    emit_transactions(state, compute_visibility(state))
-    assert len(state.pending) >= 3  # sanity for this seed
-    stakes_before = list(state.stakes)
-    blocks = maybe_seal_blocks(state)
-    assert blocks and len(state.pending) < state.config.block_size
+    consensus = first_loop_emitted()
+    assert len(consensus.pending) >= 3  # sanity for this seed
+    stakes_before = list(consensus.stakes)
+    blocks = maybe_seal_blocks(consensus)
+    assert blocks and len(consensus.pending) < SMALL.block_size
     for block in blocks:
-        assert len(block.transactions) == state.config.block_size + 1
+        assert len(block.transactions) == SMALL.block_size + 1
         assert isinstance(block.transactions[-1], Reward)
         assert block.transactions[-1].generator == block.generator
     ids = [tx["tx_id"] for b in blocks for tx in json.loads(b.line)["transactions"]]
     assert ids == list(range(len(ids)))
-    reward_total = sum(state.stakes) - sum(stakes_before)
-    assert reward_total == pytest.approx(len(blocks) * state.config.generator_reward)
+    reward_total = sum(consensus.stakes) - sum(stakes_before)
+    assert reward_total == pytest.approx(len(blocks) * SMALL.generator_reward)
 
 
 def test_finalize_seals_remainder():
-    state = fresh_state()
-    step_movement(state)
-    emit_transactions(state, compute_visibility(state))
-    maybe_seal_blocks(state)
-    leftover = len(state.pending)
-    sealed = maybe_seal_blocks(state, finalize=True)
+    consensus = first_loop_emitted()
+    maybe_seal_blocks(consensus)
+    leftover = len(consensus.pending)
+    sealed = maybe_seal_blocks(consensus, finalize=True)
     if leftover:
         assert len(sealed) == 1
         assert len(sealed[-1].transactions) == leftover + 1
-    assert state.pending == []
+    assert consensus.pending == []
 
 
 def test_zero_loops_runs_empty():
-    state = run_experiment(WorldConfig(loops=0, seed=1))
-    assert state.chain.blocks == []
-    assert len(state.trajectory) == 1  # placement only
+    world, consensus = run_experiment(WorldConfig(loops=0, seed=1))
+    assert consensus.chain.blocks == []
+    assert len(world.trajectory) == 1  # placement only
 
 
 def test_run_is_deterministic():
     cfg = WorldConfig(seed=77)
     a = run_experiment(cfg)
     b = run_experiment(cfg)
-    assert a.chain.dumps() == b.chain.dumps()
-    assert a.trajectory == b.trajectory
-    assert run_experiment(WorldConfig(seed=78)).chain.dumps() != a.chain.dumps()
+    assert a.consensus.chain.dumps() == b.consensus.chain.dumps()
+    assert a.world.trajectory == b.world.trajectory
+    other = run_experiment(WorldConfig(seed=78))
+    assert other.consensus.chain.dumps() != a.consensus.chain.dumps()
 
 
 def test_run_invariants_default_config():
     cfg = WorldConfig(seed=4)
-    state = run_experiment(cfg)
-    chain = state.chain
+    world, consensus = run_experiment(cfg)
+    chain = consensus.chain
     assert chain.verify() is None
-    assert state.pending == []
-    assert len(state.trajectory) == cfg.loops + 1
+    assert consensus.pending == []
+    assert len(world.trajectory) == cfg.loops + 1
     n_pairs = cfg.n_robots * (cfg.n_robots - 1) // 2
     blocks = len(chain.blocks)
     assert chain.next_tx_id <= n_pairs * cfg.loops + blocks
     expected_stake = cfg.n_robots * cfg.initial_stake + cfg.generator_reward * blocks
-    assert abs(state.total_stake() - expected_stake) <= 1e-12
-    assert state.min_common == 0 and state.max_common >= 2
+    assert abs(consensus.total_stake() - expected_stake) <= 1e-12
+    assert consensus.min_common == 0 and consensus.max_common >= 2
     # reward count equals block count; observation count fills the rest
     rewards = sum(1 for b in chain.blocks for tx in b.transactions if isinstance(tx, Reward))
     assert rewards == blocks
 
 
 def test_alpha_mirrors_chain_history():
-    state = run_experiment(WorldConfig(seed=9))
-    counts = pair_tx_counts(state.chain.blocks)
-    alpha = AlphaMatrix.from_pair_counts(counts, state.config.n_robots)
-    assert dense_alpha(state.seal, state.config.n_robots) == alpha.values
+    consensus = run_experiment(WorldConfig(seed=9)).consensus
+    counts = pair_tx_counts(consensus.chain.blocks)
+    alpha = AlphaMatrix.from_pair_counts(counts, consensus.config.n_robots)
+    assert dense_alpha(consensus.seal, consensus.config.n_robots) == alpha.values
 
 
 def test_degradation_scales_only_target_pair_in_window():
@@ -551,15 +560,15 @@ def test_degradation_scales_only_target_pair_in_window():
     scenario = DegradationScenario((0, 1), 2, 4, 0.0)
     base = run_experiment(cfg)
     deg = run_experiment(cfg._replace(degradation=scenario))
-    assert base.trajectory == deg.trajectory  # movement untouched
+    assert base.world.trajectory == deg.world.trajectory  # movement untouched
     base_txs = {
         (tx.pair, tx.loop_index): tx.matches
-        for b in base.chain.blocks for tx in b.transactions
+        for b in base.consensus.chain.blocks for tx in b.transactions
         if isinstance(tx, Observation)
     }
     deg_txs = {
         (tx.pair, tx.loop_index): tx.matches
-        for b in deg.chain.blocks for tx in b.transactions
+        for b in deg.consensus.chain.blocks for tx in b.transactions
         if isinstance(tx, Observation)
     }
     assert base_txs.keys() == deg_txs.keys()  # emission ignores quality
@@ -588,7 +597,7 @@ def replay_from_ledger(config, state):
     (avg_navigability hex, generator) and the final stakes.
     """
     n, m, loops = config.n_robots, config.n_landmarks, config.loops
-    blocks = [block.transactions for block in state.chain.blocks]
+    blocks = [block.transactions for block in state.consensus.chain.blocks]
     transactions = [tx for block in blocks for tx in block]
     observations = [tx for tx in transactions if isinstance(tx, Observation)]
     keys = [(tx.loop_index, tx.pair) for tx in observations]
@@ -603,7 +612,7 @@ def replay_from_ledger(config, state):
         records[tx.loop_index].append(tx)
     landmarks = init_world(config)[1]
     for t, loop_records in enumerate(records):
-        common = brute_common(config, state.trajectory[t + 1], landmarks)
+        common = brute_common(config, state.world.trajectory[t + 1], landmarks)
         assert [(tx.pair, [k for k, _ in tx.matches]) for tx in loop_records] == list(common.items())
 
     emitted = list(accumulate(map(len, records)))
@@ -636,8 +645,9 @@ def replayed_run(config):
     every block's average and generator and the final stakes."""
     state = run_experiment(config)
     replayed, stakes = replay_from_ledger(config, state)
-    assert replayed == [(b.avg_navigability.hex(), b.generator) for b in state.chain.blocks]
-    assert stakes == state.stakes
+    consensus = state.consensus
+    assert replayed == [(b.avg_navigability.hex(), b.generator) for b in consensus.chain.blocks]
+    assert stakes == consensus.stakes
     return state
 
 
@@ -718,7 +728,7 @@ def test_the_least_stakes_a_config_admits_still_elect(monkeypatch, reward):
     for seed in range(5):
         config = WorldConfig(**COLD_START, seed=seed, initial_stake=5e-324,
                              generator_reward=reward)
-        assert run_experiment(config).chain.blocks
+        assert run_experiment(config).consensus.chain.blocks
     assert stake_elections > 0
 
 
@@ -731,13 +741,13 @@ def test_loop_snapshots_read_back_from_the_ledger(monkeypatch, world, seed):
     n, m = config.n_robots, config.n_landmarks
     returned = []
 
-    def recording(state):
-        observations = compute_visibility(state)
+    def recording(world):
+        observations = compute_visibility(world)
         returned.append(VisibilitySnapshot.of(n, m, observations))
         return observations
 
     monkeypatch.setattr(sim, "compute_visibility", recording)
-    chain = run_experiment(config).chain
+    chain = run_experiment(config).consensus.chain
     read_back = [[] for _ in range(config.loops)]
     sealed_in = [set() for _ in range(config.loops)]
     for block in chain.blocks:
@@ -754,7 +764,7 @@ def test_loop_snapshots_read_back_from_the_ledger(monkeypatch, world, seed):
 
 @pytest.mark.parametrize("scenario", [None, DegradationScenario((2, 10), 1, 3, 0.0)])
 def test_replay_equivalence_holds_in_a_sparse_world(scenario):
-    fast = replayed_run(SPARSE._replace(degradation=scenario))
+    fast = replayed_run(SPARSE._replace(degradation=scenario)).consensus
     assert fast.min_common == 0
     assert any(b.avg_navigability > 0.0 for b in fast.chain.blocks)
     if scenario is not None:
@@ -764,6 +774,20 @@ def test_replay_equivalence_holds_in_a_sparse_world(scenario):
             if isinstance(tx, Observation) and tx.pair == (2, 10) and 1 <= tx.loop_index <= 3
         ]
         assert zeroed and all(q == 0.0 for matches in zeroed for _, q in matches)
+
+
+def sealed_observations(chain):
+    return [
+        tx for block in chain.blocks for tx in block.transactions if isinstance(tx, Observation)
+    ]
+
+
+def records_by_loop(chain, loops):
+    """The chain's observation records, one list per loop, empty loops included."""
+    records = [[] for _ in range(loops)]
+    for tx in sealed_observations(chain):
+        records[tx.loop_index].append(tx)
+    return records
 
 
 @pytest.mark.parametrize("config", [
@@ -776,10 +800,21 @@ def test_the_ledger_replays_through_the_seal_state(config):
     # The state each seal starts from (stakes, pair history, the loop's
     # snapshot) is re-derived from the ledger alone. Some block carries
     # records over from an earlier loop, and the last block seals a remainder.
-    blocks = replayed_run(config).chain.blocks
+    run = replayed_run(config).consensus
+    blocks = run.chain.blocks
     assert any(len({tx.loop_index for tx in b.transactions[:-1]}) > 1 for b in blocks)
     assert blocks[-1].transactions[-1].loop_index == config.loops
     assert any(block.avg_navigability > 0.0 for block in blocks)
+    # A consensus part built from the config alone and fed the ledger's
+    # records loop by loop seals the same ledger.
+    consensus = Consensus(config)
+    for loop, records in enumerate(records_by_loop(run.chain, config.loops)):
+        consensus.loop_index = loop
+        emit_transactions(consensus, records)
+        maybe_seal_blocks(consensus)
+    consensus.loop_index = config.loops
+    maybe_seal_blocks(consensus, finalize=True)
+    assert (consensus.chain.dumps(), consensus.stakes) == (run.chain.dumps(), run.stakes)
 
 
 # The default and cold-start worlds, each plain and with pair (2, 7) degraded
@@ -791,8 +826,19 @@ STAGE_WORLDS = [
 ]
 
 
-def sealed_observations(chain):
-    return [tx for block in chain.blocks for tx in block.transactions if isinstance(tx, Observation)]
+@pytest.mark.parametrize("world,scenario", STAGE_WORLDS)
+def test_the_world_part_alone_observes_what_the_ledger_records(world, scenario):
+    # The world part runs every loop with no consensus part at all.
+    config = WorldConfig(**world, seed=3, degradation=scenario)
+    alone = World(config, *init_world(config))
+    observed = []
+    for loop in range(config.loops):
+        alone.loop_index = loop
+        step_movement(alone)
+        observed.append(compute_visibility(alone))
+    run = run_experiment(config)
+    assert observed == records_by_loop(run.consensus.chain, config.loops)
+    assert alone.trajectory == run.world.trajectory
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -800,10 +846,11 @@ def sealed_observations(chain):
 def test_no_consensus_setting_changes_what_the_robots_observe(world, scenario, seed):
     # No world draw reads a stake, a block or an election.
     config = WorldConfig(**world, seed=seed, degradation=scenario)
-    observed = sealed_observations(run_experiment(config).chain)
+    observed = sealed_observations(run_experiment(config).consensus.chain)
     for change in ({"block_size": 1}, {"block_size": 7}, {"generator_reward": 5.0},
                    {"initial_stake": 1e-3}):
-        assert sealed_observations(run_experiment(config._replace(**change)).chain) == observed
+        changed = run_experiment(config._replace(**change)).consensus.chain
+        assert sealed_observations(changed) == observed
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -815,9 +862,10 @@ def test_a_shorter_run_is_the_start_of_a_longer_one(world, scenario, seed):
     for loops in (3, 7):
         short = run_experiment(config._replace(loops=loops))
         longer = run_experiment(config._replace(loops=loops + 1))
-        blocks = short.chain.blocks
+        blocks = short.consensus.chain.blocks
         if blocks and blocks[-1].transactions[-1].loop_index == loops:
             blocks = blocks[:-1]
         assert blocks
-        assert [b.line for b in blocks] == [b.line for b in longer.chain.blocks[:len(blocks)]]
-        assert longer.trajectory[:loops + 1] == short.trajectory
+        prefix = longer.consensus.chain.blocks[:len(blocks)]
+        assert [b.line for b in blocks] == [b.line for b in prefix]
+        assert longer.world.trajectory[:loops + 1] == short.world.trajectory

@@ -173,7 +173,7 @@ def world_digest(runs) -> tuple[str, str | None]:
     problem = None
     for seed, shape, scenario in runs:
         config = WorldConfig(seed=seed, degradation=scenario, **shape)
-        data = run_experiment(config).chain.dumps()
+        data = run_experiment(config).consensus.chain.dumps()
         digest.update(data)
         if problem is not None:
             continue
