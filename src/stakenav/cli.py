@@ -132,6 +132,8 @@ def parse_config(args: argparse.Namespace) -> RunRequest:
     checked, world keys and scenario keys alike; the scenario keys become
     the config's `degradation`.
     """
+    if not args.out:  # Path("") would write into "."
+        raise ConfigError("--out must name a directory, got an empty path")
     values = load_config_file(args.config) if args.config is not None else {}
     for key in (*CONFIG_KEYS, *SCENARIO_KEYS):
         flag = getattr(args, key)

@@ -1,17 +1,17 @@
-"""Core value types: world configuration, degradation scenario, random
-streams, world placement.
+"""Core value types: world configuration, degradation scenario, stream
+derivation, world placement.
 
 A run's one input is its `WorldConfig`, whose `degradation` field holds the
 run's `DegradationScenario`, if any. Every value is checked here, when the
 config or scenario is built; a bad value raises `ConfigError` naming it.
 All randomness in the package flows through generators derived from a
-single root seed by `derive_stream`, one per concern: the world's placement,
-movement and quality streams (:class:`RandomStreams`) and the consensus
-layer's election stream. Adding draws to one concern never perturbs the
-others. `derive_stream` is the only seeding, and every draw of a run is
-`Random.random()`, so that no other stdlib algorithm shapes the bytes. A
-robot or landmark is its index in the lists of positions that `init_world`
-returns.
+single root seed by `derive_stream`, one per concern: "placement", drawn by
+`init_world`; "movement" and "quality", which `sim.World` derives for
+itself; and "election", which `sim.Consensus` derives. Adding draws to one
+concern never perturbs the others. `derive_stream` is the only seeding, and
+every draw of a run is `Random.random()`, so that no other stdlib algorithm
+shapes the bytes. A robot or landmark is its index in the lists of
+positions that `init_world` returns.
 """
 from __future__ import annotations
 
@@ -237,37 +237,18 @@ def derive_stream(seed: int, label: str) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-class RandomStreams(NamedTuple):
-    """The world's random generators, each derived from one root seed."""
-
-    placement: random.Random
-    movement: random.Random
-    quality: random.Random
-
-    @classmethod
-    def from_seed(cls, seed: int) -> "RandomStreams":
-        return cls(
-            placement=derive_stream(seed, "placement"),
-            movement=derive_stream(seed, "movement"),
-            quality=derive_stream(seed, "quality"),
-        )
-
-
-def init_world(
-    config: WorldConfig,
-) -> tuple[list[tuple[float, float]], list[tuple[float, float]], RandomStreams]:
+def init_world(config: WorldConfig) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
     """Place robots and landmarks uniformly at random inside the world.
 
-    Returns the robots' positions, the landmarks' positions and the run's
-    streams; each position is an (x, y) tuple, and its index in the list is
-    the robot's or landmark's id. Draw order is fixed (robots first, then
-    landmarks; x before y), so equal (config, seed) gives bit-identical
-    worlds.
+    Returns the robots' positions and the landmarks' positions, drawn from
+    the "placement" stream; each position is an (x, y) tuple, and its index
+    in the list is the robot's or landmark's id. Draw order is fixed (robots
+    first, then landmarks; x before y), so equal (config, seed) gives
+    bit-identical worlds.
     """
-    streams = RandomStreams.from_seed(config.seed)
-    random = streams.placement.random
+    random = derive_stream(config.seed, "placement").random
 
     def place(count: int) -> list[tuple[float, float]]:
         return [(config.width * random(), config.height * random()) for _ in range(count)]
 
-    return place(config.n_robots), place(config.n_landmarks), streams
+    return place(config.n_robots), place(config.n_landmarks)

@@ -6,9 +6,11 @@ robot recognizes (Euclidean distance within the sensing radius), draws a
 fresh match quality for every pairwise common landmark, scales one pair's
 qualities while the config's `degradation`, if any, is active, and returns
 the loop's observation records, one per pair that shares at least one
-landmark. Its state is a `World`: the config, the placement, movement and
-quality streams, the trajectory, the landmark grid and the loop index its
-records carry. It reads no stake, block or election.
+landmark. Its state is a `World`, built from the config and the positions
+`init_world` places: the config, the movement and quality streams it derives
+from the seed, the trajectory, the landmark grid and the loop index its
+records carry. It reads no stake, block or election. `observe(world)` runs
+it: a generator that runs `config.loops` loops and yields each loop's records.
 
 The consensus stage seals whatever records it is fed. Its state is a
 `Consensus`, built from a `WorldConfig` alone with no world placed: the
@@ -19,18 +21,16 @@ entry: it starts the seal state's loop on the records, reads the extremes
 from their match counts and queues them. `maybe_seal_blocks` then seals
 every full batch: it elects the generator by navigability (stake weights
 as cold-start fallback; `elect_generator`), appends a reward transaction
-and credits the generator's stake. `run_experiment` feeds it the world's
-records loop by loop and returns both parts as an `ExperimentState`. Any
-other stream of records, one ascending list per loop with empty loops
-included, such as a ledger's records read back, is sealed the same way:
+and credits the generator's stake. `seal_stream(config, loops)` runs it
+over any stream of records, one ascending list per loop with empty loops
+included, and returns the finished `Consensus`. `run_experiment` is the two
+stages joined:
 
-    consensus = Consensus(config)
-    for loop, records in enumerate(stream):
-        consensus.loop_index = loop
-        emit_transactions(consensus, records)
-        maybe_seal_blocks(consensus)
-    consensus.loop_index = config.loops
-    maybe_seal_blocks(consensus, finalize=True)
+    world = World(config, *init_world(config))
+    ExperimentState(world, seal_stream(config, observe(world)))
+
+and a ledger's records read back and grouped by loop are sealed the same
+way, into the same bytes.
 
 Robots are indexed by id in the trajectory's positions and in the stakes.
 The paper's formulas, one pair at a time, are in `stakenav.reference`,
@@ -69,12 +69,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right, insort
 from collections import defaultdict
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate
 from random import Random
 from typing import NamedTuple
 
-from .domain import RandomStreams, WorldConfig, derive_stream, init_world, ordered_sum
+from .domain import WorldConfig, derive_stream, init_world, ordered_sum
 from .ledger import Block, Chain, Observation, Reward
 
 # Shared-transaction count at which a pair's importance saturates; counts are
@@ -192,8 +192,9 @@ class SealState:
 
 
 class World:
-    """The world part of a run: config, streams, trajectory, landmark grid,
-    and the loop index that `compute_visibility` stamps on its records.
+    """The world part of a run: config, the `movement` and `quality` streams
+    it derives from `config.seed`, trajectory, landmark grid, and the loop
+    index that `compute_visibility` stamps on its records.
 
     `trajectory[t][i]` is robot i's (x, y) position after t movement steps:
     `trajectory[0]` is the placement and `trajectory[-1]` where the robots
@@ -206,10 +207,10 @@ class World:
         config: WorldConfig,
         positions: list[tuple[float, float]],
         landmarks: list[tuple[float, float]],
-        streams: RandomStreams,
     ):
         self.config = config
-        self.streams = streams
+        self.movement = derive_stream(config.seed, "movement")
+        self.quality = derive_stream(config.seed, "quality")
         self.loop_index = 0
         self.trajectory = [positions]
         self._grid = _landmark_grid(config, landmarks)
@@ -263,7 +264,7 @@ def step_movement(world: World) -> list[tuple[float, float]]:
     positions to the trajectory.
     """
     config = world.config
-    random = world.streams.movement.random
+    random = world.movement.random
     step = config.step_size
     low = -step
     span = step - low
@@ -360,7 +361,7 @@ def compute_visibility(world: World) -> list[Observation]:
         recognized.append(seen)
 
     loop = world.loop_index
-    random = world.streams.quality.random
+    random = world.quality.random
     observations: list[Observation] = []
     for i, rec_i in enumerate(recognized):
         partners = 0
@@ -476,20 +477,34 @@ def maybe_seal_blocks(consensus: Consensus, finalize: bool = False) -> list[Bloc
     return sealed
 
 
+def observe(world: World) -> Iterator[list[Observation]]:
+    """Run the world stage: for each of the config's loops, set the loop
+    index, move the robots and yield the loop's records."""
+    for loop in range(world.config.loops):
+        world.loop_index = loop
+        step_movement(world)
+        yield compute_visibility(world)
+
+
+def seal_stream(config: WorldConfig, loops: Iterable[list[Observation]]) -> Consensus:
+    """Run the consensus stage: a new `Consensus` for `config` takes each
+    loop's records and seals every full batch, its rewards stamped with the
+    loop's index, then seals the remainder stamped `config.loops`; returns it."""
+    consensus = Consensus(config)
+    for loop, records in enumerate(loops):
+        consensus.loop_index = loop
+        emit_transactions(consensus, records)
+        maybe_seal_blocks(consensus)
+    consensus.loop_index = config.loops
+    maybe_seal_blocks(consensus, finalize=True)
+    return consensus
+
+
 def run_experiment(config: WorldConfig) -> ExperimentState:
-    """Run the full experiment: place the world, then per loop the world part
-    moves and sees, and the consensus part takes the records and seals.
+    """Run the full experiment: place the world, then seal what it observes.
 
     Deterministic: equal configs, `degradation` included, give bit-identical
     final states, ledgers, and series.
     """
     world = World(config, *init_world(config))
-    consensus = Consensus(config)
-    for loop in range(config.loops):
-        world.loop_index = consensus.loop_index = loop
-        step_movement(world)
-        emit_transactions(consensus, compute_visibility(world))
-        maybe_seal_blocks(consensus)
-    consensus.loop_index = config.loops
-    maybe_seal_blocks(consensus, finalize=True)
-    return ExperimentState(world, consensus)
+    return ExperimentState(world, seal_stream(config, observe(world)))

@@ -633,3 +633,14 @@ def test_unwritable_output_is_runtime_error(tmp_path, capsys):
     blocker.write_text("x")
     assert main(["--loops", "1", "--out", str(blocker / "sub")]) == 2
     capsys.readouterr()
+
+
+def test_an_empty_output_directory_is_refused(tmp_path, monkeypatch, capsys):
+    # Path("") is ".", so an empty --out would write the exports into the
+    # current directory.
+    monkeypatch.chdir(tmp_path)
+    assert main(["--loops", "1", "--out", ""]) == 1
+    assert capsys.readouterr().err == (
+        "stakenav: error: --out must name a directory, got an empty path\n"
+    )
+    assert list(tmp_path.iterdir()) == []

@@ -14,7 +14,6 @@ from stakenav.domain import (
     MAX_SEED,
     MIN_RADIUS,
     InvalidPairError,
-    RandomStreams,
     derive_stream,
     normalize_pair,
 )
@@ -160,18 +159,27 @@ def test_derive_stream_is_deterministic_and_label_separated():
 
 
 def test_streams_from_seed_are_independent():
-    s = RandomStreams.from_seed(7)
-    before = s.quality.random()
+    quality, movement = derive_stream(7, "quality"), derive_stream(7, "movement")
+    before = quality.random()
     # draining one stream must not shift another
     for _ in range(100):
-        s.movement.random()
-    s2 = RandomStreams.from_seed(7)
-    assert before == s2.quality.random()
+        movement.random()
+    assert before == derive_stream(7, "quality").random()
+
+
+def test_the_world_derives_its_own_streams():
+    cfg = WorldConfig(seed=7)
+    world = World(cfg, *init_world(cfg))
+    assert world.movement.random() == derive_stream(7, "movement").random()
+    assert world.quality.random() == derive_stream(7, "quality").random()
+    placement = derive_stream(7, "placement")
+    r1, r2 = placement.random(), placement.random()
+    assert init_world(cfg)[0][0] == (cfg.width * r1, cfg.height * r2)
 
 
 def test_init_world_places_everything_in_bounds():
     cfg = WorldConfig(seed=11, initial_stake=2.5)
-    positions, landmarks, streams = init_world(cfg)
+    positions, landmarks = init_world(cfg)
     assert len(positions) == cfg.n_robots
     assert len(landmarks) == cfg.n_landmarks
     for place in positions + landmarks:
@@ -179,17 +187,17 @@ def test_init_world_places_everything_in_bounds():
         x, y = place
         assert type(x) is float and type(y) is float
         assert 0.0 <= x <= cfg.width and 0.0 <= y <= cfg.height
-    assert World(cfg, positions, landmarks, streams).trajectory == [positions]
+    assert World(cfg, positions, landmarks).trajectory == [positions]
     assert Consensus(cfg).stakes == [2.5] * cfg.n_robots
 
 
 def test_init_world_is_deterministic_per_seed():
     cfg = WorldConfig(seed=3)
-    r1, l1, _ = init_world(cfg)
-    r2, l2, _ = init_world(cfg)
+    r1, l1 = init_world(cfg)
+    r2, l2 = init_world(cfg)
     assert r1 == r2
     assert l1 == l2
-    r3, _, _ = init_world(WorldConfig(seed=4))
+    r3, _ = init_world(WorldConfig(seed=4))
     assert r1 != r3
 
 

@@ -162,6 +162,18 @@ def test_check_determinism_reports_a_dump_that_does_not_load(monkeypatch, capsys
     assert lines[9].endswith(": seed-0 exports: ok")
 
 
+def test_check_determinism_re_seals_the_golden_ledger(monkeypatch, capsys):
+    tool = _load_tool(monkeypatch)
+    seal_stream = tool.seal_stream
+    # Fed all but the last loop, the golden ledger's records seal other bytes.
+    monkeypatch.setattr(tool, "seal_stream", lambda config, loops: seal_stream(config, loops[:-1]))
+    assert tool.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 11
+    assert lines[0].endswith(": seed-0 ledger: seed 0 does not re-seal from its records")
+    assert all(line.endswith(": ok") for line in lines[1:])
+
+
 def test_check_determinism_names_each_primitive_that_moved(monkeypatch, capsys):
     tool = _load_tool(monkeypatch)
     # Patched in the tool only: the runs, and so every digest, are left alone.

@@ -33,8 +33,8 @@ from stakenav.reference import (
     average_navigability,
     navigability_matrix,
 )
-from stakenav.domain import MAX_LENGTH, MIN_RADIUS, RandomStreams, derive_stream
-from stakenav.sim import Consensus, World, maybe_seal_blocks, step_movement
+from stakenav.domain import MAX_LENGTH, MIN_RADIUS, derive_stream
+from stakenav.sim import Consensus, World, maybe_seal_blocks, observe, seal_stream, step_movement
 from tests.test_ledger import pair_tx_counts
 from tests.test_navigability import dense_alpha
 
@@ -172,8 +172,7 @@ def assert_distance_rule(world, observations, landmarks=None):
 
 
 def hand_placed_state(config, robots_xy, landmarks_xy):
-    _, _, streams = init_world(config)
-    return World(config, list(robots_xy), list(landmarks_xy), streams)
+    return World(config, list(robots_xy), list(landmarks_xy))
 
 
 def test_compute_visibility_matches_distance_rule():
@@ -273,7 +272,7 @@ def test_a_landmark_just_inside_the_radius_is_seen_from_anywhere_in_a_cell(direc
     dx, dy = (radius * (1 - 2**-20) * d / math.hypot(*direction) for d in direction)
     for step in range(129):
         x = y = 400.0 + step * radius / 64
-        world = World(config, [(x, y), (x, y)], [(x + dx, y + dy)], RandomStreams.from_seed(0))
+        world = World(config, [(x, y), (x, y)], [(x + dx, y + dy)])
         observations = compute_visibility(world)
         assert [(tx.pair, [k for k, _ in tx.matches]) for tx in observations] == [((0, 1), [0])], x
 
@@ -281,9 +280,7 @@ def test_a_landmark_just_inside_the_radius_is_seen_from_anywhere_in_a_cell(direc
 def test_compute_visibility_in_a_sparse_world():
     world = fresh_world(SPARSE)
     consensus = Consensus(SPARSE)
-    for _ in range(SPARSE.loops):
-        step_movement(world)
-        observations = compute_visibility(world)
+    for observations in observe(world):
         # Building the snapshot checks its pairwise intersections.
         VisibilitySnapshot.of(SPARSE.n_robots, SPARSE.n_landmarks, observations)
         expected = assert_distance_rule(world, observations)
@@ -330,7 +327,7 @@ def test_cooperating_pairs_equal_an_all_pairs_intersection(world):
     config, robots, landmarks = world
     world = hand_placed_state(config, robots, landmarks)
     replay = random.Random()
-    replay.setstate(world.streams.quality.getstate())
+    replay.setstate(world.quality.getstate())
     observations = compute_visibility(world)
     common = brute_common(config, robots, landmarks)
     expected = [
@@ -374,10 +371,10 @@ def test_landmark_grid_lists_each_landmark_once():
     # cell: listing each in all nine cells around it made this peak 127 MB.
     config = WorldConfig(n_robots=2, n_landmarks=65536, width=1e6, height=1e6,
                          loops=1, seed=0)
-    positions, landmarks, streams = init_world(config)
+    positions, landmarks = init_world(config)
     tracemalloc.start()
     try:
-        world = World(config, positions, landmarks, streams)
+        world = World(config, positions, landmarks)
         step_movement(world)
         compute_visibility(world)
         _, peak = tracemalloc.get_traced_memory()
@@ -442,7 +439,7 @@ def test_snapshot_qualities_are_the_drawn_qualities():
     world = fresh_world(SMALL._replace(degradation=scenario))
     step_movement(world)
     replay = random.Random()
-    replay.setstate(world.streams.quality.getstate())
+    replay.setstate(world.quality.getstate())
     observations = compute_visibility(world)
     assert (1, 3) in [tx.pair for tx in observations]
     expected = {}
@@ -515,9 +512,12 @@ def test_finalize_seals_remainder():
 
 
 def test_zero_loops_runs_empty():
-    world, consensus = run_experiment(WorldConfig(loops=0, seed=1))
+    config = WorldConfig(loops=0, seed=1)
+    world, consensus = run_experiment(config)
     assert consensus.chain.blocks == []
     assert len(world.trajectory) == 1  # placement only
+    sealed = seal_stream(config, [])
+    assert (sealed.chain.dumps(), sealed.stakes) == (consensus.chain.dumps(), consensus.stakes)
 
 
 def test_run_is_deterministic():
@@ -807,14 +807,33 @@ def test_the_ledger_replays_through_the_seal_state(config):
     assert any(block.avg_navigability > 0.0 for block in blocks)
     # A consensus part built from the config alone and fed the ledger's
     # records loop by loop seals the same ledger.
-    consensus = Consensus(config)
-    for loop, records in enumerate(records_by_loop(run.chain, config.loops)):
-        consensus.loop_index = loop
-        emit_transactions(consensus, records)
-        maybe_seal_blocks(consensus)
-    consensus.loop_index = config.loops
-    maybe_seal_blocks(consensus, finalize=True)
+    consensus = seal_stream(config, records_by_loop(run.chain, config.loops))
     assert (consensus.chain.dumps(), consensus.stakes) == (run.chain.dumps(), run.stakes)
+
+
+# Robots that share a landmark in loops 0 and 2-6 only, so the block sealed in
+# loop 2 carries loop 0's record across the empty loop 1.
+GAPPED = WorldConfig(n_robots=4, n_landmarks=6, width=300.0, height=300.0,
+                     sensing_radius=60.0, step_size=40.0, loops=8, block_size=2, seed=40)
+
+
+def test_a_stream_with_an_empty_loop_reseals_its_ledger():
+    chain = run_experiment(GAPPED).consensus.chain
+    loops = records_by_loop(chain, GAPPED.loops)
+    assert [len(records) for records in loops] == [1, 0, 3, 3, 1, 2, 2, 0]
+    assert seal_stream(GAPPED, loops).chain.dumps() == chain.dumps()
+    # The empty loop counts: left out, the later seals are stamped a loop early.
+    assert seal_stream(GAPPED, [records for records in loops if records]).chain.dumps() != (
+        chain.dumps()
+    )
+
+
+@pytest.mark.parametrize("loops", [0, 1, 4])
+def test_observe_yields_one_list_per_loop(loops):
+    world = fresh_world(SMALL._replace(loops=loops))
+    observed = list(observe(world))
+    assert len(observed) == loops and all(type(records) is list for records in observed)
+    assert len(world.trajectory) == loops + 1
 
 
 # The default and cold-start worlds, each plain and with pair (2, 7) degraded
@@ -831,11 +850,7 @@ def test_the_world_part_alone_observes_what_the_ledger_records(world, scenario):
     # The world part runs every loop with no consensus part at all.
     config = WorldConfig(**world, seed=3, degradation=scenario)
     alone = World(config, *init_world(config))
-    observed = []
-    for loop in range(config.loops):
-        alone.loop_index = loop
-        step_movement(alone)
-        observed.append(compute_visibility(alone))
+    observed = list(observe(alone))
     run = run_experiment(config)
     assert observed == records_by_loop(run.consensus.chain, config.loops)
     assert alone.trajectory == run.world.trajectory

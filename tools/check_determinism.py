@@ -1,18 +1,20 @@
 """Check that stakenav writes the same bytes on this interpreter.
 
-Runs the default configuration for seed 0 and for seeds 0-19, plain and
-with pair (2, 7) degraded x0.1 in loops 4-6 (the paper's c10 run), two sparse
+Runs the default configuration for seed 0 and for seeds 0-19, plain and with
+pair (2, 7) degraded x0.1 in loops 4-6 (the paper's c10 run), two sparse
 worlds, a dense world and a cold-start world for seeds 0-4, one world whose
 robots change grid cell almost every loop, 50 small worlds drawn from a
-fixed seed, and the largest team in a world where it seals 200 blocks. It compares the SHA-256 of the ledger dumps with pinned values.
-Each dump must also load back with `Chain.loads`, which verifies it, and
-dump to the same bytes. Then exports the default seed-0 run as `stakenav
---out DIR` does, into a temporary directory, compares the SHA-256 of each of
-its four files with pinned values, and runs `stakenav --verify` on its
-ledger. Last, checks the known answers of the primitives the bytes rest on,
-so that a digest that breaks on a new interpreter comes with the name of the
-primitive that moved. Needs only the standard library, so it runs on
-interpreters that have no pytest:
+fixed seed, and the largest team in a world where it seals 200 blocks. It
+compares the SHA-256 of the ledger dumps with pinned values. Each dump must
+also load back with `Chain.loads`, which verifies it, and dump to the same
+bytes, and the seed-0 ledger's own records, grouped by loop, must seal
+through `seal_stream` into that ledger again. Then exports the default
+seed-0 run as `stakenav --out DIR` does, into a temporary directory,
+compares the SHA-256 of each of its four files with pinned values, and runs
+`stakenav --verify` on its ledger. Last, checks the known answers of the
+primitives the bytes rest on, so that a digest that breaks on a new
+interpreter comes with the name of the primitive that moved. Needs only the
+standard library, so it runs on interpreters that have no pytest:
 
     python3 tools/check_determinism.py
 
@@ -42,7 +44,8 @@ from stakenav import (  # noqa: E402
 )
 from stakenav.cli import build_parser, main as cli_main, parse_config, run_and_export  # noqa: E402
 from stakenav.domain import derive_stream  # noqa: E402
-from stakenav.ledger import canonical_encode  # noqa: E402
+from stakenav.ledger import Observation, canonical_encode  # noqa: E402
+from stakenav.sim import seal_stream  # noqa: E402
 
 # Same value as GOLDEN_SEED0_LEDGER in tests/test_acceptance.py.
 GOLDEN_SEED0_LEDGER = "8580c9a0fe7ef7871a91a2fb798d64764f415eb45c0954abfb5391dcd5cdc7b6"
@@ -165,10 +168,21 @@ def drawn_runs() -> list:
     return runs
 
 
-def world_digest(runs) -> tuple[str, str | None]:
+def resealed(config: WorldConfig, chain: Chain) -> bytes:
+    """The dump of `chain`'s observation records, grouped by loop and sealed
+    again under `config`."""
+    loops = [[] for _ in range(config.loops)]
+    for block in chain.blocks:
+        for tx in block.transactions:
+            if isinstance(tx, Observation):
+                loops[tx.loop_index].append(tx)
+    return seal_stream(config, loops).chain.dumps()
+
+
+def world_digest(runs, reseal: bool = False) -> tuple[str, str | None]:
     """SHA-256 of the ledger dumps of `runs`, (seed, shape, scenario) in
-    order, and the first dump's failure to load or to dump back unchanged,
-    or None."""
+    order, and the first dump's failure to load, to dump back unchanged or,
+    with `reseal`, to seal again from its own records, or None."""
     digest = hashlib.sha256()
     problem = None
     for seed, shape, scenario in runs:
@@ -184,6 +198,8 @@ def world_digest(runs) -> tuple[str, str | None]:
         else:
             if loaded.dumps() != data:
                 problem = f"seed {seed} does not dump back unchanged"
+            elif reseal and resealed(config, loaded) != data:
+                problem = f"seed {seed} does not re-seal from its records"
     return digest.hexdigest(), problem
 
 
@@ -253,7 +269,7 @@ def main() -> int:
     version = sys.version.split()[0]
     failed = False
     for name, (runs, want) in worlds.items():
-        got, problem = world_digest(runs)
+        got, problem = world_digest(runs, reseal=name == "seed-0 ledger")
         result = f"MISMATCH {got} != {want}" if got != want else "ok"
         if problem is not None:
             result = problem if result == "ok" else f"{result}; {problem}"
